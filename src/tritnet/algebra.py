@@ -193,11 +193,18 @@ def decode_table(gate_id: int) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def decode_tables(gate_ids) -> np.ndarray:
+    """Vectorized `decode_table`: gate ids of shape s -> int8 (*s, 9)."""
+    ids = np.asarray(gate_ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= N_GATES):
+        raise ValueError(f"gate ids must lie in [0, {N_GATES - 1}]")
+    digits = (ids[..., None] // 3 ** np.arange(9)) % 3
+    return (digits - 1).astype(np.int8)
+
+
 def all_tables() -> np.ndarray:
     """All 19,683 truth tables as an int8 array of shape (3^9, 9)."""
-    ids = np.arange(N_GATES)
-    digits = (ids[:, None] // 3 ** np.arange(9)[None, :]) % 3
-    return (digits - 1).astype(np.int8)
+    return decode_tables(np.arange(N_GATES))
 
 
 def encode_tables(tables: np.ndarray) -> np.ndarray:

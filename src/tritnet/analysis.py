@@ -51,7 +51,18 @@ class CoverageCurve:
 
 def selective_curve(circuit: Circuit, x_enc, y,
                     retention_grid=DEFAULT_RETENTION_GRID) -> CoverageCurve:
-    """Margin-ordered selective accuracy of a circuit.
+    """Margin-ordered selective accuracy of a circuit on encoded inputs.
+
+    Runs the circuit once and hands its predictions and margins to
+    `coverage_curve`.
+    """
+    _, _, preds, margins = eval_circuit(circuit, np.atleast_2d(np.asarray(x_enc)))
+    return coverage_curve(preds, margins, y, retention_grid)
+
+
+def coverage_curve(preds, margins, y,
+                   retention_grid=DEFAULT_RETENTION_GRID) -> CoverageCurve:
+    """Selective accuracy from a circuit's predictions and margins.
 
     Samples are sorted by margin, descending, with ties kept in stable
     input order; at each retention fraction c the accuracy over the
@@ -64,13 +75,12 @@ def selective_curve(circuit: Circuit, x_enc, y,
         raise ValueError(f"retention fractions must lie in (0, 1]: {grid}")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("retention grid must be strictly decreasing")
-    x_enc = np.atleast_2d(np.asarray(x_enc))
+    preds = np.atleast_1d(preds)
     y = np.atleast_1d(np.asarray(y))
-    n = x_enc.shape[0]
+    n = preds.shape[0]
     if n == 0:
         raise ValueError("cannot build a coverage curve on an empty dataset")
-    _, _, preds, margins = eval_circuit(circuit, x_enc)
-    order = np.argsort(-margins, kind="stable")
+    order = np.argsort(-np.atleast_1d(margins), kind="stable")
     correct = (preds == y)[order]
     cum = np.cumsum(correct)
     points = []

@@ -14,9 +14,18 @@ consensus of all Boolean completions, or UNKNOWN if they disagree. On
 all-Boolean inputs the embedded circuit reproduces the Boolean circuit
 bit for bit, since non-corner rows are never exercised.
 
-Circuits evaluate by table lookup only; class predictions take the
-argmax score with ties broken toward the lowest class index, and the
-margin is the gap between the top two scores.
+Circuits evaluate bit-sliced. Each trit is split into two bit-planes,
+TRUE and FALSE (UNKNOWN where neither bit is set), with 64
+samples packed into every uint64 word, so one bitwise numpy operation
+evaluates a gate on 64 samples at once. A gate is the OR over its 9
+grid points (a, b) of the minterm [a] & [b] of its parents' planes,
+taken into the TRUE plane where its table holds +1 and into the FALSE
+plane where it holds -1. Rows run through the circuit in blocks of
+`BLOCK_ROWS`, so the working memory is set by that constant and the
+widest layer, never by the batch size. Only the output layer is
+unpacked back to int8 trits. Class predictions take the argmax score
+with ties broken toward the lowest class index, and the margin is the
+gap between the top two scores.
 """
 
 from __future__ import annotations
@@ -53,11 +62,7 @@ class Circuit:
 
     def __post_init__(self):
         if not self.tables:
-            self.tables = [
-                np.stack([np.array(algebra.decode_table(g), dtype=np.int8)
-                          for g in ids])
-                for ids in self.gate_ids
-            ]
+            self.tables = [algebra.decode_tables(ids) for ids in self.gate_ids]
 
     @property
     def n_neurons(self) -> int:
@@ -134,8 +139,81 @@ def harden_binary(net: BinaryNetwork, source_hash: str | None = None) -> Circuit
     )
 
 
+#: Rows run through the circuit together. The engine's working memory
+#: grows with this constant and the widest layer, not with the batch.
+#: At 2048 rows a 512-wide layer's planes are 32 x 512 words, so the
+#: few live ones of a layer stay within a core's L2 cache.
+BLOCK_ROWS = 2048
+
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                           bitorder="little").astype(np.int8)
+
+#: Entry (t << 8) | f holds, as 8 int8 packed in one uint64, the trits
+#: of the 8 samples in TRUE-plane byte t and FALSE-plane byte f.
+_BYTE_PAIR_TRITS = (_BYTE_BITS[:, None, :] - _BYTE_BITS[None, :, :]
+                    ).reshape(-1).view(np.uint64)
+
+
+def _selectors(table: np.ndarray) -> np.ndarray:
+    """(2, 9, w) uint64 masks of one layer's (w, 9) tables.
+
+    [0, g] is all ones for the neurons whose table holds TRUE at grid
+    point g, [1, g] for those that hold FALSE there.
+    """
+    hits = np.stack([table.T == algebra.TRUE, table.T == algebra.FALSE])
+    return np.where(hits, _ALL_ONES, np.uint64(0))
+
+
+def _pack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, d) trit rows -> TRUE and FALSE planes, each (ceil(m/64), d).
+
+    Word r of a plane's column holds rows 64 r to 64 r + 63.
+    """
+    m, d = x.shape
+    words = -(-m // 64)
+    planes = []
+    for value in (algebra.TRUE, algebra.FALSE):
+        packed = np.zeros((words * 8, d), dtype=np.uint8)
+        packed[:-(-m // 8)] = np.packbits(x == value, axis=0, bitorder="little")
+        word_major = packed.reshape(words, 8, d).transpose(0, 2, 1)
+        planes.append(np.ascontiguousarray(word_major).view(np.uint64)[..., 0])
+    return planes[0], planes[1]
+
+
+def _gate_layer(true, false, s, t, selectors):
+    """Planes of one layer from its parents' planes (see module doc).
+
+    The planes are word-major, (words, neurons), so each neuron's masks
+    broadcast along the contiguous axis.
+    """
+    def trits(idx):  # the parents' FALSE, UNKNOWN, TRUE planes, in grid order
+        pt, pf = true.take(idx, axis=1), false.take(idx, axis=1)
+        return pf, ~(pt | pf), pt
+
+    a, b = trits(s), trits(t)
+    out_true = np.zeros_like(a[0])
+    out_false = np.zeros_like(a[0])
+    minterm = np.empty_like(a[0])
+    picked = np.empty_like(a[0])
+    for g in range(9):
+        np.bitwise_and(a[g // 3], b[g % 3], out=minterm)
+        out_true |= np.bitwise_and(minterm, selectors[0, g], out=picked)
+        out_false |= np.bitwise_and(minterm, selectors[1, g], out=picked)
+    return out_true, out_false
+
+
+def _unpack(true: np.ndarray, false: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of `_pack` on a layer's planes: (m, w) int8 trits."""
+    words, w = true.shape
+    pairs = (true.view(np.uint8).astype(np.uint16) << 8) | false.view(np.uint8)
+    trits = _BYTE_PAIR_TRITS[pairs].view(np.int8).reshape(words, w, 64)
+    return trits.transpose(0, 2, 1).reshape(words * 64, w)[:m]
+
+
 def eval_circuit(circuit: Circuit, x):
-    """Run trit inputs through the circuit by table lookup.
+    """Run trit inputs through the circuit, bit-sliced in row blocks.
 
     Returns (outputs, scores, predictions, margins): the output-layer
     trits, GroupSum scores, argmax class (lowest index on ties) and the
@@ -145,22 +223,33 @@ def eval_circuit(circuit: Circuit, x):
     single = x.ndim == 1
     if single:
         x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"expected one input vector or a 2-D batch, "
+                         f"got shape {x.shape}")
     if x.shape[1] != circuit.input_dim:
         raise ValueError(f"expected {circuit.input_dim} inputs, got {x.shape[1]}")
-    xi = x.astype(np.int64)
-    if x.size and (np.any(xi != x) or xi.min() < -1 or xi.max() > 1):
-        raise ValueError("circuit inputs must be trits in {-1, 0, +1}")
-    h = xi
-    for (s, t), tbl in zip(circuit.conn.layers, circuit.tables):
-        idx = 3 * (h[:, s] + 1) + (h[:, t] + 1)
-        h = tbl[np.arange(tbl.shape[0])[None, :], idx]
-    outputs = h
+    n = x.shape[0]
+    selectors = [_selectors(tbl) for tbl in circuit.tables]
     k, tau = circuit.groupsum.k, circuit.groupsum.tau
     group = circuit.widths[-1] // k
-    scores = outputs.reshape(-1, k, group).sum(axis=2) / tau
-    preds = scores.argmax(axis=1)
-    top2 = -np.partition(-scores, 1, axis=1)[:, :2] if k >= 2 else None
-    margins = top2[:, 0] - top2[:, 1]
+    outputs = np.empty((n, circuit.widths[-1]), dtype=np.int8)
+    scores = np.empty((n, k))
+    preds = np.empty(n, dtype=np.intp)
+    margins = np.empty(n)
+    for lo in range(0, n, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        xb = x[rows]
+        xi = xb.astype(np.int64)
+        if xb.size and (np.any(xi != xb) or xi.min() < -1 or xi.max() > 1):
+            raise ValueError("circuit inputs must be trits in {-1, 0, +1}")
+        true, false = _pack(xi)
+        for (s, t), sel in zip(circuit.conn.layers, selectors):
+            true, false = _gate_layer(true, false, s, t, sel)
+        outputs[rows] = _unpack(true, false, xb.shape[0])
+        scores[rows] = outputs[rows].reshape(-1, k, group).sum(axis=2) / tau
+        preds[rows] = scores[rows].argmax(axis=1)
+        top2 = -np.partition(-scores[rows], 1, axis=1)[:, :2]
+        margins[rows] = top2[:, 0] - top2[:, 1]
     if single:
         return outputs[0], scores[0], int(preds[0]), float(margins[0])
     return outputs, scores, preds, margins

@@ -249,7 +249,7 @@ def cmd_eval(args) -> int:
     )
     extra: dict = {"accuracy": acc, "unknown_fraction": unk}
     if args.selective:
-        curve = an.selective_curve(circuit, x_enc, ds.labels)
+        curve = an.coverage_curve(preds, margins, ds.labels)
         paths["selective"] = os.path.join(out, f"{name}.selective.tsv")
         sz.save_report(
             [[f"{c:.2f}", f"{100 * a:.2f}"] for c, a in curve.points],

@@ -139,6 +139,54 @@ def _need(fields: dict, key: str, path) -> str:
     return fields[key]
 
 
+def _read_shape(fields: dict, path):
+    """input_dim, widths, seed and GroupSum head of a checkpoint or circuit."""
+    raw = {key: _need(fields, key, path)
+           for key in ("input_dim", "widths", "seed", "k", "tau")}
+    try:
+        input_dim, seed, k = int(raw["input_dim"]), int(raw["seed"]), int(raw["k"])
+        widths = tuple(int(v) for v in raw["widths"].split(","))
+        groupsum = GroupSumConfig(k=k, tau=float(raw["tau"]))
+    except ValueError as exc:
+        raise FormatError(f"{path}: bad header value: {exc}") from None
+    if min(widths) < 1 or widths[-1] % k:
+        raise FormatError(f"{path}: widths {raw['widths']} must be positive, "
+                          f"the last divisible by k={k}")
+    return input_dim, widths, seed, groupsum
+
+
+def _read_body(fh, path, widths, value_tags: dict) -> dict:
+    """Body lines `tag index... values...`, keyed by (tag, index...).
+
+    `value_tags` maps each allowed tag to its number of index fields and
+    the type of its values. Every index is range-checked: the first is
+    a layer, a second one a neuron of that layer. A repeated key is an
+    error rather than a silent overwrite.
+    """
+    body: dict = {}
+    for line in fh:
+        parts = line.split()
+        if not parts:
+            continue
+        tag = parts[0]
+        if tag not in value_tags:
+            raise FormatError(f"{path}: unexpected body line {tag!r}")
+        n_index, kind = value_tags[tag]
+        try:
+            index = tuple(int(v) for v in parts[1:1 + n_index])
+            values = [kind(v) for v in parts[1 + n_index:]]
+        except ValueError:
+            raise FormatError(f"{path}: malformed {tag} line") from None
+        if (len(index) < n_index or not 0 <= index[0] < len(widths)
+                or any(not 0 <= j < widths[index[0]] for j in index[1:])):
+            raise FormatError(f"{path}: {tag} line has bad index {index}")
+        key = (tag, *index)
+        if key in body:
+            raise FormatError(f"{path}: duplicate {tag} line for {index}")
+        body[key] = values
+    return body
+
+
 def _encoder_to_json(enc: EncoderConfig | None) -> str:
     if enc is None:
         return "null"
@@ -151,17 +199,20 @@ def _encoder_to_json(enc: EncoderConfig | None) -> str:
     }, sort_keys=True)
 
 
-def _encoder_from_json(text: str) -> EncoderConfig | None:
-    obj = json.loads(text)
-    if obj is None:
-        return None
-    return EncoderConfig(
-        mode=obj["mode"],
-        thresholds_per_feature=int(obj["thresholds_per_feature"]),
-        delta=float(obj["delta"]),
-        lo=tuple(float(v) for v in obj["lo"]),
-        hi=tuple(float(v) for v in obj["hi"]),
-    )
+def _encoder_from_json(text: str, path) -> EncoderConfig | None:
+    try:
+        obj = json.loads(text)
+        if obj is None:
+            return None
+        return EncoderConfig(
+            mode=obj["mode"],
+            thresholds_per_feature=int(obj["thresholds_per_feature"]),
+            delta=float(obj["delta"]),
+            lo=tuple(float(v) for v in obj["lo"]),
+            hi=tuple(float(v) for v in obj["hi"]),
+        )
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: bad encoder field: {exc!r}") from None
 
 
 def _write_conn(fh, conn: ConnectivityMap) -> None:
@@ -220,36 +271,22 @@ def load_checkpoint(path):
         arch = _need(fields, "arch", path)
         if arch not in ("ternary", "binary"):
             raise FormatError(f"{path}: unknown arch {arch!r}")
-        input_dim = int(_need(fields, "input_dim", path))
-        widths = tuple(int(v) for v in _need(fields, "widths", path).split(","))
-        seed = int(_need(fields, "seed", path))
-        groupsum = GroupSumConfig(k=int(_need(fields, "k", path)),
-                                  tau=float(_need(fields, "tau", path)))
-        encoder = _encoder_from_json(_need(fields, "encoder", path))
-        conn_lines: dict = {}
-        n_params = 16 if arch == "binary" else 9
-        params = [np.zeros((w, n_params)) for w in widths]
-        seen = [np.zeros(w, dtype=bool) for w in widths]
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] in ("parents_s", "parents_t"):
-                conn_lines[(parts[0], int(parts[1]))] = [int(v) for v in parts[2:]]
-            elif parts[0] == "w":
-                l, j = int(parts[1]), int(parts[2])
-                vals = [float(v) for v in parts[3:]]
-                if l >= len(widths) or j >= widths[l] or len(vals) != n_params:
-                    raise FormatError(
-                        f"{path}: bad coefficient line for neuron {l}/{j}")
-                params[l][j] = vals
-                seen[l][j] = True
-            else:
-                raise FormatError(f"{path}: unexpected body line {parts[0]!r}")
-    for l, s in enumerate(seen):
-        if not s.all():
-            raise FormatError(f"{path}: layer {l} is missing coefficients")
-    conn = _read_conn(conn_lines, path, seed, input_dim, widths)
+        input_dim, widths, seed, groupsum = _read_shape(fields, path)
+        encoder = _encoder_from_json(_need(fields, "encoder", path), path)
+        body = _read_body(fh, path, widths, {
+            "parents_s": (1, int), "parents_t": (1, int), "w": (2, float)})
+    n_params = 16 if arch == "binary" else 9
+    params = [np.zeros((w, n_params)) for w in widths]
+    for l, w in enumerate(widths):
+        for j in range(w):
+            if ("w", l, j) not in body:
+                raise FormatError(f"{path}: layer {l} is missing coefficients")
+            vals = body[("w", l, j)]
+            if len(vals) != n_params:
+                raise FormatError(
+                    f"{path}: bad coefficient line for neuron {l}/{j}")
+            params[l][j] = vals
+    conn = _read_conn(body, path, seed, input_dim, widths)
     if arch == "ternary":
         return TernaryNetwork(input_dim=input_dim, widths=widths, conn=conn,
                               coeffs=params, groupsum=groupsum, seed=seed), encoder
@@ -281,12 +318,8 @@ def load_circuit(path):
     """Read a circuit file. Returns (circuit, encoder_or_None)."""
     with open(path) as fh:
         fields = _parse_header(fh, path, CIRCUIT_MAGIC)
-        input_dim = int(_need(fields, "input_dim", path))
-        widths = tuple(int(v) for v in _need(fields, "widths", path).split(","))
-        seed = int(_need(fields, "seed", path))
-        groupsum = GroupSumConfig(k=int(_need(fields, "k", path)),
-                                  tau=float(_need(fields, "tau", path)))
-        encoder = _encoder_from_json(_need(fields, "encoder", path))
+        input_dim, widths, seed, groupsum = _read_shape(fields, path)
+        encoder = _encoder_from_json(_need(fields, "encoder", path), path)
         def _dash_to_empty(v: str) -> str:
             return "" if v == "-" else v
 
@@ -295,30 +328,20 @@ def load_circuit(path):
             "source_sha256": _dash_to_empty(_need(fields, "source_sha256", path)),
             "hardened_at": _dash_to_empty(_need(fields, "hardened_at", path)),
         }
-        conn_lines: dict = {}
-        gates: dict[int, list[int]] = {}
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] in ("parents_s", "parents_t"):
-                conn_lines[(parts[0], int(parts[1]))] = [int(v) for v in parts[2:]]
-            elif parts[0] == "gates":
-                gates[int(parts[1])] = [int(v) for v in parts[2:]]
-            else:
-                raise FormatError(f"{path}: unexpected body line {parts[0]!r}")
+        body = _read_body(fh, path, widths, {
+            "parents_s": (1, int), "parents_t": (1, int), "gates": (1, int)})
     gate_ids = []
     for l, w in enumerate(widths):
-        if l not in gates:
+        if ("gates", l) not in body:
             raise FormatError(f"{path}: missing gates for layer {l}")
-        ids = np.array(gates[l], dtype=np.int64)
+        ids = np.array(body[("gates", l)], dtype=np.int64)
         if ids.size != w:
             raise FormatError(f"{path}: layer {l} has {ids.size} gates, "
                               f"expected {w}")
         if ids.size and (ids.min() < 0 or ids.max() >= 3**9):
             raise FormatError(f"{path}: layer {l} has gate id out of range")
         gate_ids.append(ids)
-    conn = _read_conn(conn_lines, path, seed, input_dim, widths)
+    conn = _read_conn(body, path, seed, input_dim, widths)
     return Circuit(input_dim=input_dim, widths=widths, conn=conn,
                    gate_ids=gate_ids, groupsum=groupsum,
                    provenance=provenance), encoder

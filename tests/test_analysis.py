@@ -61,6 +61,18 @@ def test_selective_curve_matches_reference():
         np.mean([a for _, a in curve.points]), abs=1e-12)
 
 
+def test_coverage_curve_from_predictions_and_margins():
+    rng = np.random.default_rng(7)
+    preds = rng.integers(0, 3, size=41)
+    margins = rng.integers(0, 4, size=41) / 2.0  # many ties
+    y = rng.integers(0, 3, size=41)
+    grid = (1.0, 0.7, 0.3, 0.01)
+    curve = an.coverage_curve(preds, margins, y, retention_grid=grid)
+    assert curve.points == tuple(reference_selective(preds, margins, y, grid))
+    with pytest.raises(ValueError):
+        an.coverage_curve(preds[:0], margins[:0], y[:0])
+
+
 def test_selective_curve_full_coverage_is_plain_accuracy():
     circ = random_circuit(seed=3)
     rng = np.random.default_rng(4)

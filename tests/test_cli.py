@@ -136,6 +136,34 @@ def test_eval_writes_requested_reports(trained, tmp_path):
             "diversity", "spectral"} <= set(doc)
 
 
+def test_eval_selective_runs_the_circuit_once(trained, tmp_path, monkeypatch):
+    import tritnet.analysis as an
+    import tritnet.circuit as cc
+    import tritnet.data as dt
+
+    calls = []
+    real = cc.eval_circuit
+
+    def counted(circuit, x):
+        calls.append(len(x))
+        return real(circuit, x)
+
+    monkeypatch.setattr(cc, "eval_circuit", counted)
+    monkeypatch.setattr(an, "eval_circuit", counted)
+    rc = run(["eval", "--circuit", trained["circuit"], "--data", trained["test"],
+              "--selective", "--out", str(tmp_path), "--name", "once"])
+    assert rc == cli.EXIT_OK
+    assert len(calls) == 1
+    # the report matches the curve the circuit-taking wrapper computes
+    circuit, encoder = sz.load_circuit(trained["circuit"])
+    ds = sz.load_dataset(trained["test"])
+    curve = an.selective_curve(circuit, dt.encode(ds.features, encoder), ds.labels)
+    rows = open(tmp_path / "once.selective.tsv").read().splitlines()[3:]
+    assert rows == [f"{c:.2f}\t{100 * a:.2f}" for c, a in curve.points]
+    doc = sz.load_manifest(tmp_path / "once.manifest.json")
+    assert doc["selective_auc"] == curve.auc
+
+
 def test_binary_pipeline_round_trip(tmp_path):
     train, test = gen_moons(str(tmp_path))
     rc = run(["train", "--train", train, "--test", test, "--arch", "binary",
@@ -237,6 +265,54 @@ def test_exit_code_for_malformed_csv(tmp_path, capsys):
     assert rc == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert "data error" in err and "line 2" in err
+
+
+def _duplicate_line(prefix):
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        return lines[:i + 1] + lines[i:]
+    return edit
+
+
+def _replace_prefix(old, new):
+    return lambda lines: [new + ln[len(old):] if ln.startswith(old) else ln
+                          for ln in lines]
+
+
+@pytest.mark.parametrize("artifact, edit", [
+    ("circuit", _replace_prefix("gates 1 ", "gates x ")),
+    ("circuit", _replace_prefix("gates 0 ", "gates 0 7 y ")),
+    ("circuit", _replace_prefix("parents_t 0 ", "parents_t 0 1.5 ")),
+    ("circuit", _replace_prefix("gates 1 ", "gates 5 ")),
+    ("circuit", _duplicate_line("gates 0 ")),
+    ("circuit", _duplicate_line("parents_s 1 ")),
+    ("circuit", _replace_prefix("k ", "k two")),
+    ("circuit", _replace_prefix("encoder ", "encoder {not json")),
+    ("ckpt", _replace_prefix("w 0 1 ", "w 0 1 0.5x ")),
+    ("ckpt", _replace_prefix("w 0 1 ", "w -1 1 ")),
+    ("ckpt", _replace_prefix("parents_s 0 ", "parents_s zero ")),
+    ("ckpt", _duplicate_line("w 0 2 ")),
+    ("ckpt", _duplicate_line("parents_t 0 ")),
+    ("ckpt", _replace_prefix("input_dim ", "input_dim 2.0")),
+    ("ckpt", _replace_prefix("tau ", "tau -")),
+    ("ckpt", _replace_prefix("widths ", "widths 8,3")),
+], ids=["gates-layer", "gate-id", "parent-index", "gates-layer-range",
+        "duplicate-gates", "duplicate-parents-s", "k", "encoder",
+        "coefficient", "neuron-layer-range", "parents-layer",
+        "duplicate-coefficients", "duplicate-parents-t", "input-dim", "tau",
+        "widths-groups"])
+def test_malformed_artifact_is_a_data_error(trained, tmp_path, capsys, artifact, edit):
+    lines = open(trained[artifact]).read().splitlines()
+    bad = tmp_path / f"bad.{artifact}.txt"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    if artifact == "circuit":
+        argv = ["eval", "--circuit", bad, "--data", trained["test"]]
+    else:
+        argv = ["harden", "--checkpoint", bad]
+    rc = run([*argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error:") and "Traceback" not in err
 
 
 def test_exit_code_for_unknown_command(capsys):
