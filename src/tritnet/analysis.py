@@ -249,20 +249,19 @@ def separation_sweep(seps, recipe, n_train: int = 2000, n_test: int = 500,
         train_ds, test_ds = data_mod.split_dataset(full, n_train)
         row: dict = {"sep": float(sep),
                      "bayes_accuracy": data_mod.bayes_accuracy_gaussians(sep)}
-        try:
-            tern = pipeline.run_pipeline(
-                train_ds, test_ds, pipeline.vary(recipe, arch="ternary"))
-            row["ternary_accuracy"] = tern.gap.circuit_accuracy
-            row["unknown_fraction"] = tern.gap.unknown_fraction
-        except NumericalFailure as exc:
-            row["error"] = f"ternary: {exc}"
-        try:
-            binr = pipeline.run_pipeline(
-                train_ds, test_ds, pipeline.vary(recipe, arch="binary"))
-            row["binary_accuracy"] = binr.gap.circuit_accuracy
-        except NumericalFailure as exc:
-            row["error"] = (row.get("error", "") + "; " if "error" in row
-                            else "") + f"binary: {exc}"
+        errors = []
+        for arch in ("ternary", "binary"):
+            try:
+                res = pipeline.run_pipeline(train_ds, test_ds,
+                                            pipeline.vary(recipe, arch=arch))
+            except NumericalFailure as exc:
+                errors.append(f"{arch}: {exc}")
+                continue
+            row[f"{arch}_accuracy"] = res.gap.circuit_accuracy
+            if arch == "ternary":
+                row["unknown_fraction"] = res.gap.unknown_fraction
+        if errors:
+            row["error"] = "; ".join(errors)
         rows.append(row)
     return rows
 

@@ -1,10 +1,11 @@
 """Hardening soft networks into discrete circuits, and running them.
 
-Hardening a ternary network rounds every neuron's truth-table values to
-the nearest trit (ties away from zero) and stores the resulting gate
-id. The mean squared rounding residue equals the commitment loss of
-the soft network exactly, so a committed network loses nothing in the
-discretization.
+One hardener serves both architectures; `_HARD_TABLES` holds the part
+that differs. Hardening a ternary network rounds every neuron's
+truth-table values to the nearest trit (ties away from zero) and
+stores the resulting gate id. The mean squared rounding residue equals
+the commitment loss of the soft network exactly, so a committed
+network loses nothing in the discretization.
 
 Hardening the binary baseline takes every neuron's argmax-probability
 Boolean gate (ties to the lowest gate index) and embeds its 4-entry
@@ -12,7 +13,9 @@ table on the ternary grid: corner entries carry the Boolean outputs
 mapped 0 -> -1, 1 -> +1, and entries with an UNKNOWN input take the
 consensus of all Boolean completions, or UNKNOWN if they disagree. On
 all-Boolean inputs the embedded circuit reproduces the Boolean circuit
-bit for bit, since non-corner rows are never exercised.
+bit for bit, since non-corner rows are never exercised;
+`Circuit.trit_inputs` maps the baseline's encoded bits to those
+corners.
 
 Circuits evaluate bit-sliced. Each trit is split into two bit-planes,
 TRUE and FALSE (UNKNOWN where neither bit is set), with 64
@@ -38,12 +41,10 @@ import numpy as np
 
 from . import algebra
 from .network import (
-    BinaryNetwork,
     ConnectivityMap,
     GroupSumConfig,
-    TernaryNetwork,
+    Network,
     boolean_gate_table,
-    forward_binary,
     forward_soft,
 )
 
@@ -58,11 +59,10 @@ class Circuit:
     gate_ids: list[np.ndarray]  # per layer, int64
     groupsum: GroupSumConfig
     provenance: dict = field(default_factory=dict)
-    tables: list[np.ndarray] = field(default_factory=list)  # (w, 9) int8
+    tables: list[np.ndarray] = field(init=False)  # decoded gate_ids, (w, 9) int8
 
     def __post_init__(self):
-        if not self.tables:
-            self.tables = [algebra.decode_tables(ids) for ids in self.gate_ids]
+        self.tables = [algebra.decode_tables(ids) for ids in self.gate_ids]
 
     @property
     def n_neurons(self) -> int:
@@ -71,28 +71,12 @@ class Circuit:
     def all_gate_ids(self) -> np.ndarray:
         return np.concatenate([np.asarray(g) for g in self.gate_ids])
 
-
-def harden_network(net: TernaryNetwork, source_hash: str | None = None) -> Circuit:
-    """Round every neuron of a ternary network to its nearest gate."""
-    gate_ids = []
-    tables = []
-    for w in net.coeffs:
-        tbl = algebra.round_table(w @ algebra.VANDERMONDE.T)
-        tables.append(tbl)
-        gate_ids.append(algebra.encode_tables(tbl))
-    return Circuit(
-        input_dim=net.input_dim,
-        widths=net.widths,
-        conn=net.conn,
-        gate_ids=gate_ids,
-        groupsum=net.groupsum,
-        provenance={
-            "arch": "ternary",
-            "source_sha256": source_hash or "",
-            "hardened_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        },
-        tables=tables,
-    )
+    def trit_inputs(self, x_enc) -> np.ndarray:
+        """Encoded inputs as circuit inputs: a circuit hardened from the
+        binary baseline takes its bits at the +-1 corners."""
+        if self.provenance.get("arch") == "binary":
+            return 2 * np.asarray(x_enc).astype(np.int64) - 1
+        return x_enc
 
 
 def _boolean_to_ternary_table(gate: int) -> np.ndarray:
@@ -114,29 +98,33 @@ def _boolean_to_ternary_table(gate: int) -> np.ndarray:
 #: Ternary embeddings of the 16 Boolean gates, indexed by gate number.
 BOOLEAN_EMBEDDINGS = np.stack([_boolean_to_ternary_table(k) for k in range(16)])
 
+#: One layer's hardened (w, 9) tables, per architecture: truth tables
+#: rounded to trits, or the embedding of the argmax gate (lowest index).
+_HARD_TABLES = {
+    "ternary": lambda w: algebra.round_table(w @ algebra.VANDERMONDE.T),
+    "binary": lambda logit: BOOLEAN_EMBEDDINGS[logit.argmax(axis=1)],
+}
 
-def harden_binary(net: BinaryNetwork, source_hash: str | None = None) -> Circuit:
-    """Argmax-gate hardening of the baseline, embedded on trits."""
-    gate_ids = []
-    tables = []
-    for logit in net.logits:
-        best = logit.argmax(axis=1)  # first max wins, the lowest index
-        tbl = BOOLEAN_EMBEDDINGS[best]
-        tables.append(tbl.astype(np.int8))
-        gate_ids.append(algebra.encode_tables(tbl))
+
+def harden_network(net: Network, source_hash: str | None = None) -> Circuit:
+    """Replace every neuron by its hardened gate (see the module doc)."""
+    hard_tables = _HARD_TABLES[net.arch]
     return Circuit(
         input_dim=net.input_dim,
         widths=net.widths,
         conn=net.conn,
-        gate_ids=gate_ids,
+        gate_ids=[algebra.encode_tables(hard_tables(w)) for w in net.params],
         groupsum=net.groupsum,
         provenance={
-            "arch": "binary",
+            "arch": net.arch,
             "source_sha256": source_hash or "",
             "hardened_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         },
-        tables=tables,
     )
+
+
+# Kept under its former name, which the benchmark's tracer reports.
+harden_binary = harden_network
 
 
 #: Rows run through the circuit together. The engine's working memory
@@ -255,14 +243,17 @@ def eval_circuit(circuit: Circuit, x):
     return outputs, scores, preds, margins
 
 
-def hardening_error(net: TernaryNetwork) -> float:
+def hardening_error(net: Network) -> float:
     """Mean squared residue of rounding all truth tables to trits.
 
     Equals `training.commitment_loss` exactly; computed independently
     through the rounding path rather than the lattice-distance path.
+    The binary baseline is hardened by argmax, not rounding: 0.
     """
+    if net.arch != "ternary":
+        return 0.0
     total = 0.0
-    for w in net.coeffs:
+    for w in net.params:
         tbl = w @ algebra.VANDERMONDE.T
         r = tbl - algebra.round_table(tbl)
         total += float((r * r).sum())
@@ -294,25 +285,16 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
     y = np.atleast_1d(np.asarray(y))
     if x_enc.shape[0] == 0:
         raise ValueError("cannot report on an empty dataset")
-    if isinstance(net, TernaryNetwork):
-        _, scores = forward_soft(net, x_enc.astype(float))
-        x_circ = x_enc
-        herr = hardening_error(net)
-    elif isinstance(net, BinaryNetwork):
-        _, scores = forward_binary(net, x_enc.astype(float))
-        x_circ = 2 * x_enc.astype(np.int64) - 1
-        herr = 0.0
-    else:
-        raise TypeError(f"unsupported network type {type(net).__name__}")
+    _, scores = forward_soft(net, x_enc.astype(float))
     soft_pred = scores.argmax(axis=1)
-    outputs, _, circ_pred, _ = eval_circuit(circuit, x_circ)
+    outputs, _, circ_pred, _ = eval_circuit(circuit, circuit.trit_inputs(x_enc))
     soft_acc = float((soft_pred == y).mean())
     circ_acc = float((circ_pred == y).mean())
     return GapReport(
         soft_accuracy=soft_acc,
         circuit_accuracy=circ_acc,
         gap_pp=100.0 * (soft_acc - circ_acc),
-        hardening_error=herr,
+        hardening_error=hardening_error(net),
         unknown_fraction=float((outputs == 0).mean()),
         n_samples=int(x_enc.shape[0]),
     )

@@ -23,7 +23,6 @@ import numpy as np
 from . import analysis as an
 from . import circuit as cc
 from . import data as dt
-from . import network as nw
 from . import pipeline as pl
 from . import serialize as sz
 from . import training as tr
@@ -191,12 +190,8 @@ def cmd_harden(args) -> int:
     net, encoder = sz.load_checkpoint(args.checkpoint)
     name = args.name or os.path.splitext(os.path.basename(args.checkpoint))[0]
     src_hash = cc.file_sha256(args.checkpoint)
-    if isinstance(net, nw.TernaryNetwork):
-        circuit = cc.harden_network(net, source_hash=src_hash)
-        herr = cc.hardening_error(net)
-    else:
-        circuit = cc.harden_binary(net, source_hash=src_hash)
-        herr = 0.0
+    circuit = cc.harden_network(net, source_hash=src_hash)
+    herr = cc.hardening_error(net)
     paths = {"circuit": os.path.join(out, f"{name}.circuit.txt")}
     sz.save_circuit(circuit, paths["circuit"], encoder)
     extra: dict = {"hardening_error": herr}
@@ -234,9 +229,7 @@ def cmd_eval(args) -> int:
     ds = _load_any_dataset(args.data)
     if encoder is None:
         raise UsageError("circuit file has no encoder; cannot encode raw data")
-    x_enc = dt.encode(ds.features, encoder)
-    if circuit.provenance.get("arch") == "binary":
-        x_enc = 2 * x_enc.astype(np.int64) - 1
+    x_enc = circuit.trit_inputs(dt.encode(ds.features, encoder))
     outputs, scores, preds, margins = cc.eval_circuit(circuit, x_enc)
     acc = float((preds == ds.labels).mean())
     unk = float((outputs == 0).mean())
@@ -299,6 +292,11 @@ def cmd_sweep(args) -> int:
     name = args.name or f"sweep-{args.kind}"
     recipe = _recipe_from_args(args)
     t0 = time.perf_counter()
+    if args.kind != "separation":
+        if not (args.train and args.test):
+            raise UsageError(f"{args.kind} sweep needs --train and --test datasets")
+        train_ds = _load_any_dataset(args.train)
+        test_ds = _load_any_dataset(args.test)
     if args.kind == "separation":
         seps = _parse_floats(args.seps)
         rows = an.separation_sweep(seps, recipe, n_train=args.n_train,
@@ -306,19 +304,11 @@ def cmd_sweep(args) -> int:
         columns = ["sep", "ternary_accuracy", "unknown_fraction",
                    "binary_accuracy", "bayes_accuracy", "error"]
     elif args.kind == "delta":
-        if not (args.train and args.test):
-            raise UsageError("delta sweep needs --train and --test datasets")
-        train_ds = _load_any_dataset(args.train)
-        test_ds = _load_any_dataset(args.test)
         rows = an.delta_sweep(_parse_floats(args.deltas), recipe,
                               train_ds, test_ds)
         columns = ["delta", "encoder_unknown_share", "circuit_accuracy",
                    "unknown_fraction", "error"]
     elif args.kind == "resolution":
-        if not (args.train and args.test):
-            raise UsageError("resolution sweep needs --train and --test datasets")
-        train_ds = _load_any_dataset(args.train)
-        test_ds = _load_any_dataset(args.test)
         counts = _parse_ints(args.thresholds_list)
         base = _parse_widths(args.widths)
         widths_rows = [tuple(w * 2**i for w in base) for i in range(len(counts))]
@@ -341,51 +331,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _bench_arch(arch: str, widths, input_dim: int, batch: int, steps: int,
-                warmup: int, seed: int) -> list[float]:
-    rng = np.random.default_rng(seed)
-    gs = nw.GroupSumConfig(2, 10.0)
-    n = max(batch * 4, 256)
-    y = rng.integers(0, 2, size=n)
-    if arch == "ternary":
-        net = nw.init_network(widths, input_dim, seed, gs)
-        x = rng.integers(-1, 2, size=(n, input_dim)).astype(float)
-        cfg = tr.TrainConfig(steps=1, batch_size=batch, loss="mse")
-        params = net.coeffs
-        lam = cfg.lambda_max / 4.0  # representative mid-schedule weight
-
-        def step(xb, yb):
-            return tr.backward(net, xb, yb, lam, cfg)
-    else:
-        net = nw.init_binary_network(widths, input_dim, seed, gs)
-        x = rng.integers(0, 2, size=(n, input_dim)).astype(float)
-        cfg = tr.TrainConfig(steps=1, batch_size=batch, loss="ce")
-        params = net.logits
-
-        def step(xb, yb):
-            return tr.backward_binary(net, xb, yb, cfg)
-
-    state = tr.AdamState.init(params)
-    times = []
-    for i in range(warmup + steps):
-        idx = rng.integers(0, n, size=batch)
-        t0 = time.perf_counter()
-        _, grads = step(x[idx], y[idx])
-        tr.adam_step(params, grads, state, cfg.lr)
-        t1 = time.perf_counter()
-        if i >= warmup:
-            times.append(t1 - t0)
-    return times
-
-
 def cmd_bench(args) -> int:
     out = _out_dir(args)
     name = args.name or "bench"
     widths = _parse_widths(args.widths) + (args.output_neurons,)
     results = {}
     for arch in ("ternary", "binary"):
-        times = _bench_arch(arch, widths, args.input_dim, args.batch,
-                            args.steps, args.warmup, args.seed)
+        times = pl._bench_arch(arch, widths, args.input_dim, args.batch,
+                               args.steps, args.warmup, args.seed)
         results[arch] = {
             "median_ms": float(np.median(times) * 1000),
             "mean_ms": float(np.mean(times) * 1000),
@@ -435,7 +388,7 @@ def _add_recipe_flags(p: argparse.ArgumentParser) -> None:
                    help="dead-zone width factor of the ternary encoder")
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--lambda-max", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--beta", type=float, default=0.0)
@@ -552,7 +505,7 @@ def _apply_config_file(argv: list[str], parser: _Parser) -> list[str]:
             known["widths"] = ",".join(str(v) for v in value)
         elif flag == "batch_size":
             known["batch"] = value
-        elif isinstance(value, (str, int, float, bool)) or value is None:
+        elif isinstance(value, (str, int, float, bool)):  # null keeps the default
             known[flag] = value
     # Subparsers fill the namespace from their own defaults, so the
     # overrides must land on each of them, not on the root parser.

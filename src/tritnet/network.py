@@ -1,7 +1,8 @@
 """Soft networks of two-input gates with randomly wired layers.
 
-Two architectures share the same wiring scheme. The ternary network
-gives every neuron 9 polynomial coefficients; its soft forward pass is
+One network type and one layer loop serve both architectures; the
+architecture is only the neuron. The ternary network gives every
+neuron 9 polynomial coefficients, and its layer op is
 
     h = clip(p_w(a, b)),    clip(x) = max(-1, min(1, x)),
 
@@ -9,8 +10,9 @@ which is exact on trit inputs whenever the coefficients interpolate a
 truth table, so a fully committed network already behaves like the
 discrete circuit it will be hardened into. The binary baseline gives
 every neuron 16 logits and blends the standard real-valued relaxations
-of the 16 two-input Boolean gates with softmax weights; activations
-live in [0, 1].
+of the 16 two-input Boolean gates with softmax weights; its inputs and
+activations live in [0, 1]. `ARCHS` holds all that differs here: the
+parameter count, the init scale, the input domain and the layer op.
 
 Class scores come from a GroupSum head: the output layer is cut into k
 contiguous equal groups and each group is summed and divided by the
@@ -20,6 +22,7 @@ temperature tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from . import algebra
 #: output unit variance (up to a small factor) on uniform trit inputs.
 INIT_STD = 0.45
 
-#: Tolerance when validating that forward inputs sit inside [-1, 1].
+#: Tolerance when validating that forward inputs sit inside the domain.
 INPUT_SLACK = 1e-9
 
 
@@ -98,29 +101,14 @@ def _validate_shape(widths, input_dim):
 
 
 @dataclass
-class TernaryNetwork:
-    """Layered soft ternary gate network with polynomial neurons."""
+class Network:
+    """Layered soft gate network; `arch` names its neuron (see `ARCHS`)."""
 
+    arch: str
     input_dim: int
     widths: tuple[int, ...]
     conn: ConnectivityMap
-    coeffs: list[np.ndarray]  # per layer, shape (widths[l], 9)
-    groupsum: GroupSumConfig
-    seed: int
-
-    @property
-    def n_neurons(self) -> int:
-        return sum(self.widths)
-
-
-@dataclass
-class BinaryNetwork:
-    """Layered soft Boolean gate network, 16 logits per neuron."""
-
-    input_dim: int
-    widths: tuple[int, ...]
-    conn: ConnectivityMap
-    logits: list[np.ndarray]  # per layer, shape (widths[l], 16)
+    params: list[np.ndarray]  # per layer, shape (widths[l], n_params)
     groupsum: GroupSumConfig
     seed: int
 
@@ -130,12 +118,16 @@ class BinaryNetwork:
 
 
 def init_network(widths, input_dim: int, seed: int,
-                 groupsum: GroupSumConfig | None = None) -> TernaryNetwork:
-    """Fresh ternary network: random wiring, N(0, INIT_STD^2) coefficients.
+                 groupsum: GroupSumConfig | None = None,
+                 arch: str = "ternary") -> Network:
+    """Fresh network: random wiring, then N(0, init_std^2) parameters.
 
     The wiring is drawn first from the seeded stream, so it coincides
     with `sample_connectivity(widths, input_dim, seed)`.
     """
+    if arch not in ARCHS:
+        raise ValueError(f"arch must be one of {sorted(ARCHS)}, got {arch!r}")
+    spec = ARCHS[arch]
     widths = tuple(int(w) for w in widths)
     _validate_shape(widths, input_dim)
     groupsum = groupsum or GroupSumConfig(k=2, tau=10.0)
@@ -147,28 +139,10 @@ def init_network(widths, input_dim: int, seed: int,
     layers = _draw_connectivity(rng, input_dim, widths)
     conn = ConnectivityMap(seed=seed, input_dim=input_dim, widths=widths,
                            layers=layers)
-    coeffs = [rng.normal(0.0, INIT_STD, size=(w, 9)) for w in widths]
-    return TernaryNetwork(input_dim=input_dim, widths=widths, conn=conn,
-                          coeffs=coeffs, groupsum=groupsum, seed=seed)
-
-
-def init_binary_network(widths, input_dim: int, seed: int,
-                        groupsum: GroupSumConfig | None = None) -> BinaryNetwork:
-    """Fresh binary baseline: same wiring scheme, N(0, 1) gate logits."""
-    widths = tuple(int(w) for w in widths)
-    _validate_shape(widths, input_dim)
-    groupsum = groupsum or GroupSumConfig(k=2, tau=10.0)
-    if widths[-1] % groupsum.k != 0:
-        raise ValueError(
-            f"output width {widths[-1]} not divisible by k={groupsum.k}"
-        )
-    rng = np.random.default_rng(seed)
-    layers = _draw_connectivity(rng, input_dim, widths)
-    conn = ConnectivityMap(seed=seed, input_dim=input_dim, widths=widths,
-                           layers=layers)
-    logits = [rng.normal(0.0, 1.0, size=(w, 16)) for w in widths]
-    return BinaryNetwork(input_dim=input_dim, widths=widths, conn=conn,
-                         logits=logits, groupsum=groupsum, seed=seed)
+    params = [rng.normal(0.0, spec.init_std, size=(w, spec.n_params))
+              for w in widths]
+    return Network(arch=arch, input_dim=input_dim, widths=widths, conn=conn,
+                   params=params, groupsum=groupsum, seed=seed)
 
 
 def group_sum(h: np.ndarray, cfg: GroupSumConfig) -> np.ndarray:
@@ -180,19 +154,26 @@ def group_sum(h: np.ndarray, cfg: GroupSumConfig) -> np.ndarray:
     return grouped.sum(axis=-1) / cfg.tau
 
 
-def _check_range(x, lo, hi, what):
-    if x.size and (x.min() < lo - INPUT_SLACK or x.max() > hi + INPUT_SLACK):
-        raise ValueError(
-            f"{what} must lie in [{lo}, {hi}], got range "
-            f"[{x.min():.6g}, {x.max():.6g}]"
-        )
+def _layers(net: Network, x: np.ndarray):
+    """Unchecked batch core of the soft forward pass.
+
+    Yields, layer by layer, the parent values (a, b), the activation h
+    and the context the layer op keeps for the backward pass.
+    """
+    layer = ARCHS[net.arch].layer
+    h = x
+    for (s, t), w in zip(net.conn.layers, net.params):
+        a, b = h[:, s], h[:, t]
+        h, ctx = layer(w, a, b)
+        yield a, b, h, ctx
 
 
-def forward_soft(net: TernaryNetwork, x):
+def forward_soft(net: Network, x):
     """Soft forward pass. Returns (per-layer activations, class scores).
 
-    `x` is one input vector or a batch (rows). Activations exclude the
-    input; the last entry is the output layer feeding GroupSum.
+    `x` is one input vector or a batch (rows), finite and inside the
+    architecture's input domain. Activations exclude the input; the
+    last entry is the output layer feeding GroupSum.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -200,17 +181,20 @@ def forward_soft(net: TernaryNetwork, x):
         x = x[None, :]
     if x.shape[1] != net.input_dim:
         raise ValueError(f"expected {net.input_dim} inputs, got {x.shape[1]}")
-    _check_range(x, -1.0, 1.0, "network inputs")
-    h = x
-    activations = []
-    for (s, t), w in zip(net.conn.layers, net.coeffs):
-        u = algebra.eval_poly_many(w, h[:, s], h[:, t])
-        h = np.clip(u, -1.0, 1.0)
-        activations.append(h)
-    scores = group_sum(h, net.groupsum)
+    lo, hi = ARCHS[net.arch].domain
+    # NaN fails this check too: every comparison with NaN is false.
+    if x.size and not (x.min() >= lo - INPUT_SLACK and x.max() <= hi + INPUT_SLACK):
+        raise ValueError(f"network inputs must be finite and lie in [{lo}, {hi}], "
+                         f"got range [{x.min():.6g}, {x.max():.6g}]")
+    activations = [h for _, _, h, _ in _layers(net, x)]
+    scores = group_sum(activations[-1], net.groupsum)
     if single:
         return [a[0] for a in activations], scores[0]
     return activations, scores
+
+
+# Kept under its former name, which the benchmark's tracer reports.
+forward_binary = forward_soft
 
 
 def binary_gate_relaxation(k: int, a, b):
@@ -261,36 +245,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def forward_binary(net: BinaryNetwork, x):
-    """Soft forward pass of the baseline on [0, 1] inputs.
-
-    Every neuron evaluates all 16 gate relaxations on its parent pair
-    and blends them with softmax(logits). Returns (activations, scores)
-    like `forward_soft`.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"expected {net.input_dim} inputs, got {x.shape[1]}")
-    _check_range(x, 0.0, 1.0, "baseline inputs")
-    h = x
-    activations = []
-    for (s, t), logit in zip(net.conn.layers, net.logits):
-        p = softmax(logit)
-        a, b = h[:, s], h[:, t]
-        out = np.zeros_like(a)
-        for k in range(16):
-            out += p[:, k] * binary_gate_relaxation(k, a, b)
-        h = out
-        activations.append(h)
-    scores = group_sum(h, net.groupsum)
-    if single:
-        return [z[0] for z in activations], scores[0]
-    return activations, scores
-
-
 def boolean_gate_table(k: int) -> tuple[int, ...]:
     """Boolean truth table of gate k on the four corner inputs.
 
@@ -301,3 +255,35 @@ def boolean_gate_table(k: int) -> tuple[int, ...]:
         v = float(binary_gate_relaxation(k, np.float64(a), np.float64(b)))
         out.append(int(round(v)))
     return tuple(out)
+
+
+def _polynomial_layer(w, a, b):
+    """Ternary neuron: the clipped polynomial; keeps the pre-clip value."""
+    u = algebra.eval_poly_many(w, a, b)
+    return np.clip(u, -1.0, 1.0), u
+
+
+def _blend_layer(logit, a, b):
+    """Binary neuron: softmax blend of the 16 relaxations; keeps the weights."""
+    p = softmax(logit)
+    out = np.zeros_like(a)
+    for k in range(16):
+        out += p[:, k] * binary_gate_relaxation(k, a, b)
+    return out, p
+
+
+@dataclass(frozen=True)
+class ArchSpec:
+    """What the network stage of an architecture makes of its neuron."""
+
+    n_params: int  # parameters per neuron
+    init_std: float  # standard deviation of the parameter init
+    domain: tuple[float, float]  # range of inputs and activations
+    layer: Callable  # (params, a, b) -> (activation, context)
+
+
+ARCHS = {
+    "ternary": ArchSpec(9, INIT_STD, (-1.0, 1.0), _polynomial_layer),
+    "binary": ArchSpec(16, 1.0, (0.0, 1.0), _blend_layer),
+}
+

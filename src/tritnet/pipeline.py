@@ -14,6 +14,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from . import circuit as circ_mod
 from . import data as data_mod
 from . import network as net_mod
@@ -36,7 +38,7 @@ class RunRecipe:
     delta: float = 1.0
     steps: int = 5000
     batch_size: int = 100
-    lr: float | None = None  # None picks the per-arch default
+    lr: float = 0.01
     lambda_max: float = 0.1
     gamma: float = 2.0
     beta: float = 0.0
@@ -52,24 +54,16 @@ class RunRecipe:
     def widths(self) -> tuple[int, ...]:
         return tuple(self.body_widths) + (self.output_neurons,)
 
-    def effective_lr(self) -> float:
-        if self.lr is not None:
-            return self.lr
-        return 0.01
-
     def effective_loss(self) -> str:
         if self.loss is not None:
             return self.loss
         return "mse" if self.arch == "ternary" else "ce"
 
-    def encoder_mode(self) -> str:
-        return self.arch
-
     def train_config(self) -> train_mod.TrainConfig:
         return train_mod.TrainConfig(
             steps=self.steps,
             batch_size=self.batch_size,
-            lr=self.effective_lr(),
+            lr=self.lr,
             lambda_max=self.lambda_max,
             gamma=self.gamma,
             beta=self.beta,
@@ -82,7 +76,6 @@ class RunRecipe:
         d = asdict(self)
         d["body_widths"] = list(self.body_widths)
         d["resolution"] = self.thresholds + 1
-        d["lr"] = self.effective_lr()
         d["loss"] = self.effective_loss()
         return d
 
@@ -106,23 +99,18 @@ def encode_for(recipe: RunRecipe, train_ds: data_mod.Dataset,
                test_ds: data_mod.Dataset):
     """Fit the encoder on the train split and encode both splits."""
     enc = data_mod.fit_encoder(train_ds.features, recipe.thresholds,
-                               recipe.delta, mode=recipe.encoder_mode())
+                               recipe.delta, mode=recipe.arch)
     return enc, data_mod.encode(train_ds.features, enc), \
         data_mod.encode(test_ds.features, enc)
-
-
-def build_network(recipe: RunRecipe, input_dim: int):
-    gs = net_mod.GroupSumConfig(k=recipe.k, tau=recipe.tau)
-    if recipe.arch == "ternary":
-        return net_mod.init_network(recipe.widths, input_dim, recipe.seed, gs)
-    return net_mod.init_binary_network(recipe.widths, input_dim, recipe.seed, gs)
 
 
 def run_pipeline(train_ds: data_mod.Dataset, test_ds: data_mod.Dataset,
                  recipe: RunRecipe) -> RunResult:
     """Encode, train, harden and report one run."""
     enc, x_train, x_test = encode_for(recipe, train_ds, test_ds)
-    net = build_network(recipe, enc.encoded_dim)
+    net = net_mod.init_network(recipe.widths, enc.encoded_dim, recipe.seed,
+                               net_mod.GroupSumConfig(k=recipe.k, tau=recipe.tau),
+                               arch=recipe.arch)
     cfg = recipe.train_config()
     t0 = time.perf_counter()
     net, history = train_mod.train(
@@ -130,10 +118,7 @@ def run_pipeline(train_ds: data_mod.Dataset, test_ds: data_mod.Dataset,
         eval_data=(x_test, test_ds.labels),
     )
     t1 = time.perf_counter()
-    if recipe.arch == "ternary":
-        circuit = circ_mod.harden_network(net)
-    else:
-        circuit = circ_mod.harden_binary(net)
+    circuit = circ_mod.harden_network(net)
     gap = circ_mod.gap_report(net, circuit, x_test, test_ds.labels)
     t2 = time.perf_counter()
     timings = {
@@ -149,3 +134,30 @@ def run_pipeline(train_ds: data_mod.Dataset, test_ds: data_mod.Dataset,
 def vary(recipe: RunRecipe, **changes) -> RunRecipe:
     """A copy of the recipe with some fields replaced."""
     return replace(recipe, **changes)
+
+
+def _bench_arch(arch: str, widths, input_dim: int, batch: int, steps: int,
+                warmup: int, seed: int) -> list[float]:
+    """Wall seconds of `steps` training steps (backward plus Adam) after
+    `warmup` untimed ones, for `tritnet bench`: the default recipe on
+    random inputs from the arch's domain, at a mid-schedule lambda."""
+    rng = np.random.default_rng(seed)
+    n = max(batch * 4, 256)
+    y = rng.integers(0, 2, size=n)
+    net = net_mod.init_network(widths, input_dim, seed,
+                               net_mod.GroupSumConfig(2, 10.0), arch=arch)
+    lo, hi = net_mod.ARCHS[arch].domain
+    x = rng.integers(int(lo), int(hi) + 1, size=(n, input_dim)).astype(float)
+    cfg = RunRecipe(arch=arch, steps=1, batch_size=batch).train_config()
+    lam = cfg.lambda_max / 4.0
+    state = train_mod.AdamState.init(net.params)
+    times = []
+    for i in range(warmup + steps):
+        idx = rng.integers(0, n, size=batch)
+        t0 = time.perf_counter()
+        _, grads = train_mod.backward(net, x[idx], y[idx], lam, cfg)
+        train_mod.adam_step(net.params, grads, state, cfg.lr)
+        t1 = time.perf_counter()
+        if i >= warmup:
+            times.append(t1 - t0)
+    return times

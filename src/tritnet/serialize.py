@@ -25,12 +25,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .data import Dataset, EncoderConfig
-from .network import (
-    BinaryNetwork,
-    ConnectivityMap,
-    GroupSumConfig,
-    TernaryNetwork,
-)
+from .network import ARCHS, ConnectivityMap, GroupSumConfig, Network
 
 DATASET_MAGIC = "# tritnet-dataset"
 CHECKPOINT_MAGIC = "tritnet-checkpoint"
@@ -244,13 +239,11 @@ def _read_conn(lines, path, seed, input_dim, widths) -> ConnectivityMap:
 
 # ----------------------------------------------------------- checkpoints
 
-def save_checkpoint(net, path, encoder: EncoderConfig | None = None) -> None:
+def save_checkpoint(net: Network, path, encoder: EncoderConfig | None = None) -> None:
     """Write a ternary or binary network with its encoder config."""
-    ternary = isinstance(net, TernaryNetwork)
-    params = net.coeffs if ternary else net.logits
     with open(path, "w") as fh:
         fh.write(f"{CHECKPOINT_MAGIC} v{FORMAT_VERSION}\n")
-        fh.write(f"arch {'ternary' if ternary else 'binary'}\n")
+        fh.write(f"arch {net.arch}\n")
         fh.write(f"input_dim {net.input_dim}\n")
         fh.write("widths " + ",".join(str(w) for w in net.widths) + "\n")
         fh.write(f"seed {net.seed}\n")
@@ -259,7 +252,7 @@ def save_checkpoint(net, path, encoder: EncoderConfig | None = None) -> None:
         fh.write(f"encoder {_encoder_to_json(encoder)}\n")
         fh.write("---\n")
         _write_conn(fh, net.conn)
-        for l, mat in enumerate(params):
+        for l, mat in enumerate(net.params):
             for j in range(mat.shape[0]):
                 fh.write(f"w {l} {j} " + _fmt_floats(mat[j]) + "\n")
 
@@ -269,13 +262,13 @@ def load_checkpoint(path):
     with open(path) as fh:
         fields = _parse_header(fh, path, CHECKPOINT_MAGIC)
         arch = _need(fields, "arch", path)
-        if arch not in ("ternary", "binary"):
+        if arch not in ARCHS:
             raise FormatError(f"{path}: unknown arch {arch!r}")
         input_dim, widths, seed, groupsum = _read_shape(fields, path)
         encoder = _encoder_from_json(_need(fields, "encoder", path), path)
         body = _read_body(fh, path, widths, {
             "parents_s": (1, int), "parents_t": (1, int), "w": (2, float)})
-    n_params = 16 if arch == "binary" else 9
+    n_params = ARCHS[arch].n_params
     params = [np.zeros((w, n_params)) for w in widths]
     for l, w in enumerate(widths):
         for j in range(w):
@@ -287,11 +280,8 @@ def load_checkpoint(path):
                     f"{path}: bad coefficient line for neuron {l}/{j}")
             params[l][j] = vals
     conn = _read_conn(body, path, seed, input_dim, widths)
-    if arch == "ternary":
-        return TernaryNetwork(input_dim=input_dim, widths=widths, conn=conn,
-                              coeffs=params, groupsum=groupsum, seed=seed), encoder
-    return BinaryNetwork(input_dim=input_dim, widths=widths, conn=conn,
-                         logits=params, groupsum=groupsum, seed=seed), encoder
+    return Network(arch=arch, input_dim=input_dim, widths=widths, conn=conn,
+                   params=params, groupsum=groupsum, seed=seed), encoder
 
 
 # --------------------------------------------------------------- circuits
@@ -320,14 +310,9 @@ def load_circuit(path):
         fields = _parse_header(fh, path, CIRCUIT_MAGIC)
         input_dim, widths, seed, groupsum = _read_shape(fields, path)
         encoder = _encoder_from_json(_need(fields, "encoder", path), path)
-        def _dash_to_empty(v: str) -> str:
-            return "" if v == "-" else v
-
-        provenance = {
-            "arch": _need(fields, "arch", path),
-            "source_sha256": _dash_to_empty(_need(fields, "source_sha256", path)),
-            "hardened_at": _dash_to_empty(_need(fields, "hardened_at", path)),
-        }
+        provenance = {key: _need(fields, key, path)
+                      for key in ("arch", "source_sha256", "hardened_at")}
+        provenance = {k: "" if v == "-" else v for k, v in provenance.items()}
         body = _read_body(fh, path, widths, {
             "parents_s": (1, int), "parents_t": (1, int), "gates": (1, int)})
     gate_ids = []

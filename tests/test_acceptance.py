@@ -112,7 +112,7 @@ def test_criterion_02_basis_exhaustives():
 def _nudged_net(widths, input_dim, seed, gs):
     """A random network whose grid values sit clear of rounding edges."""
     net = nw.init_network(widths, input_dim, seed, gs)
-    for w in net.coeffs:
+    for w in net.params:
         for _ in range(200):
             t = w @ al.VANDERMONDE.T
             if np.min(np.abs(np.abs(t) - 0.5)) >= 1e-3:
@@ -139,7 +139,7 @@ def test_criterion_03_gradient_oracle():
         cfg = tr.TrainConfig(steps=1, loss=("mse", "ce")[trial % 2], beta=beta)
         _, grads = tr.backward(net, x, y, lam, cfg)
         analytic, fd = [], []
-        for l, w in enumerate(net.coeffs):
+        for l, w in enumerate(net.params):
             for _ in range(4):
                 j = int(rng.integers(0, w.shape[0]))
                 c = int(rng.integers(0, 9))
@@ -287,10 +287,9 @@ def test_criterion_09_resolution_trend(moons):
 
 
 def test_criterion_10_step_speed():
-    import tritnet.cli as cli
     widths = (512, 512, 512, 200)
-    t = cli._bench_arch("ternary", widths, 6, 200, 30, 5, 0)
-    b = cli._bench_arch("binary", widths, 6, 200, 30, 5, 0)
+    t = pl._bench_arch("ternary", widths, 6, 200, 30, 5, 0)
+    b = pl._bench_arch("binary", widths, 6, 200, 30, 5, 0)
     tm, bm = float(np.median(t)), float(np.median(b))
     report("10 step speed", tm <= bm,
            f"ternary {1000 * tm:.2f} ms/step vs binary {1000 * bm:.2f} ms/step "

@@ -137,10 +137,10 @@ def test_diversity_report_small_example():
 
 def test_diversity_uniform_over_vocab_has_zero_gini():
     # four distinct gates in a vocabulary of four is perfect equality
-    net = nw.init_binary_network((4,), 3, 7, GS)
-    net.logits[0][:] = 0.0
+    net = nw.init_network((4,), 3, 7, GS, arch="binary")
+    net.params[0][:] = 0.0
     for j, g in enumerate((1, 6, 7, 14)):
-        net.logits[0][j, g] = 9.0
+        net.params[0][j, g] = 9.0
     circ = cc.harden_binary(net)
     rep = an.diversity_report(circ, vocab_size=4)
     assert rep.unique_gates == 4
@@ -158,7 +158,7 @@ def test_diversity_single_gate_everywhere():
 
 
 def test_diversity_binary_vocab_dispatch():
-    net = nw.init_binary_network((4,), 3, 8, GS)
+    net = nw.init_network((4,), 3, 8, GS, arch="binary")
     rep = an.diversity_report(cc.harden_binary(net))
     assert rep.vocab_size == 16
 

@@ -36,7 +36,7 @@ def ref_eval(circuit, x):
 def exact_gate_net(seed, widths=(6, 4), input_dim=5):
     net = nw.init_network(widths, input_dim, seed, GS)
     rng = np.random.default_rng(seed + 100)
-    for w in net.coeffs:
+    for w in net.params:
         for j in range(w.shape[0]):
             w[j] = al.coeffs_of_table(rng.integers(-1, 2, size=9))
     return net
@@ -45,7 +45,7 @@ def exact_gate_net(seed, widths=(6, 4), input_dim=5):
 def test_harden_rounds_each_table():
     net = nw.init_network((5, 4), 4, 0, GS)
     circ = cc.harden_network(net)
-    for w, ids, tbl in zip(net.coeffs, circ.gate_ids, circ.tables):
+    for w, ids, tbl in zip(net.params, circ.gate_ids, circ.tables):
         want = al.round_table(w @ al.VANDERMONDE.T)
         assert np.array_equal(tbl, want)
         assert np.array_equal(ids, al.encode_tables(want))
@@ -61,6 +61,14 @@ def test_circuit_tables_derive_from_gate_ids():
         provenance=dict(circ.provenance))
     for t1, t2 in zip(circ.tables, rebuilt.tables):
         assert np.array_equal(t1, t2)
+
+
+def test_circuit_tables_cannot_be_passed_in():
+    circ = cc.harden_network(nw.init_network((4,), 3, 1, GS))
+    with pytest.raises(TypeError):
+        cc.Circuit(input_dim=circ.input_dim, widths=circ.widths, conn=circ.conn,
+                   gate_ids=circ.gate_ids, groupsum=circ.groupsum,
+                   tables=circ.tables)
 
 
 def test_eval_circuit_matches_reference():
@@ -177,11 +185,11 @@ def test_consensus_rule_on_unknown_inputs():
 
 
 def test_harden_binary_argmax_and_tie_break():
-    net = nw.init_binary_network((4,), 4, 11, GS)
-    net.logits[0][:] = 0.0
-    net.logits[0][0, 6] = 5.0          # clear winner: XOR
-    net.logits[0][1, 3] = 2.0
-    net.logits[0][1, 5] = 2.0          # tie between gates 3 and 5
+    net = nw.init_network((4,), 4, 11, GS, arch="binary")
+    net.params[0][:] = 0.0
+    net.params[0][0, 6] = 5.0          # clear winner: XOR
+    net.params[0][1, 3] = 2.0
+    net.params[0][1, 5] = 2.0          # tie between gates 3 and 5
     circ = cc.harden_binary(net)
     assert circ.gate_ids[0][0] == al.NAMED_GATES["xor"].gate_id
     assert circ.gate_ids[0][1] == al.encode_table(cc.BOOLEAN_EMBEDDINGS[3])
@@ -206,7 +214,7 @@ def test_gap_report_fields():
 
 
 def test_gap_report_binary_converts_bits_to_trits():
-    net = nw.init_binary_network((6, 4), 5, 14, GS)
+    net = nw.init_network((6, 4), 5, 14, GS, arch="binary")
     circ = cc.harden_binary(net)
     rng = np.random.default_rng(15)
     xb = rng.integers(0, 2, size=(20, 5))

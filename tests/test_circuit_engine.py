@@ -110,7 +110,7 @@ def test_single_vector_path():
 
 
 def test_binary_embedded_circuit_on_corner_inputs():
-    net = nw.init_binary_network((32, 32, 10), 5, 12, nw.GroupSumConfig(2, 4.0))
+    net = nw.init_network((32, 32, 10), 5, 12, nw.GroupSumConfig(2, 4.0), arch="binary")
     circ = cc.harden_binary(net)
     bits = np.random.default_rng(13).integers(0, 2, size=(500, 5))
     x = 2 * bits - 1

@@ -207,6 +207,17 @@ def test_explicit_flag_beats_config_file(tmp_path):
     assert sz.load_manifest(tmp_path / "over.manifest.json")["config"]["steps"] == 11
 
 
+def test_config_null_keeps_the_default(tmp_path):
+    train, test = gen_moons(str(tmp_path))
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"config": {"lr": None, "loss": None}}))
+    rc = run(["train", "--config", path, "--train", train, "--test", test,
+              *TINY, "--out", str(tmp_path), "--name", "null"])
+    assert rc == cli.EXIT_OK
+    config = sz.load_manifest(tmp_path / "null.manifest.json")["config"]
+    assert config["lr"] == 0.01 and config["loss"] == "mse"
+
+
 def test_config_file_missing_is_usage_error(tmp_path, capsys):
     rc = run(["train", "--config", tmp_path / "nope.json",
               "--train", "x", "--test", "y"])

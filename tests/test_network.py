@@ -48,10 +48,10 @@ def test_connectivity_is_deterministic():
 
 def test_init_network_shapes_and_seed():
     net = tiny_net(seed=4)
-    assert [w.shape for w in net.coeffs] == [(6, 9), (4, 9)]
+    assert [w.shape for w in net.params] == [(6, 9), (4, 9)]
     assert net.n_neurons == 10
     again = tiny_net(seed=4)
-    for w1, w2 in zip(net.coeffs, again.coeffs):
+    for w1, w2 in zip(net.params, again.params):
         assert np.array_equal(w1, w2)
     # connectivity inside init matches the standalone sampler
     conn = nw.sample_connectivity((6, 4), 5, seed=4)
@@ -61,7 +61,7 @@ def test_init_network_shapes_and_seed():
 
 def test_init_std_and_output_variance():
     net = nw.init_network((4000,), 10, 0, nw.GroupSumConfig(2, 10.0))
-    w = net.coeffs[0]
+    w = net.params[0]
     assert w.std() == pytest.approx(nw.INIT_STD, rel=0.05)
     assert abs(w.mean()) < 0.02
     # empirical neuron variance on uniform random trits
@@ -97,10 +97,20 @@ def test_forward_rejects_out_of_range_inputs():
     nw.forward_soft(net, ok)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arch", ["ternary", "binary"])
+def test_forward_rejects_non_finite_inputs(arch, bad):
+    net = nw.init_network((4,), 3, 0, GS, arch=arch)
+    x = np.full((2, 3), 0.5)
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        nw.forward_soft(net, x)
+
+
 def test_forward_clips_activations():
     net = tiny_net(seed=2)
-    net.coeffs[0][:] = 0.0
-    net.coeffs[0][:, 0] = 5.0  # constant 5 before the clip
+    net.params[0][:] = 0.0
+    net.params[0][:, 0] = 5.0  # constant 5 before the clip
     acts, _ = nw.forward_soft(net, np.zeros(5))
     assert np.allclose(acts[0], 1.0)
 
@@ -123,7 +133,7 @@ def test_exact_gate_network_computes_its_tables():
     net = nw.init_network((4,), 2, 7, nw.GroupSumConfig(2, 1.0))
     names = ["and", "or", "xor", "implies"]
     for j, name in enumerate(names):
-        net.coeffs[0][j] = al.coeffs_of_table(al.NAMED_GATES[name].as_array())
+        net.params[0][j] = al.coeffs_of_table(al.NAMED_GATES[name].as_array())
     s, t = net.conn.layers[0]
     for point in al.GRID_POINTS:
         acts, _ = nw.forward_soft(net, np.array(point, dtype=float))
@@ -170,12 +180,12 @@ def test_softmax_is_stable_and_normalized():
 
 
 def test_forward_binary_blend_matches_manual():
-    net = nw.init_binary_network((3, 2), 4, 11, nw.GroupSumConfig(2, 1.0))
+    net = nw.init_network((3, 2), 4, 11, nw.GroupSumConfig(2, 1.0), arch="binary")
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, size=(5, 4))
     acts, scores = nw.forward_binary(net, x)
     h = x
-    for (s, t), logit in zip(net.conn.layers, net.logits):
+    for (s, t), logit in zip(net.conn.layers, net.params):
         p = nw.softmax(logit)
         manual = np.zeros((5, len(s)))
         for j in range(len(s)):
@@ -188,6 +198,6 @@ def test_forward_binary_blend_matches_manual():
 
 
 def test_forward_binary_rejects_out_of_range():
-    net = nw.init_binary_network((4,), 3, 0, nw.GroupSumConfig(2, 1.0))
+    net = nw.init_network((4,), 3, 0, nw.GroupSumConfig(2, 1.0), arch="binary")
     with pytest.raises(ValueError):
         nw.forward_binary(net, np.array([0.5, -0.2, 0.5]))

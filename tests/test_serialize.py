@@ -55,37 +55,37 @@ def test_ternary_checkpoint_round_trip(tmp_path):
     p = tmp_path / "net.ckpt"
     sz.save_checkpoint(net, p, enc)
     back, enc2 = sz.load_checkpoint(p)
-    assert isinstance(back, nw.TernaryNetwork)
+    assert back.arch == "ternary"
     assert back.input_dim == 5 and back.widths == (6, 4)
     assert back.seed == 3
     assert back.groupsum == GS
     assert enc2 == enc
-    for w1, w2 in zip(net.coeffs, back.coeffs):
+    for w1, w2 in zip(net.params, back.params):
         assert np.array_equal(w1, w2)  # repr round trip, not approx
     for (s1, t1), (s2, t2) in zip(net.conn.layers, back.conn.layers):
         assert np.array_equal(s1, s2) and np.array_equal(t1, t2)
 
 
 def test_binary_checkpoint_round_trip(tmp_path):
-    net = nw.init_binary_network((4, 2), 3, 8, GS)
+    net = nw.init_network((4, 2), 3, 8, GS, arch="binary")
     p = tmp_path / "net.ckpt"
     sz.save_checkpoint(net, p)
     back, enc = sz.load_checkpoint(p)
-    assert isinstance(back, nw.BinaryNetwork)
+    assert back.arch == "binary"
     assert enc is None
-    for w1, w2 in zip(net.logits, back.logits):
+    for w1, w2 in zip(net.params, back.params):
         assert np.array_equal(w1, w2)
 
 
 def test_checkpoint_round_trips_extreme_floats(tmp_path):
     net = nw.init_network((2,), 2, 0, nw.GroupSumConfig(2, 10.0))
-    net.coeffs[0][0, 0] = 1e-300
-    net.coeffs[0][0, 1] = -1.7976931348623157e308
-    net.coeffs[0][1, 2] = 0.1 + 0.2  # the classic non-representable sum
+    net.params[0][0, 0] = 1e-300
+    net.params[0][0, 1] = -1.7976931348623157e308
+    net.params[0][1, 2] = 0.1 + 0.2  # the classic non-representable sum
     p = tmp_path / "net.ckpt"
     sz.save_checkpoint(net, p)
     back, _ = sz.load_checkpoint(p)
-    assert np.array_equal(back.coeffs[0], net.coeffs[0])
+    assert np.array_equal(back.params[0], net.params[0])
 
 
 def test_checkpoint_missing_coefficients(tmp_path):

@@ -29,13 +29,13 @@ def nudge_off_breakpoints(net, margin=1e-3):
     """
     for _ in range(200):
         bad = False
-        for w in net.coeffs:
+        for w in net.params:
             t = w @ al.VANDERMONDE.T
             if np.min(np.abs(np.abs(t) - 0.5)) < margin:
                 bad = True
         if not bad:
             return net
-        for w in net.coeffs:
+        for w in net.params:
             w *= 0.995
     raise AssertionError("could not move weights off the breakpoints")
 
@@ -132,7 +132,7 @@ def test_commitment_loss_matches_brute_force():
     net = small_net(seed=1)
     total = 0.0
     count = 0
-    for w in net.coeffs:
+    for w in net.params:
         for row in w:
             for a, b in al.GRID_POINTS:
                 v = al.eval_poly(row, float(a), float(b))
@@ -146,9 +146,9 @@ def test_commitment_zero_iff_exact_gates():
     net = small_net(seed=2, widths=(4,), input_dim=3)
     rng = np.random.default_rng(3)
     for j in range(4):
-        net.coeffs[0][j] = al.coeffs_of_table(rng.integers(-1, 2, size=9))
+        net.params[0][j] = al.coeffs_of_table(rng.integers(-1, 2, size=9))
     assert tr.commitment_loss(net) == 0.0
-    net.coeffs[0][0, 0] += 0.2
+    net.params[0][0, 0] += 0.2
     assert tr.commitment_loss(net) > 0.0
 
 
@@ -156,7 +156,7 @@ def test_commitment_grads_match_finite_differences():
     net = nudge_off_breakpoints(small_net(seed=4))
     grads = tr.commitment_grads(net)
     h = 1e-6
-    for l, w in enumerate(net.coeffs):
+    for l, w in enumerate(net.params):
         for (j, c) in [(0, 0), (1, 4), (2, 8), (3, 5)]:
             if j >= w.shape[0]:
                 continue
@@ -184,7 +184,7 @@ def test_fourier_l1_grads_match_finite_differences():
     net = small_net(seed=5)
     grads = tr.fourier_l1_grads(net)
     h = 1e-7
-    for l, w in enumerate(net.coeffs):
+    for l, w in enumerate(net.params):
         for (j, c) in [(0, 1), (1, 3), (2, 7)]:
             w[j, c] += h
             up = tr.fourier_l1_loss(net)
@@ -219,7 +219,7 @@ def test_backward_matches_finite_differences(kind):
     rng = np.random.default_rng(3)
     h = 1e-5
     checked = 0
-    for l, w in enumerate(net.coeffs):
+    for l, w in enumerate(net.params):
         for _ in range(6):
             j = int(rng.integers(0, w.shape[0]))
             c = int(rng.integers(0, 9))
@@ -237,12 +237,12 @@ def test_backward_matches_finite_differences(kind):
 
 
 def test_backward_binary_matches_finite_differences():
-    net = nw.init_binary_network((5, 4), 6, 8, GS)
+    net = nw.init_network((5, 4), 6, 8, GS, arch="binary")
     rng = np.random.default_rng(4)
     x = rng.integers(0, 2, size=(8, 6)).astype(float)
     y = rng.integers(0, 2, size=8)
     cfg = tr.TrainConfig(steps=1, loss="ce")
-    loss, grads = tr.backward_binary(net, x, y, cfg)
+    loss, grads = tr.backward(net, x, y, 0.0, cfg)
 
     def loss_at():
         _, scores = nw.forward_binary(net, x)
@@ -250,7 +250,7 @@ def test_backward_binary_matches_finite_differences():
 
     assert loss == pytest.approx(loss_at(), rel=1e-12)
     h = 1e-5
-    for l, logit in enumerate(net.logits):
+    for l, logit in enumerate(net.params):
         for _ in range(5):
             j = int(rng.integers(0, logit.shape[0]))
             k = int(rng.integers(0, 16))
@@ -267,9 +267,9 @@ def test_clip_subgradient_is_zero_outside_the_band():
     # saturate one neuron far above 1: its coefficient gradient from
     # the task loss must vanish
     net = small_net(seed=9, widths=(2,), input_dim=2)
-    net.coeffs[0][:] = 0.0
-    net.coeffs[0][0, 0] = 7.0   # constant, clipped to 1
-    net.coeffs[0][1, 0] = 0.3
+    net.params[0][:] = 0.0
+    net.params[0][0, 0] = 7.0   # constant, clipped to 1
+    net.params[0][1, 0] = 0.3
     x = np.array([[1.0, -1.0]])
     y = np.array([0])
     cfg = tr.TrainConfig(steps=1, loss="mse")
@@ -318,12 +318,12 @@ def test_adam_two_steps_match_reference_formulas():
 
 def test_train_zero_steps_returns_untouched_net():
     net = small_net(seed=10)
-    before = [w.copy() for w in net.coeffs]
+    before = [w.copy() for w in net.params]
     x, y = make_batch(net, 20, seed=6)
     out, history = tr.train(net, (x, y), tr.TrainConfig(steps=0))
     assert out is net
     assert history == []
-    for w0, w1 in zip(before, net.coeffs):
+    for w0, w1 in zip(before, net.params):
         assert np.array_equal(w0, w1)
 
 
@@ -348,7 +348,7 @@ def test_train_is_deterministic():
     for _ in range(2):
         net = small_net(seed=12)
         net, history = tr.train(net, (x, y), tr.TrainConfig(steps=5, seed=3))
-        runs.append(([w.copy() for w in net.coeffs], history))
+        runs.append(([w.copy() for w in net.params], history))
     for w1, w2 in zip(runs[0][0], runs[1][0]):
         assert np.array_equal(w1, w2)
     assert runs[0][1] == runs[1][1]
@@ -368,7 +368,7 @@ def test_train_decreases_loss_on_learnable_data():
 
 
 def test_train_binary_baseline_runs():
-    net = nw.init_binary_network((12, 4), 4, 14, GS)
+    net = nw.init_network((12, 4), 4, 14, GS, arch="binary")
     rng = np.random.default_rng(10)
     x = rng.integers(0, 2, size=(100, 4)).astype(float)
     y = x[:, 1].astype(int)
@@ -380,7 +380,7 @@ def test_train_binary_baseline_runs():
 
 def test_train_raises_on_numerical_failure():
     net = small_net(seed=15)
-    net.coeffs[0][0, 0] = np.nan
+    net.params[0][0, 0] = np.nan
     x, y = make_batch(net, 10, seed=11)
     with pytest.raises(tr.NumericalFailure) as info:
         tr.train(net, (x, y), tr.TrainConfig(steps=3))
