@@ -26,7 +26,6 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,52 +99,53 @@ VANDERMONDE = _build_vandermonde()
 VANDERMONDE_INV = _exact_inverse(VANDERMONDE)
 
 
-def eval_poly(w, a: float, b: float) -> float:
-    """Evaluate p_w(a, b) with 8 multiplications and 8 additions.
-
-    Nested Horner form: the coefficients are grouped by the power of
-    `a`, each group is a quadratic in `b`.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (9,):
-        raise ValueError(f"expected 9 coefficients, got shape {w.shape}")
-    c0 = (w[5] * b + w[2]) * b + w[0]
-    c1 = (w[7] * b + w[3]) * b + w[1]
-    c2 = (w[8] * b + w[6]) * b + w[4]
-    return float(c0 + a * (c1 + a * c2))
+def _horner2(hi, mid, lo, x):
+    """(hi * x + mid) * x + lo, computed in one new array."""
+    t = hi * x
+    t += mid
+    t *= x
+    t += lo
+    return t
 
 
 def eval_poly_many(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorized p_w for per-neuron coefficients and batched inputs.
 
-    `coeffs` has shape (n, 9); `a` and `b` have shape (..., n) and hold
-    the two parent values of each neuron. Returns an array of shape
-    (..., n). Uses the same Horner scheme as `eval_poly`.
+    `coeffs` has shape (n, 9); `a` and `b` have the same shape (..., n)
+    and hold the two parent values of each neuron. Returns an array of
+    shape (..., n). Nested Horner form, 8 multiplications and 8
+    additions done in place: the coefficients are grouped by the power
+    of `a`, each group is a quadratic in `b`,
+
+        p = c0 + a * (c1 + a * c2),   c_i = (w_hi * b + w_mid) * b + w_lo.
     """
     w = coeffs.T
-    c0 = (w[5] * b + w[2]) * b + w[0]
-    c1 = (w[7] * b + w[3]) * b + w[1]
-    c2 = (w[8] * b + w[6]) * b + w[4]
-    return c0 + a * (c1 + a * c2)
+    c0 = _horner2(w[5], w[2], w[0], b)
+    c1 = _horner2(w[7], w[3], w[1], b)
+    c2 = _horner2(w[8], w[6], w[4], b)
+    c2 *= a
+    c2 += c1
+    c2 *= a
+    c2 += c0
+    return c2
 
 
 def poly_input_grads(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Partial derivatives of p_w with respect to its two inputs.
 
-    Shapes follow `eval_poly_many`. Returns (dp/da, dp/db).
+    Shapes follow `eval_poly_many`. Returns (dp/da, dp/db), where
+
+        dp/da = ((w7 b + w3) b + w1) + 2a ((w8 b + w6) b + w4),
+        dp/db = ((w6 a + w3) a + w2) + 2b ((w8 a + w7) a + w5).
     """
     w = coeffs.T
-    da = (w[7] * b + w[3]) * b + w[1] + 2.0 * a * ((w[8] * b + w[6]) * b + w[4])
-    db = (w[6] * a + w[3]) * a + w[2] + 2.0 * b * ((w[8] * a + w[7]) * a + w[5])
+    da = _horner2(w[8], w[6], w[4], b)
+    da *= 2.0 * a
+    da += _horner2(w[7], w[3], w[1], b)
+    db = _horner2(w[8], w[7], w[5], a)
+    db *= 2.0 * b
+    db += _horner2(w[6], w[3], w[2], a)
     return da, db
-
-
-def table_of(w) -> np.ndarray:
-    """Values of p_w on the input grid, as a 9-vector in grid order."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (9,):
-        raise ValueError(f"expected 9 coefficients, got shape {w.shape}")
-    return VANDERMONDE @ w
 
 
 def coeffs_of_table(table) -> np.ndarray:
@@ -156,14 +156,11 @@ def coeffs_of_table(table) -> np.ndarray:
     return VANDERMONDE_INV @ t
 
 
-def round_to_trit(x: float) -> int:
-    """Round to the nearest trit; ties at +-0.5 go away from zero."""
-    v = math.copysign(math.floor(abs(x) + 0.5), x)
-    return int(min(1.0, max(-1.0, v)))
-
-
 def round_table(values: np.ndarray) -> np.ndarray:
-    """Elementwise `round_to_trit` over an array, returned as int8."""
+    """Round each value to the nearest trit, ties at +-0.5 away from zero.
+
+    Returned as int8.
+    """
     v = np.sign(values) * np.floor(np.abs(values) + 0.5)
     return np.clip(v, -1, 1).astype(np.int8)
 
@@ -213,11 +210,6 @@ def encode_tables(tables: np.ndarray) -> np.ndarray:
     return ((t + 1) * 3 ** np.arange(9)).sum(axis=-1)
 
 
-def harden_neuron(w) -> int:
-    """Gate id of the discrete gate nearest to the polynomial p_w."""
-    return int(encode_tables(round_table(table_of(w))))
-
-
 @dataclass(frozen=True)
 class TruthTable9:
     """A two-input ternary truth table in canonical grid order."""
@@ -241,31 +233,6 @@ class TruthTable9:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=np.int8)
-
-
-@dataclass(frozen=True)
-class LatticeGeometry:
-    """Distances of the uniform q-point lattice on [-1, 1].
-
-    spacing is the gap between adjacent lattice values, epsilon the
-    largest rounding error, covering_radius their product with q (the
-    radius within which every point of the segment has a lattice value).
-    """
-
-    q: int
-    spacing: float
-    epsilon: float
-    covering_radius: float
-
-
-def lattice_geometry(q: int) -> LatticeGeometry:
-    """Geometry of q equally spaced values spanning [-1, 1]."""
-    if q < 2:
-        raise ValueError(f"lattice needs at least 2 points, got q={q}")
-    spacing = 2.0 / (q - 1)
-    return LatticeGeometry(
-        q=q, spacing=spacing, epsilon=spacing / 2.0, covering_radius=q / (q - 1)
-    )
 
 
 def _kleene_not(x: int) -> int:

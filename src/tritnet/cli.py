@@ -103,24 +103,28 @@ def _write_manifest(doc: dict, out: str, name: str) -> str:
 
 
 def _recipe_from_args(args) -> pl.RunRecipe:
-    return pl.RunRecipe(
-        arch=args.arch,
-        body_widths=_parse_widths(args.widths),
-        output_neurons=args.output_neurons,
-        k=args.k,
-        tau=args.tau,
-        thresholds=args.thresholds,
-        delta=args.delta,
-        steps=args.steps,
-        batch_size=args.batch,
-        lr=args.lr,
-        lambda_max=args.lambda_max,
-        gamma=args.gamma,
-        beta=args.beta,
-        loss=args.loss,
-        seed=args.seed,
-        eval_every=args.eval_every,
-    )
+    body_widths = _parse_widths(args.widths)
+    try:
+        return pl.RunRecipe(
+            arch=args.arch,
+            body_widths=body_widths,
+            output_neurons=args.output_neurons,
+            k=args.k,
+            tau=args.tau,
+            thresholds=args.thresholds,
+            delta=args.delta,
+            steps=args.steps,
+            batch_size=args.batch,
+            lr=args.lr,
+            lambda_max=args.lambda_max,
+            gamma=args.gamma,
+            beta=args.beta,
+            loss=args.loss,
+            seed=args.seed,
+            eval_every=args.eval_every,
+        )
+    except ValueError as exc:  # the recipe checks every value on construction
+        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- commands
@@ -157,9 +161,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     out = _out_dir(args)
     name = args.name or f"{args.arch}-run"
+    recipe = _recipe_from_args(args)
     train_ds = _load_any_dataset(args.train)
     test_ds = _load_any_dataset(args.test)
-    recipe = _recipe_from_args(args)
     print(f"encoder: K={recipe.thresholds} thresholds per feature "
           f"(resolution = {recipe.thresholds + 1}), delta={recipe.delta}, "
           f"input dim = {train_ds.d * recipe.thresholds}")

@@ -47,8 +47,17 @@ class RunRecipe:
     eval_every: int = 500
 
     def __post_init__(self):
+        # Check every knob now, mostly through the configs a run builds
+        # from the recipe, so a bad value fails before any data is read.
         if self.arch not in ("ternary", "binary"):
             raise ValueError(f"arch must be ternary or binary, got {self.arch!r}")
+        net_mod.GroupSumConfig(k=self.k, tau=self.tau)
+        if self.output_neurons < 1 or self.output_neurons % self.k:
+            raise ValueError(f"output neurons must be a positive multiple of "
+                             f"k={self.k}, got {self.output_neurons}")
+        data_mod.EncoderConfig(mode=self.arch, thresholds_per_feature=self.thresholds,
+                               delta=self.delta, lo=(), hi=())
+        self.train_config()
 
     @property
     def widths(self) -> tuple[int, ...]:

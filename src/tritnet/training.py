@@ -69,6 +69,10 @@ class TrainConfig:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.eval_every < 1:
+            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.lambda_max < 0:
             raise ValueError(f"lambda_max must be >= 0, got {self.lambda_max}")
         if not self.gamma > 0:
@@ -209,14 +213,26 @@ def _scatter_to_parents(gh_shape, s, t, ga, gb):
 
 def _polynomial_grads(w, a, b, u, gh, parents: bool):
     """Local gradient of the clipped polynomial: the coefficient gradient
-    and, if `parents`, the gradients at the two parent values."""
+    and, if `parents`, the gradients at the two parent values.
+
+    Coefficient k's gradient is the batch sum of gu * m_k over the
+    monomials m_k of `algebra.monomials`, built from shared products.
+    The products go three at a time into one C-ordered (batch, 3, width)
+    buffer and are summed over the batch axis, so numpy adds the rows in
+    order at every width; summing a batch-contiguous or (batch, 1) array
+    would switch it to pairwise summation and change the last bits.
+    """
     gu = gh * ((u >= -1.0) & (u <= 1.0))
-    m = np.stack(
-        [np.ones_like(a), a, b, a * b, a * a, b * b,
-         a * a * b, a * b * b, a * a * b * b],
-        axis=2,
-    )
-    gw = np.einsum("nw,nwk->wk", gu, m)
+    ab = a * b
+    aa = a * a
+    aab = aa * b
+    gw = np.empty((3, 3, w.shape[0]))
+    tmp = np.empty((gu.shape[0], 3, gu.shape[1]))
+    for out, group in zip(gw, ((1.0, a, b), (ab, aa, b * b), (aab, ab * b, aab * b))):
+        for i, m in enumerate(group):
+            np.multiply(gu, m, out=tmp[:, i])
+        tmp.sum(axis=0, out=out)
+    gw = gw.reshape(algebra.N_MONOMIALS, -1).T
     if not parents:
         return gw, None, None
     da, db = algebra.poly_input_grads(w, a, b)

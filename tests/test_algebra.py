@@ -1,5 +1,8 @@
 """Trit grid, polynomial evaluation and exact gate interpolation."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,66 @@ def naive_poly(w, a, b):
     """Plain monomial dot product, the reference for the Horner scheme."""
     m = [1.0, a, b, a * b, a * a, b * b, a * a * b, a * b * b, a * a * b * b]
     return sum(float(c) * v for c, v in zip(w, m))
+
+
+def eval_poly(w, a: float, b: float) -> float:
+    """Evaluate p_w(a, b) for one neuron with 8 multiplications and 8
+    additions, the scalar form of `al.eval_poly_many`.
+
+    Nested Horner form: the coefficients are grouped by the power of
+    `a`, each group is a quadratic in `b`.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (9,):
+        raise ValueError(f"expected 9 coefficients, got shape {w.shape}")
+    c0 = (w[5] * b + w[2]) * b + w[0]
+    c1 = (w[7] * b + w[3]) * b + w[1]
+    c2 = (w[8] * b + w[6]) * b + w[4]
+    return float(c0 + a * (c1 + a * c2))
+
+
+def table_of(w) -> np.ndarray:
+    """Values of p_w on the input grid, as a 9-vector in grid order."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (9,):
+        raise ValueError(f"expected 9 coefficients, got shape {w.shape}")
+    return al.VANDERMONDE @ w
+
+
+def round_to_trit(x: float) -> int:
+    """Round to the nearest trit; ties at +-0.5 go away from zero."""
+    v = math.copysign(math.floor(abs(x) + 0.5), x)
+    return int(min(1.0, max(-1.0, v)))
+
+
+def harden_neuron(w) -> int:
+    """Gate id of the discrete gate nearest to the polynomial p_w."""
+    return int(al.encode_tables(al.round_table(table_of(w))))
+
+
+@dataclass(frozen=True)
+class LatticeGeometry:
+    """Distances of the uniform q-point lattice on [-1, 1].
+
+    spacing is the gap between adjacent lattice values, epsilon the
+    largest rounding error, covering_radius their product with q (the
+    radius within which every point of the segment has a lattice value).
+    """
+
+    q: int
+    spacing: float
+    epsilon: float
+    covering_radius: float
+
+
+def lattice_geometry(q: int) -> LatticeGeometry:
+    """Geometry of q equally spaced values spanning [-1, 1]."""
+    if q < 2:
+        raise ValueError(f"lattice needs at least 2 points, got q={q}")
+    spacing = 2.0 / (q - 1)
+    return LatticeGeometry(
+        q=q, spacing=spacing, epsilon=spacing / 2.0, covering_radius=q / (q - 1)
+    )
 
 
 def test_grid_order_is_a_major():
@@ -65,8 +128,8 @@ def test_horner_equals_naive_evaluation():
     for _ in range(200):
         w = rng.normal(size=9)
         a, b = rng.uniform(-1, 1, size=2)
-        assert al.eval_poly(w, a, b) == pytest.approx(naive_poly(w, a, b),
-                                                      rel=1e-12, abs=1e-12)
+        assert eval_poly(w, a, b) == pytest.approx(naive_poly(w, a, b),
+                                                   rel=1e-12, abs=1e-12)
 
 
 def test_eval_poly_many_matches_scalar_loop():
@@ -79,7 +142,7 @@ def test_eval_poly_many_matches_scalar_loop():
     for i in range(4):
         for j in range(5):
             assert out[i, j] == pytest.approx(
-                al.eval_poly(coeffs[j], a[i, j], b[i, j]), rel=1e-12)
+                eval_poly(coeffs[j], a[i, j], b[i, j]), rel=1e-12)
 
 
 def test_input_gradients_match_finite_differences():
@@ -91,10 +154,10 @@ def test_input_gradients_match_finite_differences():
         b = rng.uniform(-0.9, 0.9, size=3)
         da, db = al.poly_input_grads(w, a, b)
         for j in range(3):
-            fd_a = (al.eval_poly(w[j], a[j] + h, b[j])
-                    - al.eval_poly(w[j], a[j] - h, b[j])) / (2 * h)
-            fd_b = (al.eval_poly(w[j], a[j], b[j] + h)
-                    - al.eval_poly(w[j], a[j], b[j] - h)) / (2 * h)
+            fd_a = (eval_poly(w[j], a[j] + h, b[j])
+                    - eval_poly(w[j], a[j] - h, b[j])) / (2 * h)
+            fd_b = (eval_poly(w[j], a[j], b[j] + h)
+                    - eval_poly(w[j], a[j], b[j] - h)) / (2 * h)
             assert da[j] == pytest.approx(fd_a, rel=1e-5, abs=1e-7)
             assert db[j] == pytest.approx(fd_b, rel=1e-5, abs=1e-7)
 
@@ -134,7 +197,7 @@ def test_interpolation_round_trip_and_frozen_coeffs():
     for _ in range(50):
         tbl = rng.integers(-1, 2, size=9)
         w = al.coeffs_of_table(tbl)
-        assert np.array_equal(al.table_of(w), tbl)
+        assert np.array_equal(table_of(w), tbl)
 
 
 def test_exact_gates_evaluate_bit_exactly_on_trits():
@@ -144,19 +207,19 @@ def test_exact_gates_evaluate_bit_exactly_on_trits():
         tbl = rng.integers(-1, 2, size=9)
         w = al.coeffs_of_table(tbl)
         for i, (a, b) in enumerate(al.GRID_POINTS):
-            assert al.eval_poly(w, float(a), float(b)) == float(tbl[i])
+            assert eval_poly(w, float(a), float(b)) == float(tbl[i])
 
 
 def test_frozen_point_evaluation():
     w = np.array(AND_COEFFS)
-    assert al.eval_poly(w, 0.3, -0.7) == pytest.approx(-0.57295, abs=1e-12)
+    assert eval_poly(w, 0.3, -0.7) == pytest.approx(-0.57295, abs=1e-12)
 
 
 def test_round_to_trit_ties_away_from_zero():
     cases = {0.0: 0, 0.49: 0, 0.5: 1, 0.51: 1, -0.5: -1, -0.49: 0,
              1.2: 1, 2.7: 1, -3.0: -1, -0.501: -1, 1.49: 1, -1.51: -1}
     for x, want in cases.items():
-        assert al.round_to_trit(x) == want, x
+        assert round_to_trit(x) == want, x
     arr = np.array(list(cases))
     assert np.array_equal(al.round_table(arr), [cases[x] for x in arr])
 
@@ -165,7 +228,7 @@ def test_harden_neuron_matches_round_of_exact_table():
     rng = np.random.default_rng(8)
     for _ in range(50):
         w = rng.normal(size=9)
-        gid = al.harden_neuron(w)
+        gid = harden_neuron(w)
         tbl = al.round_table(al.VANDERMONDE @ w)
         assert gid == al.encode_table(tbl)
 
@@ -178,13 +241,13 @@ def test_corner_indices_are_the_four_binary_points():
 
 
 def test_lattice_geometry():
-    g3 = al.lattice_geometry(3)
+    g3 = lattice_geometry(3)
     assert (g3.spacing, g3.epsilon, g3.covering_radius) == (1.0, 0.5, 1.5)
-    g5 = al.lattice_geometry(5)
+    g5 = lattice_geometry(5)
     assert g5.spacing == pytest.approx(0.5)
     assert g5.epsilon == pytest.approx(0.25)
     with pytest.raises(ValueError):
-        al.lattice_geometry(1)
+        lattice_geometry(1)
 
 
 def test_kleene_tables_from_first_principles():

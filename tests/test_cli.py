@@ -331,6 +331,34 @@ def test_exit_code_for_unknown_command(capsys):
     assert run(["gen-data", "--kind", "dodecahedra"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--batch", "0"], "batch_size must be >= 1"),
+    (["--k", "1"], "k >= 2"),
+    (["--tau", "0"], "tau > 0"),
+    (["--steps", "-3"], "steps must be >= 0"),
+    (["--eval-every", "0"], "eval_every must be >= 1"),
+    (["--lr", "-1"], "lr must be finite and > 0"),
+    (["--lr", "nan"], "lr must be finite and > 0"),
+    (["--lr", "inf"], "lr must be finite and > 0"),
+    (["--gamma", "0"], "gamma must be > 0"),
+    (["--lambda-max", "-0.1"], "lambda_max must be >= 0"),
+    (["--beta", "-1"], "beta must be >= 0"),
+    (["--output-neurons", "5"], "positive multiple of k=2"),
+    (["--output-neurons", "0"], "positive multiple of k=2"),
+    (["--k", "3"], "positive multiple of k=3"),
+    (["--thresholds", "0"], "at least 1 threshold"),
+    (["--delta", "-1"], "delta must be >= 0"),
+])
+def test_bad_train_flag_is_usage_error(trained, tmp_path, capsys, flags, message):
+    rc = run(["train", "--train", trained["train"], "--test", trained["test"],
+              "--out", str(tmp_path), *TINY, *flags])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and message in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_exit_code_for_numerical_failure(tmp_path, capsys):
     train, test = gen_moons(str(tmp_path))
     with np.errstate(all="ignore"):

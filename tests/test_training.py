@@ -6,6 +6,7 @@ import pytest
 import tritnet.algebra as al
 import tritnet.network as nw
 import tritnet.training as tr
+from test_algebra import eval_poly
 
 GS = nw.GroupSumConfig(k=2, tau=10.0)
 
@@ -54,6 +55,11 @@ def test_config_validation():
         tr.TrainConfig(steps=1, lambda_max=-0.1)
     with pytest.raises(ValueError):
         tr.TrainConfig(steps=1, loss="hinge")
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            tr.TrainConfig(steps=1, lr=lr)
+    with pytest.raises(ValueError, match="eval_every"):
+        tr.TrainConfig(steps=1, eval_every=0)
 
 
 def test_lambda_schedule():
@@ -135,7 +141,7 @@ def test_commitment_loss_matches_brute_force():
     for w in net.params:
         for row in w:
             for a, b in al.GRID_POINTS:
-                v = al.eval_poly(row, float(a), float(b))
+                v = eval_poly(row, float(a), float(b))
                 total += min((v - q) ** 2 for q in (-1.0, 0.0, 1.0))
             count += 1
     assert tr.commitment_loss(net) == pytest.approx(total / (9 * count),
