@@ -235,10 +235,6 @@ class TruthTable9:
         return np.array(self.entries, dtype=np.int8)
 
 
-def _kleene_not(x: int) -> int:
-    return -x
-
-
 def _kleene_and(a: int, b: int) -> int:
     return min(a, b)
 

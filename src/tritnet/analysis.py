@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, fourier
+from . import algebra, fourier, pipeline
+from . import data as data_mod
 from .circuit import Circuit, eval_circuit
+from .training import NumericalFailure
 
 TERNARY_VOCAB = algebra.N_GATES
 BINARY_VOCAB = 16
@@ -151,16 +153,17 @@ class SpectralProfile:
     zero_energy_gates: int
 
 
-def is_binary_equivalent(table: np.ndarray) -> bool:
+def is_binary_equivalent(table: np.ndarray):
     """True when the gate is a Boolean gate in disguise.
 
     The test restricts the table to the four Boolean corners: if none
     of them is UNKNOWN, Boolean signals pass through the gate exactly
     as through the corner-defined Boolean gate, and the five remaining
-    entries are never exercised.
+    entries are never exercised. A (..., 9) stack of tables gives a
+    boolean array.
     """
     t = np.asarray(table)
-    return bool((t[list(algebra.CORNER_INDICES)] != 0).all())
+    return (t[..., list(algebra.CORNER_INDICES)] != 0).all(axis=-1)
 
 
 def spectral_profile(circuit: Circuit, tol: float = 1e-9) -> SpectralProfile:
@@ -171,31 +174,37 @@ def spectral_profile(circuit: Circuit, tol: float = 1e-9) -> SpectralProfile:
     separately and excluded from that mean.
     """
     ids = np.unique(circuit.all_gate_ids())
-    classes = {"LINEAR": 0, "BILINEAR": 0, "QUADRATIC": 0, "FULL": 0}
-    band_names = ("const", "linear", "quad", "cubic", "quartic")
-    band_sum = {name: 0.0 for name in band_names}
-    n_ternary = 0
-    zero_energy = 0
-    for gid in ids:
-        table = np.array(algebra.decode_table(int(gid)), dtype=float)
-        fhat = fourier.fourier_transform(table)
-        classes[fourier.spectral_class(fhat, tol)] += 1
-        if not is_binary_equivalent(table):
-            n_ternary += 1
-        bands = fourier.spectral_energy_bands(fhat)
-        if bands["total"] == 0.0:
-            zero_energy += 1
-        else:
-            for name in band_names:
-                band_sum[name] += bands[name]
+    tables = algebra.decode_tables(ids)
+    fhat = fourier.fourier_transform(tables)
+    support = np.abs(fhat) > tol
+
+    def uses(positions) -> np.ndarray:
+        return support[:, sorted(positions)].any(axis=1)
+
+    # Each gate takes the first class whose support test holds, in the
+    # order of fourier.spectral_class.
+    classes = np.select([~uses(set(range(9)) - fourier.LINEAR_SUPPORT),
+                         ~uses(set(range(9)) - fourier.BILINEAR_SUPPORT),
+                         uses(fourier.PURE_QUAD) & ~uses(fourier.HIGHER_MIXED)],
+                        [0, 1, 2], 3)
+    counts = np.bincount(classes, minlength=4)
+    n_ternary = int((~is_binary_equivalent(tables)).sum())
+    bands = fourier.spectral_energy_bands(fhat)
+    live = bands["total"] != 0.0
+    # Per-gate bands summed over the gates in id order: axis 0 of a
+    # C-ordered array adds row after row, like a loop over the gates.
+    band_sum = np.stack([bands[name][live] for name in fourier.BAND_NAMES],
+                        axis=1).sum(axis=0)
     u = ids.size
-    live = u - zero_energy
+    n_live = int(live.sum())
     return SpectralProfile(
         unique_gates=int(u),
         pct_ternary=100.0 * n_ternary / u if u else 0.0,
-        class_shares={k: v / u if u else 0.0 for k, v in classes.items()},
-        band_shares={k: v / live if live else 0.0 for k, v in band_sum.items()},
-        zero_energy_gates=int(zero_energy),
+        class_shares={name: int(c) / u if u else 0.0 for name, c in
+                      zip(("LINEAR", "BILINEAR", "QUADRATIC", "FULL"), counts)},
+        band_shares={name: float(v) / n_live if n_live else 0.0
+                     for name, v in zip(fourier.BAND_NAMES, band_sum)},
+        zero_energy_gates=u - n_live,
     )
 
 
@@ -238,10 +247,6 @@ def separation_sweep(seps, recipe, n_train: int = 2000, n_test: int = 500,
     closed-form optimal accuracy. A training failure is recorded in
     its row (key "error") without aborting the remaining rows.
     """
-    from . import data as data_mod
-    from . import pipeline
-    from .training import NumericalFailure
-
     rows = []
     for sep in seps:
         full = data_mod.gen_dataset("gaussians", n_train + n_test, 0.0,
@@ -268,26 +273,14 @@ def separation_sweep(seps, recipe, n_train: int = 2000, n_test: int = 500,
 
 def delta_sweep(deltas, recipe, train_ds, test_ds) -> list[dict]:
     """Ternary runs across dead-zone widths on a fixed dataset."""
-    from . import data as data_mod
-    from . import pipeline
-    from .training import NumericalFailure
-
+    recipes = [pipeline.vary(recipe, arch="ternary", delta=float(d)) for d in deltas]
     rows = []
-    for delta in deltas:
-        r = pipeline.vary(recipe, arch="ternary", delta=float(delta))
-        row: dict = {"delta": float(delta)}
-        enc = data_mod.fit_encoder(train_ds.features, r.thresholds,
-                                   r.delta, mode="ternary")
-        row["encoder_unknown_share"] = data_mod.encoder_unknown_share(
-            train_ds.features, enc)
-        try:
-            res = pipeline.run_pipeline(train_ds, test_ds, r)
-            row["circuit_accuracy"] = res.gap.circuit_accuracy
-            row["unknown_fraction"] = res.gap.unknown_fraction
-        except NumericalFailure as exc:
-            row["error"] = str(exc)
-        rows.append(row)
-    return rows
+    for r in recipes:
+        enc = data_mod.fit_encoder(train_ds.features, r.thresholds, r.delta,
+                                   mode="ternary")
+        rows.append({"delta": r.delta, "encoder_unknown_share":
+                     data_mod.encoder_unknown_share(train_ds.features, enc)})
+    return _run_rows(rows, recipes, train_ds, test_ds)
 
 
 def resolution_sweep(threshold_counts, body_widths_per_row, recipe,
@@ -297,23 +290,25 @@ def resolution_sweep(threshold_counts, body_widths_per_row, recipe,
     `threshold_counts` gives K per row; `body_widths_per_row` the body
     widths to use alongside each K (wider networks for finer inputs).
     """
-    from . import pipeline
-    from .training import NumericalFailure
-
     if len(threshold_counts) != len(body_widths_per_row):
         raise ValueError("need one width tuple per threshold count")
-    rows = []
-    for K, widths in zip(threshold_counts, body_widths_per_row):
-        r = pipeline.vary(recipe, arch="ternary", thresholds=int(K),
-                          body_widths=tuple(widths))
-        row: dict = {"thresholds": int(K), "resolution": int(K) + 1,
-                     "body_widths": list(widths),
-                     "input_dim": train_ds.d * int(K)}
+    recipes = [pipeline.vary(recipe, arch="ternary", thresholds=int(K),
+                             body_widths=tuple(widths))
+               for K, widths in zip(threshold_counts, body_widths_per_row)]
+    rows = [{"thresholds": r.thresholds, "resolution": r.thresholds + 1,
+             "body_widths": list(r.body_widths), "input_dim": train_ds.d * r.thresholds}
+            for r in recipes]
+    return _run_rows(rows, recipes, train_ds, test_ds)
+
+
+def _run_rows(rows, recipes, train_ds, test_ds) -> list[dict]:
+    """Run each row's recipe, every recipe built before the first runs; a
+    training failure is recorded in its row (key "error")."""
+    for row, r in zip(rows, recipes):
         try:
             res = pipeline.run_pipeline(train_ds, test_ds, r)
             row["circuit_accuracy"] = res.gap.circuit_accuracy
             row["unknown_fraction"] = res.gap.unknown_fraction
         except NumericalFailure as exc:
             row["error"] = str(exc)
-        rows.append(row)
     return rows

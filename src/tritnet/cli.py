@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage error, 2 data or file format error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -48,37 +49,32 @@ def _out_dir(args) -> str:
     return out
 
 
-def _parse_widths(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind=float) -> list:
     try:
-        widths = tuple(int(v) for v in text.split(","))
+        return [kind(v) for v in text.split(",")]
     except ValueError:
-        raise UsageError(f"bad widths {text!r}, expected e.g. 512,512,512") from None
-    if not widths or any(w < 1 for w in widths):
+        raise UsageError(f"bad {kind.__name__} list {text!r}") from None
+
+
+def _parse_widths(text: str) -> tuple[int, ...]:
+    widths = tuple(_parse_list(text, int))
+    if any(w < 1 for w in widths):
         raise UsageError(f"widths must be positive integers, got {text!r}")
     return widths
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad numeric list {text!r}") from None
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise UsageError(f"bad integer list {text!r}") from None
-
-
-def _load_any_dataset(path) -> dt.Dataset:
-    """Read either the native dataset format or a plain CSV."""
-    with open(path) as fh:
-        first = fh.readline()
-    if first.startswith(sz.DATASET_MAGIC):
-        return sz.load_dataset(path)
-    return dt.load_csv(path)
+def _load_any_dataset(path, k: int, d: int | None = None) -> dt.Dataset:
+    """Read either the native dataset format or a plain CSV, whose labels
+    must name one of the k classes and, if d is given, with d features."""
+    with open(path, "rb") as fh:
+        native = fh.readline().startswith(sz.DATASET_MAGIC.encode())
+    ds = sz.load_dataset(path) if native else dt.load_csv(path)
+    if d is not None and ds.d != d:
+        raise dt.DataFormatError(f"{path}: {ds.d} feature columns, expected {d}")
+    if ds.labels.max() >= k:
+        raise dt.DataFormatError(f"{path}: label {ds.labels.max()} is out of range "
+                                 f"for k={k} classes (labels 0..{k - 1})")
+    return ds
 
 
 def _manifest(command: str, config: dict, artifacts: dict,
@@ -102,9 +98,18 @@ def _write_manifest(doc: dict, out: str, name: str) -> str:
     return path
 
 
+@contextlib.contextmanager
+def _flag_values():
+    """Report a ValueError raised while checking flag values as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _recipe_from_args(args) -> pl.RunRecipe:
     body_widths = _parse_widths(args.widths)
-    try:
+    with _flag_values():  # the recipe checks every value on construction
         return pl.RunRecipe(
             arch=args.arch,
             body_widths=body_widths,
@@ -123,8 +128,6 @@ def _recipe_from_args(args) -> pl.RunRecipe:
             seed=args.seed,
             eval_every=args.eval_every,
         )
-    except ValueError as exc:  # the recipe checks every value on construction
-        raise UsageError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- commands
@@ -162,8 +165,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     name = args.name or f"{args.arch}-run"
     recipe = _recipe_from_args(args)
-    train_ds = _load_any_dataset(args.train)
-    test_ds = _load_any_dataset(args.test)
+    train_ds = _load_any_dataset(args.train, recipe.k)
+    test_ds = _load_any_dataset(args.test, recipe.k, train_ds.d)
     print(f"encoder: K={recipe.thresholds} thresholds per feature "
           f"(resolution = {recipe.thresholds + 1}), delta={recipe.delta}, "
           f"input dim = {train_ds.d * recipe.thresholds}")
@@ -202,7 +205,7 @@ def cmd_harden(args) -> int:
     if args.data:
         if encoder is None:
             raise UsageError("checkpoint has no encoder; cannot encode raw data")
-        ds = _load_any_dataset(args.data)
+        ds = _load_any_dataset(args.data, net.groupsum.k, len(encoder.lo))
         x_enc = dt.encode(ds.features, encoder)
         gap = cc.gap_report(net, circuit, x_enc, ds.labels)
         paths["gap"] = os.path.join(out, f"{name}.gap.tsv")
@@ -230,9 +233,9 @@ def cmd_eval(args) -> int:
     circuit, encoder = sz.load_circuit(args.circuit)
     name = args.name or os.path.splitext(os.path.basename(args.circuit))[0].replace(
         ".circuit", "")
-    ds = _load_any_dataset(args.data)
     if encoder is None:
         raise UsageError("circuit file has no encoder; cannot encode raw data")
+    ds = _load_any_dataset(args.data, circuit.groupsum.k, len(encoder.lo))
     x_enc = circuit.trit_inputs(dt.encode(ds.features, encoder))
     outputs, scores, preds, margins = cc.eval_circuit(circuit, x_enc)
     acc = float((preds == ds.labels).mean())
@@ -296,31 +299,38 @@ def cmd_sweep(args) -> int:
     name = args.name or f"sweep-{args.kind}"
     recipe = _recipe_from_args(args)
     t0 = time.perf_counter()
-    if args.kind != "separation":
-        if not (args.train and args.test):
-            raise UsageError(f"{args.kind} sweep needs --train and --test datasets")
-        train_ds = _load_any_dataset(args.train)
-        test_ds = _load_any_dataset(args.test)
+    seps, deltas = _parse_list(args.seps), _parse_list(args.deltas)
+    counts = _parse_list(args.thresholds_list, int)
+    widths_rows = [tuple(w * 2**i for w in recipe.body_widths)
+                   for i in range(len(counts))]
+    with _flag_values():  # every row's values, before the first row trains
+        if args.kind == "separation":
+            for sep in seps:
+                dt.bayes_accuracy_gaussians(sep)
+        elif args.kind == "delta":
+            for delta in deltas:
+                pl.vary(recipe, arch="ternary", delta=delta)
+        else:
+            for count, widths in zip(counts, widths_rows):
+                pl.vary(recipe, arch="ternary", thresholds=count, body_widths=widths)
     if args.kind == "separation":
-        seps = _parse_floats(args.seps)
         rows = an.separation_sweep(seps, recipe, n_train=args.n_train,
                                    n_test=args.n_test, data_seed=args.data_seed)
         columns = ["sep", "ternary_accuracy", "unknown_fraction",
                    "binary_accuracy", "bayes_accuracy", "error"]
-    elif args.kind == "delta":
-        rows = an.delta_sweep(_parse_floats(args.deltas), recipe,
-                              train_ds, test_ds)
-        columns = ["delta", "encoder_unknown_share", "circuit_accuracy",
-                   "unknown_fraction", "error"]
-    elif args.kind == "resolution":
-        counts = _parse_ints(args.thresholds_list)
-        base = _parse_widths(args.widths)
-        widths_rows = [tuple(w * 2**i for w in base) for i in range(len(counts))]
-        rows = an.resolution_sweep(counts, widths_rows, recipe, train_ds, test_ds)
-        columns = ["thresholds", "resolution", "input_dim", "body_widths",
-                   "circuit_accuracy", "unknown_fraction", "error"]
+    elif not (args.train and args.test):
+        raise UsageError(f"{args.kind} sweep needs --train and --test datasets")
     else:
-        raise UsageError(f"unknown sweep kind {args.kind!r}")
+        train_ds = _load_any_dataset(args.train, recipe.k)
+        test_ds = _load_any_dataset(args.test, recipe.k, train_ds.d)
+        if args.kind == "delta":
+            rows = an.delta_sweep(deltas, recipe, train_ds, test_ds)
+            columns = ["delta", "encoder_unknown_share", "circuit_accuracy",
+                       "unknown_fraction", "error"]
+        else:
+            rows = an.resolution_sweep(counts, widths_rows, recipe, train_ds, test_ds)
+            columns = ["thresholds", "resolution", "input_dim", "body_widths",
+                       "circuit_accuracy", "unknown_fraction", "error"]
     paths = {"table": os.path.join(out, f"{name}.tsv")}
     sz.save_report(
         [[row.get(c, "") for c in columns] for row in rows],
@@ -339,6 +349,11 @@ def cmd_bench(args) -> int:
     out = _out_dir(args)
     name = args.name or "bench"
     widths = _parse_widths(args.widths) + (args.output_neurons,)
+    with _flag_values():
+        pl.RunRecipe(body_widths=widths[:-1], output_neurons=args.output_neurons,
+                     steps=args.steps, batch_size=args.batch)
+    if args.steps < 1:
+        raise UsageError(f"steps must be >= 1, got {args.steps}")
     results = {}
     for arch in ("ternary", "binary"):
         times = pl._bench_arch(arch, widths, args.input_dim, args.batch,
@@ -528,10 +543,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (dt.DataFormatError, sz.FormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (dt.DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except tr.NumericalFailure as exc:

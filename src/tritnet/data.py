@@ -19,6 +19,9 @@ half-width delta * spacing / 2 around every threshold that emits
 UNKNOWN; the binary encoder is a plain thermometer code. K thresholds
 cut a feature range into K + 1 bins, so logs describe the setting as
 resolution K + 1.
+
+Dataset files, native and CSV, go through one table parser: numpy's C
+reader, then array checks; a failed check names its line and column.
 """
 
 from __future__ import annotations
@@ -94,6 +97,10 @@ def _ring_sector(n0, n1, noise, rng):
     return sector(n0, 0.0, math.pi), sector(n1, math.pi, 2 * math.pi)
 
 
+_GENERATORS = {"moons": _moons, "circles": _circles, "spirals": _spirals,
+               "gaussians": _gaussians, "ring_sector": _ring_sector}
+
+
 def gen_dataset(kind: str, n: int, noise: float, seed: int,
                 sep: float = 2.0) -> Dataset:
     """Generate one balanced dataset of n points.
@@ -112,16 +119,7 @@ def gen_dataset(kind: str, n: int, noise: float, seed: int,
     rng = np.random.default_rng(seed)
     n0 = n // 2 + n % 2
     n1 = n // 2
-    if kind == "moons":
-        x0, x1 = _moons(n0, n1, noise, rng)
-    elif kind == "circles":
-        x0, x1 = _circles(n0, n1, noise, rng)
-    elif kind == "spirals":
-        x0, x1 = _spirals(n0, n1, noise, rng)
-    elif kind == "gaussians":
-        x0, x1 = _gaussians(n0, n1, sep, rng)
-    else:
-        x0, x1 = _ring_sector(n0, n1, noise, rng)
+    x0, x1 = _GENERATORS[kind](n0, n1, sep if kind == "gaussians" else noise, rng)
     x = np.concatenate([x0, x1])
     y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     if kind != "gaussians" and noise > 0:
@@ -146,8 +144,8 @@ def split_dataset(ds: Dataset, n_train: int) -> tuple[Dataset, Dataset]:
 
 def bayes_accuracy_gaussians(sep: float) -> float:
     """Optimal accuracy for the gaussians generator: Phi(sep / 2)."""
-    if sep < 0:
-        raise ValueError(f"sep must be >= 0, got {sep}")
+    if not 0 <= sep < math.inf:
+        raise ValueError(f"sep must be finite and >= 0, got {sep}")
     return 0.5 * (1.0 + math.erf(sep / 2.0 / math.sqrt(2.0)))
 
 
@@ -263,77 +261,93 @@ class CsvSchema:
 
 
 def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read a feature/label table, validating every cell.
+    """Read a feature/label table whose header row is optional.
 
-    Labels must be nonnegative integers; features must be finite
-    numbers. Malformed content raises DataFormatError naming the line
-    and column.
+    The rows get the checks of `_parse_table`; malformed content raises
+    DataFormatError naming the line and column.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=schema.delimiter))
-    rows = [r for r in rows if r and any(c.strip() for c in r)]
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
+    lines = _read_lines(path)
+    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    first = _split(lines[start], schema.delimiter) if start < len(lines) else []
+    header = (not all(_cell_ok(cell, label=False) for cell in first)
+              if schema.header is None else schema.header)
+    label_col = schema.label_col
+    if isinstance(label_col, str):
+        names = [cell.strip() for cell in first] if header else []
+        if label_col not in names:
+            raise DataFormatError(f"{path}: label column {label_col!r} not in header")
+        label_col = names.index(label_col)
+    return Dataset(*_parse_table(path, lines, start + bool(header), label_col,
+                                 schema.delimiter), {"source": str(path)})
 
-    header = schema.header
-    names = None
-    if header is None:
-        try:
-            [float(c) for c in rows[0]]
-            header = False
-        except ValueError:
-            header = True
-    if header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise DataFormatError(f"{path}: header but no data rows")
 
-    if isinstance(schema.label_col, str):
-        if names is None or schema.label_col not in names:
-            raise DataFormatError(
-                f"{path}: label column {schema.label_col!r} not in header")
-        label_idx = names.index(schema.label_col)
-    else:
-        label_idx = schema.label_col % len(rows[0])
+def _read_lines(path) -> list[str]:
+    """The lines of a text file; undecodable bytes are a DataFormatError."""
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file ({exc.reason} at byte "
+                              f"{exc.start})") from None
 
-    width = len(rows[0])
-    features, labels = [], []
-    for i, row in enumerate(rows):
-        line_no = i + (2 if header else 1)
-        if len(row) != width:
-            raise DataFormatError(
-                f"{path}: line {line_no}: expected {width} fields, got {len(row)}")
-        feat = []
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if j == label_idx:
-                try:
-                    lab = int(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {line_no}, column {j + 1}: "
-                        f"label {cell!r} is not an integer") from None
-                if lab < 0:
-                    raise DataFormatError(
-                        f"{path}: line {line_no}, column {j + 1}: "
-                        f"label must be >= 0, got {lab}")
-                labels.append(lab)
-            else:
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: line {line_no}, column {j + 1}: "
-                        f"{cell!r} is not a number") from None
-                if not math.isfinite(v):
-                    raise DataFormatError(
-                        f"{path}: line {line_no}, column {j + 1}: "
-                        f"non-finite value {cell!r}")
-                feat.append(v)
-        features.append(feat)
-    return Dataset(
-        features=np.array(features, dtype=float),
-        labels=np.array(labels, dtype=np.int64),
-        meta={"source": str(path)},
-    )
+
+def _split(line: str, delimiter: str) -> list[str]:
+    """The cells of a row, cut at every delimiter if csv refuses it."""
+    try:
+        return next(csv.reader([line], delimiter=delimiter, quotechar='"'), [])
+    except csv.Error:
+        return line.split(delimiter)
+
+
+def _cell_ok(cell: str, label: bool) -> bool:
+    """Whether numpy's reader takes a cell (no '_' separators) and it is
+    a finite feature or an int64 label >= 0."""
+    try:
+        value = int(cell) if label else float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell and (0 <= value < 2**63 if label else math.isfinite(value))
+
+
+def _parse_table(path, lines: list[str], start: int, label_col: int,
+                 delimiter: str = ",") -> tuple[np.ndarray, np.ndarray]:
+    """C-ordered (n, d) float64 features and (n,) int64 labels of the
+    non-blank lines of `lines[start:]`, parsed by numpy's C reader.
+
+    Every row must have the same field count, at least one feature,
+    finite features and a label >= 0. Only if an array check fails does
+    a scan name the first bad line (counted from the top of the file)
+    and column, in a DataFormatError.
+    """
+    body = [line for line in lines[start:] if line.strip()]
+    if not body:
+        raise DataFormatError(f"{path}: no data rows from line {start + 1} on")
+    width = len(_split(body[0], delimiter))
+    if width < 2:
+        raise DataFormatError(f"{path}: line {lines.index(body[0], start) + 1}: "
+                              "a label but no feature column")
+    label_idx = label_col % width
+    try:
+        table = np.loadtxt(body, delimiter=delimiter, comments=None, quotechar='"',
+                           ndmin=1, dtype=[(f"c{j}", np.int64 if j == label_idx else
+                                            np.float64) for j in range(width)])
+        features = np.stack([table[f"c{j}"] for j in range(width) if j != label_idx],
+                            axis=1)
+        labels = np.ascontiguousarray(table[f"c{label_idx}"])
+        # A quoted cell may run over a line end and join two lines.
+        if (len(table) != len(body) or not np.isfinite(features).all()
+                or labels.min() < 0):
+            raise ValueError("a row failed the table checks")
+    except ValueError as exc:
+        for line_no, line in enumerate(lines[start:], start + 1):
+            row = _split(line, delimiter) if line.strip() else []
+            if row and len(row) != width:
+                raise DataFormatError(f"{path}: line {line_no}: {len(row)} fields, "
+                                      f"expected {width}") from None
+            for j, cell in enumerate(row):
+                if not _cell_ok(cell, label=j == label_idx):
+                    what = "an integer label >= 0" if j == label_idx else "a finite number"
+                    raise DataFormatError(f"{path}: line {line_no}, column {j + 1}: "
+                                          f"{cell.strip()!r} is not {what}") from None
+        raise DataFormatError(f"{path}: {exc}") from None
+    return features, labels

@@ -64,7 +64,7 @@ TRANSFORM = PHI2 / (9.0 * SQ_NORMS[:, None])
 #: Total degree of Phi_ij, used to assign coefficients to energy bands.
 TOTAL_DEGREE = np.array([i + j for i, j in INDEX_PAIRS])
 
-_BAND_NAMES = ("const", "linear", "quad", "cubic", "quartic")
+BAND_NAMES = ("const", "linear", "quad", "cubic", "quartic")
 
 
 def _build_monomial_map() -> np.ndarray:
@@ -107,11 +107,12 @@ def inner_product(f, g) -> float:
 
 
 def fourier_transform(table) -> np.ndarray:
-    """Coefficients fhat of a real-valued table, in (i outer, j) order."""
+    """Coefficients fhat of a real-valued table, in (i outer, j) order;
+    a (..., 9) stack of tables gives, bit for bit, each table's fhat."""
     t = np.asarray(table, dtype=float)
-    if t.shape != (9,):
-        raise ValueError(f"expected a 9-entry table, got shape {t.shape}")
-    return TRANSFORM @ t
+    if t.shape[-1:] != (9,):
+        raise ValueError(f"expected 9-entry tables, got shape {t.shape}")
+    return np.matmul(TRANSFORM, t[..., None])[..., 0]
 
 
 def inverse_transform(fhat) -> np.ndarray:
@@ -140,10 +141,10 @@ def fourier_l1(fhat) -> float:
 
 # Index positions by name, for readability below.
 _IJ = {f"{i}{j}": 3 * i + j for i, j in INDEX_PAIRS}
-_LINEAR_SUPPORT = {_IJ["00"], _IJ["10"], _IJ["01"]}
-_BILINEAR_SUPPORT = _LINEAR_SUPPORT | {_IJ["11"]}
-_PURE_QUAD = {_IJ["20"], _IJ["02"]}
-_HIGHER_MIXED = {_IJ["21"], _IJ["12"], _IJ["22"]}
+LINEAR_SUPPORT = {_IJ["00"], _IJ["10"], _IJ["01"]}
+BILINEAR_SUPPORT = LINEAR_SUPPORT | {_IJ["11"]}
+PURE_QUAD = {_IJ["20"], _IJ["02"]}
+HIGHER_MIXED = {_IJ["21"], _IJ["12"], _IJ["22"]}
 
 
 def spectral_class(fhat, tol: float = 1e-9) -> str:
@@ -160,32 +161,32 @@ def spectral_class(fhat, tol: float = 1e-9) -> str:
     if f.shape != (9,):
         raise ValueError(f"expected 9 coefficients, got shape {f.shape}")
     support = {int(i) for i in np.flatnonzero(np.abs(f) > tol)}
-    if support <= _LINEAR_SUPPORT:
+    if support <= LINEAR_SUPPORT:
         return "LINEAR"
-    if support <= _BILINEAR_SUPPORT:
+    if support <= BILINEAR_SUPPORT:
         return "BILINEAR"
-    if support & _PURE_QUAD and not (support & _HIGHER_MIXED):
+    if support & PURE_QUAD and not (support & HIGHER_MIXED):
         return "QUADRATIC"
     return "FULL"
 
 
-def spectral_energy_bands(fhat) -> dict[str, float]:
+def spectral_energy_bands(fhat) -> dict[str, np.ndarray]:
     """Squared-coefficient energy split by total degree of Phi_ij.
 
     Bands are const (degree 0), linear (1), quad (2), cubic (3) and
     quartic (4). The five band values are normalized to sum to 1; the
     returned dict also carries the unnormalized total under "total".
     A zero spectrum yields all-zero bands with total 0, which callers
-    should treat as a flag rather than a profile.
+    should treat as a flag rather than a profile. A (..., 9) stack of
+    spectra gives (...)-shaped values.
     """
     f = np.asarray(fhat, dtype=float)
-    if f.shape != (9,):
+    if f.shape[-1:] != (9,):
         raise ValueError(f"expected 9 coefficients, got shape {f.shape}")
     energy = f * f
-    total = float(energy.sum())
-    bands = {name: 0.0 for name in _BAND_NAMES}
-    if total > 0.0:
-        for deg, name in enumerate(_BAND_NAMES):
-            bands[name] = float(energy[TOTAL_DEGREE == deg].sum()) / total
+    total = energy.sum(axis=-1)
+    bands = {name: np.divide(energy[..., TOTAL_DEGREE == deg].sum(axis=-1), total,
+                             out=np.zeros_like(total), where=total > 0.0)
+             for deg, name in enumerate(BAND_NAMES)}
     bands["total"] = total
     return bands

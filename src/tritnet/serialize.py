@@ -3,7 +3,7 @@
 Everything is human-readable text so that runs can be diffed:
 
 * datasets: one `# tritnet-dataset v1 {json}` header line, then CSV
-  rows of features followed by the integer label;
+  rows of features and the integer label, read as `data` reads CSV;
 * checkpoints: a keyword header, the wiring, then one line of full-
   precision coefficients per neuron;
 * circuits: a keyword header, the wiring, then one line of gate ids
@@ -14,7 +14,8 @@ Everything is human-readable text so that runs can be diffed:
 
 Floats are written with repr-level precision so load(save(x)) is bit
 exact. Loading a file whose version is newer than this code fails
-cleanly rather than guessing.
+cleanly rather than guessing. A file a reader cannot use raises a
+`data.DataFormatError`; `FormatError` is one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import numpy as np
 
 from .circuit import Circuit
-from .data import Dataset, EncoderConfig
+from .data import DataFormatError, Dataset, EncoderConfig, _parse_table, _read_lines
 from .network import ARCHS, ConnectivityMap, GroupSumConfig, Network
 
 DATASET_MAGIC = "# tritnet-dataset"
@@ -48,7 +49,7 @@ DECISION_FLAGS = {
 }
 
 
-class FormatError(ValueError):
+class FormatError(DataFormatError):
     """A file failed to parse; the message names what is wrong."""
 
 
@@ -79,45 +80,31 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if not first.startswith(DATASET_MAGIC):
-            raise FormatError(f"{path}: not a dataset file")
-        parts = first[len(DATASET_MAGIC):].strip().split(None, 1)
-        if not parts:
-            raise FormatError(f"{path}: missing version tag")
-        _check_version(parts[0], path)
+    """Read a native dataset file; its rows get `data._parse_table`'s checks."""
+    lines = _read_lines(path)
+    first = lines[0] if lines else ""
+    if not first.startswith(DATASET_MAGIC):
+        raise FormatError(f"{path}: not a dataset file")
+    parts = first[len(DATASET_MAGIC):].split(None, 1) or [""]
+    _check_version(parts[0], path)
+    try:
         meta = json.loads(parts[1]) if len(parts) > 1 else {}
-        features, labels = [], []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                features.append([float(c) for c in cells[:-1]])
-                labels.append(int(cells[-1]))
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {line_no}: malformed row {line!r}") from None
-    if not features:
-        raise FormatError(f"{path}: no data rows")
-    return Dataset(
-        features=np.array(features, dtype=float),
-        labels=np.array(labels, dtype=np.int64),
-        meta=meta,
-    )
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:
+        raise FormatError(f"{path}: line 1: bad metadata: {exc}") from None
+    return Dataset(*_parse_table(path, lines, 1, -1), meta)
 
 
 # ------------------------------------------------------------- header utils
 
-def _parse_header(fh, path, magic):
-    first = fh.readline().split()
+def _parse_header(lines, path, magic):
+    first = next(lines, "").split()
     if len(first) != 2 or first[0] != magic:
         raise FormatError(f"{path}: not a {magic} file")
     _check_version(first[1], path)
     fields: dict[str, str] = {}
-    for line in fh:
+    for line in lines:
         line = line.rstrip("\n")
         if line == "---":
             return fields
@@ -132,6 +119,13 @@ def _need(fields: dict, key: str, path) -> str:
     if key not in fields:
         raise FormatError(f"{path}: missing required field {key!r}")
     return fields[key]
+
+
+def _write_shape(fh, magic, arch, input_dim, widths, seed, groupsum) -> None:
+    """The header lines `_read_shape` reads, after the magic line."""
+    fh.write(f"{magic} v{FORMAT_VERSION}\narch {arch}\ninput_dim {input_dim}\n"
+             f"widths {','.join(str(w) for w in widths)}\nseed {seed}\n"
+             f"k {groupsum.k}\ntau {groupsum.tau!r}\n")
 
 
 def _read_shape(fields: dict, path):
@@ -150,7 +144,7 @@ def _read_shape(fields: dict, path):
     return input_dim, widths, seed, groupsum
 
 
-def _read_body(fh, path, widths, value_tags: dict) -> dict:
+def _read_body(lines, path, widths, value_tags: dict) -> dict:
     """Body lines `tag index... values...`, keyed by (tag, index...).
 
     `value_tags` maps each allowed tag to its number of index fields and
@@ -159,7 +153,7 @@ def _read_body(fh, path, widths, value_tags: dict) -> dict:
     error rather than a silent overwrite.
     """
     body: dict = {}
-    for line in fh:
+    for line in lines:
         parts = line.split()
         if not parts:
             continue
@@ -217,14 +211,11 @@ def _write_conn(fh, conn: ConnectivityMap) -> None:
 
 
 def _read_conn(lines, path, seed, input_dim, widths) -> ConnectivityMap:
-    pairs: dict[int, list] = {}
-    for tag in ("parents_s", "parents_t"):
-        for l in range(len(widths)):
-            key = (tag, l)
-            if key not in lines:
-                raise FormatError(f"{path}: missing {tag} for layer {l}")
     layers = []
     for l, w in enumerate(widths):
+        for tag in ("parents_s", "parents_t"):
+            if (tag, l) not in lines:
+                raise FormatError(f"{path}: missing {tag} for layer {l}")
         s = np.array(lines[("parents_s", l)], dtype=np.int64)
         t = np.array(lines[("parents_t", l)], dtype=np.int64)
         prev = input_dim if l == 0 else widths[l - 1]
@@ -242,13 +233,8 @@ def _read_conn(lines, path, seed, input_dim, widths) -> ConnectivityMap:
 def save_checkpoint(net: Network, path, encoder: EncoderConfig | None = None) -> None:
     """Write a ternary or binary network with its encoder config."""
     with open(path, "w") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC} v{FORMAT_VERSION}\n")
-        fh.write(f"arch {net.arch}\n")
-        fh.write(f"input_dim {net.input_dim}\n")
-        fh.write("widths " + ",".join(str(w) for w in net.widths) + "\n")
-        fh.write(f"seed {net.seed}\n")
-        fh.write(f"k {net.groupsum.k}\n")
-        fh.write(f"tau {net.groupsum.tau!r}\n")
+        _write_shape(fh, CHECKPOINT_MAGIC, net.arch, net.input_dim, net.widths,
+                     net.seed, net.groupsum)
         fh.write(f"encoder {_encoder_to_json(encoder)}\n")
         fh.write("---\n")
         _write_conn(fh, net.conn)
@@ -259,15 +245,15 @@ def save_checkpoint(net: Network, path, encoder: EncoderConfig | None = None) ->
 
 def load_checkpoint(path):
     """Read a checkpoint. Returns (network, encoder_or_None)."""
-    with open(path) as fh:
-        fields = _parse_header(fh, path, CHECKPOINT_MAGIC)
-        arch = _need(fields, "arch", path)
-        if arch not in ARCHS:
-            raise FormatError(f"{path}: unknown arch {arch!r}")
-        input_dim, widths, seed, groupsum = _read_shape(fields, path)
-        encoder = _encoder_from_json(_need(fields, "encoder", path), path)
-        body = _read_body(fh, path, widths, {
-            "parents_s": (1, int), "parents_t": (1, int), "w": (2, float)})
+    lines = iter(_read_lines(path))
+    fields = _parse_header(lines, path, CHECKPOINT_MAGIC)
+    arch = _need(fields, "arch", path)
+    if arch not in ARCHS:
+        raise FormatError(f"{path}: unknown arch {arch!r}")
+    input_dim, widths, seed, groupsum = _read_shape(fields, path)
+    encoder = _encoder_from_json(_need(fields, "encoder", path), path)
+    body = _read_body(lines, path, widths, {
+        "parents_s": (1, int), "parents_t": (1, int), "w": (2, float)})
     n_params = ARCHS[arch].n_params
     params = [np.zeros((w, n_params)) for w in widths]
     for l, w in enumerate(widths):
@@ -288,13 +274,8 @@ def load_checkpoint(path):
 
 def save_circuit(circ: Circuit, path, encoder: EncoderConfig | None = None) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{CIRCUIT_MAGIC} v{FORMAT_VERSION}\n")
-        fh.write(f"arch {circ.provenance.get('arch', 'ternary')}\n")
-        fh.write(f"input_dim {circ.input_dim}\n")
-        fh.write("widths " + ",".join(str(w) for w in circ.widths) + "\n")
-        fh.write(f"seed {circ.conn.seed}\n")
-        fh.write(f"k {circ.groupsum.k}\n")
-        fh.write(f"tau {circ.groupsum.tau!r}\n")
+        _write_shape(fh, CIRCUIT_MAGIC, circ.provenance.get("arch", "ternary"),
+                     circ.input_dim, circ.widths, circ.conn.seed, circ.groupsum)
         fh.write(f"source_sha256 {circ.provenance.get('source_sha256', '') or '-'}\n")
         fh.write(f"hardened_at {circ.provenance.get('hardened_at', '') or '-'}\n")
         fh.write(f"encoder {_encoder_to_json(encoder)}\n")
@@ -306,15 +287,15 @@ def save_circuit(circ: Circuit, path, encoder: EncoderConfig | None = None) -> N
 
 def load_circuit(path):
     """Read a circuit file. Returns (circuit, encoder_or_None)."""
-    with open(path) as fh:
-        fields = _parse_header(fh, path, CIRCUIT_MAGIC)
-        input_dim, widths, seed, groupsum = _read_shape(fields, path)
-        encoder = _encoder_from_json(_need(fields, "encoder", path), path)
-        provenance = {key: _need(fields, key, path)
-                      for key in ("arch", "source_sha256", "hardened_at")}
-        provenance = {k: "" if v == "-" else v for k, v in provenance.items()}
-        body = _read_body(fh, path, widths, {
-            "parents_s": (1, int), "parents_t": (1, int), "gates": (1, int)})
+    lines = iter(_read_lines(path))
+    fields = _parse_header(lines, path, CIRCUIT_MAGIC)
+    input_dim, widths, seed, groupsum = _read_shape(fields, path)
+    encoder = _encoder_from_json(_need(fields, "encoder", path), path)
+    provenance = {key: _need(fields, key, path)
+                  for key in ("arch", "source_sha256", "hardened_at")}
+    provenance = {k: "" if v == "-" else v for k, v in provenance.items()}
+    body = _read_body(lines, path, widths, {
+        "parents_s": (1, int), "parents_t": (1, int), "gates": (1, int)})
     gate_ids = []
     for l, w in enumerate(widths):
         if ("gates", l) not in body:

@@ -200,6 +200,59 @@ def test_spectral_profile_constructed_circuit():
     assert sum(prof.band_shares.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+def loop_spectral_profile(circuit, tol=1e-9):
+    """The per-gate loop spectral_profile replaced, kept as its oracle."""
+    import tritnet.fourier as fr
+
+    ids = np.unique(circuit.all_gate_ids())
+    classes = {"LINEAR": 0, "BILINEAR": 0, "QUADRATIC": 0, "FULL": 0}
+    band_names = ("const", "linear", "quad", "cubic", "quartic")
+    band_sum = {name: 0.0 for name in band_names}
+    n_ternary = 0
+    zero_energy = 0
+    for gid in ids:
+        table = np.array(al.decode_table(int(gid)), dtype=float)
+        fhat = fr.TRANSFORM @ table
+        classes[fr.spectral_class(fhat, tol)] += 1
+        if not (table[list(al.CORNER_INDICES)] != 0).all():
+            n_ternary += 1
+        energy = fhat * fhat
+        total = float(energy.sum())
+        if total == 0.0:
+            zero_energy += 1
+        else:
+            for deg, name in enumerate(band_names):
+                band_sum[name] += float(energy[fr.TOTAL_DEGREE == deg].sum()) / total
+    u = ids.size
+    live = u - zero_energy
+    return an.SpectralProfile(
+        unique_gates=int(u),
+        pct_ternary=100.0 * n_ternary / u if u else 0.0,
+        class_shares={k: v / u if u else 0.0 for k, v in classes.items()},
+        band_shares={k: v / live if live else 0.0 for k, v in band_sum.items()},
+        zero_energy_gates=int(zero_energy),
+    )
+
+
+def trained_circuit(arch):
+    train_ds, test_ds = tiny_moons()
+    return pl.run_pipeline(train_ds, test_ds, pl.vary(TINY, arch=arch)).circuit
+
+
+@pytest.mark.parametrize("make", [
+    lambda: trained_circuit("ternary"),
+    lambda: trained_circuit("binary"),
+    lambda: cc.harden_network(nw.init_network((512, 512, 512, 200), 6, 3, GS)),
+    lambda: circuit_with_gates(["unknown"]),
+    lambda: circuit_with_gates(["unknown", "and", "a", "unknown"]),
+    lambda: circuit_with_gates(["or"]),
+], ids=["trained-ternary", "binary-embedded", "random-512x3+200",
+        "all-unknown", "with-unknown", "one-gate"])
+def test_spectral_profile_equals_the_per_gate_loop(make):
+    circ = make()
+    assert an.spectral_profile(circ) == loop_spectral_profile(circ)
+
+
 def test_spectral_profile_counts_distinct_gates_once():
     a = an.spectral_profile(circuit_with_gates(["and", "and", "or"]))
     b = an.spectral_profile(circuit_with_gates(["and", "or"]))

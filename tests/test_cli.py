@@ -385,3 +385,85 @@ def test_loading_dataset_or_csv_transparently(tmp_path):
     rc = run(["train", "--train", csv, "--test", csv, *TINY,
               "--out", str(tmp_path), "--name", "csvrun"])
     assert rc == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "harden", "sweep"])
+def test_label_outside_the_classes_is_a_data_error(trained, tmp_path, capsys, command):
+    bad = tmp_path / "k.csv"
+    bad.write_text("x,y,label\n0.1,0.2,0\n0.3,0.4,2\n0.5,0.6,1\n")
+    argv = {
+        "train": ["train", "--train", trained["train"], "--test", bad, *TINY],
+        "eval": ["eval", "--circuit", trained["circuit"], "--data", bad],
+        "harden": ["harden", "--checkpoint", trained["ckpt"], "--data", bad],
+        "sweep": ["sweep", "--kind", "delta", "--deltas", "1", "--train", bad,
+                  "--test", trained["test"], *TINY],
+    }[command]
+    rc = run([*argv, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error:") and "label 2" in err and "k=2" in err
+
+
+def test_feature_count_must_match_the_encoder(trained, tmp_path, capsys):
+    bad = tmp_path / "wide.csv"
+    bad.write_text("0.1,0.2,0.3,0\n0.4,0.5,0.6,1\n")
+    for argv in (["eval", "--circuit", trained["circuit"], "--data", bad],
+                 ["harden", "--checkpoint", trained["ckpt"], "--data", bad],
+                 ["train", "--train", trained["train"], "--test", bad, *TINY]):
+        rc = run([*argv, "--out", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA
+        assert err.startswith("data error:") and "3 feature columns, expected 2" in err
+
+
+@pytest.mark.parametrize("flag", ["--data", "--circuit", "--train", "--checkpoint"])
+@pytest.mark.parametrize("what", ["directory", "non-utf8"])
+def test_unreadable_path_is_a_data_error(trained, tmp_path, capsys, flag, what):
+    if what == "directory":
+        bad = tmp_path / "dir"
+        bad.mkdir()
+    else:
+        source = trained["circuit" if flag == "--circuit" else
+                         "ckpt" if flag == "--checkpoint" else "test"]
+        text = open(source, "rb").read()
+        cut = text.index(b"\n") + 1  # keep the magic line, spoil the next
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(text[:cut] + b"\xff\xfe" + text[cut:])
+    argv = {
+        "--data": ["eval", "--circuit", trained["circuit"], "--data", bad],
+        "--circuit": ["eval", "--circuit", bad, "--data", trained["test"]],
+        "--train": ["train", "--train", bad, "--test", trained["test"], *TINY],
+        "--checkpoint": ["harden", "--checkpoint", bad],
+    }[flag]
+    rc = run([*argv, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
+def test_non_utf8_csv_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x,y,label\n0.1,0.2,0\n\xe9,0.3,1\n")
+    rc = run(["train", "--train", bad, "--test", bad, *TINY, "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA and "not a text file" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--batch", "0"], "batch_size must be >= 1"),
+    (["bench", "--steps", "0"], "steps must be >= 1"),
+    (["bench", "--output-neurons", "3"], "positive multiple of k=2"),
+    (["sweep", "--kind", "delta", "--deltas", "1,-1"], "delta must be >= 0"),
+    (["sweep", "--kind", "resolution", "--thresholds-list", "2,0"],
+     "at least 1 threshold"),
+    (["sweep", "--kind", "separation", "--seps", "1,-1"], "sep must be finite and >= 0"),
+    (["sweep", "--kind", "separation", "--seps", "nan"], "sep must be finite and >= 0"),
+], ids=["bench-batch", "bench-steps", "bench-output-neurons", "sweep-delta",
+        "sweep-thresholds", "sweep-sep", "sweep-sep-nan"])
+def test_bad_sweep_or_bench_value_is_usage_error(tmp_path, capsys, argv, message):
+    rc = run([*argv, "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("usage error: ") and message in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
