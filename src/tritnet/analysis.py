@@ -176,18 +176,7 @@ def spectral_profile(circuit: Circuit, tol: float = 1e-9) -> SpectralProfile:
     ids = np.unique(circuit.all_gate_ids())
     tables = algebra.decode_tables(ids)
     fhat = fourier.fourier_transform(tables)
-    support = np.abs(fhat) > tol
-
-    def uses(positions) -> np.ndarray:
-        return support[:, sorted(positions)].any(axis=1)
-
-    # Each gate takes the first class whose support test holds, in the
-    # order of fourier.spectral_class.
-    classes = np.select([~uses(set(range(9)) - fourier.LINEAR_SUPPORT),
-                         ~uses(set(range(9)) - fourier.BILINEAR_SUPPORT),
-                         uses(fourier.PURE_QUAD) & ~uses(fourier.HIGHER_MIXED)],
-                        [0, 1, 2], 3)
-    counts = np.bincount(classes, minlength=4)
+    classes = fourier.spectral_class(fhat, tol)
     n_ternary = int((~is_binary_equivalent(tables)).sum())
     bands = fourier.spectral_energy_bands(fhat)
     live = bands["total"] != 0.0
@@ -200,8 +189,8 @@ def spectral_profile(circuit: Circuit, tol: float = 1e-9) -> SpectralProfile:
     return SpectralProfile(
         unique_gates=int(u),
         pct_ternary=100.0 * n_ternary / u if u else 0.0,
-        class_shares={name: int(c) / u if u else 0.0 for name, c in
-                      zip(("LINEAR", "BILINEAR", "QUADRATIC", "FULL"), counts)},
+        class_shares={name: int((classes == name).sum()) / u if u else 0.0
+                      for name in fourier.SPECTRAL_CLASSES},
         band_shares={name: float(v) / n_live if n_live else 0.0
                      for name, v in zip(fourier.BAND_NAMES, band_sum)},
         zero_energy_gates=u - n_live,
@@ -273,14 +262,15 @@ def separation_sweep(seps, recipe, n_train: int = 2000, n_test: int = 500,
 
 def delta_sweep(deltas, recipe, train_ds, test_ds) -> list[dict]:
     """Ternary runs across dead-zone widths on a fixed dataset."""
-    recipes = [pipeline.vary(recipe, arch="ternary", delta=float(d)) for d in deltas]
     rows = []
-    for r in recipes:
+    for delta in deltas:
+        r = pipeline.vary(recipe, arch="ternary", delta=float(delta))
         enc = data_mod.fit_encoder(train_ds.features, r.thresholds, r.delta,
                                    mode="ternary")
-        rows.append({"delta": r.delta, "encoder_unknown_share":
-                     data_mod.encoder_unknown_share(train_ds.features, enc)})
-    return _run_rows(rows, recipes, train_ds, test_ds)
+        rows.append(_run_row({"delta": r.delta, "encoder_unknown_share":
+                              data_mod.encoder_unknown_share(train_ds.features, enc)},
+                             r, train_ds, test_ds))
+    return rows
 
 
 def resolution_sweep(threshold_counts, body_widths_per_row, recipe,
@@ -292,23 +282,24 @@ def resolution_sweep(threshold_counts, body_widths_per_row, recipe,
     """
     if len(threshold_counts) != len(body_widths_per_row):
         raise ValueError("need one width tuple per threshold count")
-    recipes = [pipeline.vary(recipe, arch="ternary", thresholds=int(K),
-                             body_widths=tuple(widths))
-               for K, widths in zip(threshold_counts, body_widths_per_row)]
-    rows = [{"thresholds": r.thresholds, "resolution": r.thresholds + 1,
-             "body_widths": list(r.body_widths), "input_dim": train_ds.d * r.thresholds}
-            for r in recipes]
-    return _run_rows(rows, recipes, train_ds, test_ds)
-
-
-def _run_rows(rows, recipes, train_ds, test_ds) -> list[dict]:
-    """Run each row's recipe, every recipe built before the first runs; a
-    training failure is recorded in its row (key "error")."""
-    for row, r in zip(rows, recipes):
-        try:
-            res = pipeline.run_pipeline(train_ds, test_ds, r)
-            row["circuit_accuracy"] = res.gap.circuit_accuracy
-            row["unknown_fraction"] = res.gap.unknown_fraction
-        except NumericalFailure as exc:
-            row["error"] = str(exc)
+    rows = []
+    for K, widths in zip(threshold_counts, body_widths_per_row):
+        r = pipeline.vary(recipe, arch="ternary", thresholds=int(K),
+                          body_widths=tuple(widths))
+        rows.append(_run_row({"thresholds": r.thresholds, "resolution": r.thresholds + 1,
+                              "body_widths": list(r.body_widths),
+                              "input_dim": train_ds.d * r.thresholds},
+                             r, train_ds, test_ds))
     return rows
+
+
+def _run_row(row: dict, recipe, train_ds, test_ds) -> dict:
+    """Run one row's recipe into the row; a training failure is recorded
+    in it (key "error")."""
+    try:
+        res = pipeline.run_pipeline(train_ds, test_ds, recipe)
+        row["circuit_accuracy"] = res.gap.circuit_accuracy
+        row["unknown_fraction"] = res.gap.unknown_fraction
+    except NumericalFailure as exc:
+        row["error"] = str(exc)
+    return row

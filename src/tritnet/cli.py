@@ -299,18 +299,19 @@ def cmd_sweep(args) -> int:
     name = args.name or f"sweep-{args.kind}"
     recipe = _recipe_from_args(args)
     t0 = time.perf_counter()
-    seps, deltas = _parse_list(args.seps), _parse_list(args.deltas)
-    counts = _parse_list(args.thresholds_list, int)
-    widths_rows = [tuple(w * 2**i for w in recipe.body_widths)
-                   for i in range(len(counts))]
     with _flag_values():  # every row's values, before the first row trains
         if args.kind == "separation":
+            seps = _parse_list(args.seps)
             for sep in seps:
                 dt.bayes_accuracy_gaussians(sep)
         elif args.kind == "delta":
+            deltas = _parse_list(args.deltas)
             for delta in deltas:
                 pl.vary(recipe, arch="ternary", delta=delta)
         else:
+            counts = _parse_list(args.thresholds_list, int)
+            widths_rows = [tuple(w * 2**i for w in recipe.body_widths)
+                           for i in range(len(counts))]
             for count, widths in zip(counts, widths_rows):
                 pl.vary(recipe, arch="ternary", thresholds=count, body_widths=widths)
     if args.kind == "separation":

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,7 +270,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
     lines = _read_lines(path)
     start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
     first = _split(lines[start], schema.delimiter) if start < len(lines) else []
-    header = (not all(_cell_ok(cell, label=False) for cell in first)
+    header = (not all(_cell_ok(cell, label=None) for cell in first)
               if schema.header is None else schema.header)
     label_col = schema.label_col
     if isinstance(label_col, str):
@@ -299,14 +300,15 @@ def _split(line: str, delimiter: str) -> list[str]:
         return line.split(delimiter)
 
 
-def _cell_ok(cell: str, label: bool) -> bool:
-    """Whether numpy's reader takes a cell (no '_' separators) and it is
-    a finite feature or an int64 label >= 0."""
+def _cell_ok(cell: str, label: bool | None) -> bool:
+    """Whether a cell is a number to Python (label None), or one numpy's
+    reader takes (no '_') that is a finite feature or an int64 label >= 0."""
     try:
         value = int(cell) if label else float(cell)
     except ValueError:
         return False
-    return "_" not in cell and (0 <= value < 2**63 if label else math.isfinite(value))
+    return label is None or "_" not in cell and (
+        0 <= value < 2**63 if label else math.isfinite(value))
 
 
 def _parse_table(path, lines: list[str], start: int, label_col: int,
@@ -328,9 +330,11 @@ def _parse_table(path, lines: list[str], start: int, label_col: int,
                               "a label but no feature column")
     label_idx = label_col % width
     try:
-        table = np.loadtxt(body, delimiter=delimiter, comments=None, quotechar='"',
-                           ndmin=1, dtype=[(f"c{j}", np.int64 if j == label_idx else
-                                            np.float64) for j in range(width)])
+        with warnings.catch_warnings():  # older numpy truncates a float label
+            warnings.simplefilter("error", DeprecationWarning)  # and only warns
+            table = np.loadtxt(body, delimiter=delimiter, comments=None, quotechar='"',
+                               ndmin=1, dtype=[(f"c{j}", np.int64 if j == label_idx
+                                                else np.float64) for j in range(width)])
         features = np.stack([table[f"c{j}"] for j in range(width) if j != label_idx],
                             axis=1)
         labels = np.ascontiguousarray(table[f"c{label_idx}"])
@@ -338,7 +342,7 @@ def _parse_table(path, lines: list[str], start: int, label_col: int,
         if (len(table) != len(body) or not np.isfinite(features).all()
                 or labels.min() < 0):
             raise ValueError("a row failed the table checks")
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         for line_no, line in enumerate(lines[start:], start + 1):
             row = _split(line, delimiter) if line.strip() else []
             if row and len(row) != width:

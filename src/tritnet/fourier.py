@@ -141,13 +141,13 @@ def fourier_l1(fhat) -> float:
 
 # Index positions by name, for readability below.
 _IJ = {f"{i}{j}": 3 * i + j for i, j in INDEX_PAIRS}
-LINEAR_SUPPORT = {_IJ["00"], _IJ["10"], _IJ["01"]}
-BILINEAR_SUPPORT = LINEAR_SUPPORT | {_IJ["11"]}
-PURE_QUAD = {_IJ["20"], _IJ["02"]}
-HIGHER_MIXED = {_IJ["21"], _IJ["12"], _IJ["22"]}
+_PURE_QUAD = [_IJ["20"], _IJ["02"]]
+_HIGHER_MIXED = [_IJ["21"], _IJ["12"], _IJ["22"]]
+
+SPECTRAL_CLASSES = ("LINEAR", "BILINEAR", "QUADRATIC", "FULL")
 
 
-def spectral_class(fhat, tol: float = 1e-9) -> str:
+def spectral_class(fhat, tol: float = 1e-9) -> np.ndarray:
     """Coarse shape of a spectrum: LINEAR, BILINEAR, QUADRATIC or FULL.
 
     LINEAR spectra live on {00, 10, 01}; BILINEAR ones additionally use
@@ -155,19 +155,20 @@ def spectral_class(fhat, tol: float = 1e-9) -> str:
     terms above degree 2; everything else is FULL. Coefficients with
     absolute value at most `tol` count as zero, so for learned (not
     exactly discrete) polynomials pass a tolerance that matches the
-    noise floor of the training run.
+    noise floor of the training run. A (..., 9) stack of spectra gives
+    a (...)-shaped array of class names.
     """
     f = np.asarray(fhat, dtype=float)
-    if f.shape != (9,):
+    if f.shape[-1:] != (9,):
         raise ValueError(f"expected 9 coefficients, got shape {f.shape}")
-    support = {int(i) for i in np.flatnonzero(np.abs(f) > tol)}
-    if support <= LINEAR_SUPPORT:
-        return "LINEAR"
-    if support <= BILINEAR_SUPPORT:
-        return "BILINEAR"
-    if support & PURE_QUAD and not (support & HIGHER_MIXED):
-        return "QUADRATIC"
-    return "FULL"
+    support = np.abs(f) > tol
+    bilinear = support[..., _IJ["11"]]
+    quad = support[..., _PURE_QUAD].any(axis=-1)
+    mixed = support[..., _HIGHER_MIXED].any(axis=-1)
+    # Each spectrum takes the first class whose support test holds.
+    index = np.select([~(bilinear | quad | mixed), ~(quad | mixed), quad & ~mixed],
+                      [0, 1, 2], 3)
+    return np.asarray(SPECTRAL_CLASSES)[index]
 
 
 def spectral_energy_bands(fhat) -> dict[str, np.ndarray]:

@@ -247,6 +247,13 @@ def test_sweep_without_data_is_usage_error(tmp_path, capsys):
     assert "needs --train and --test" in capsys.readouterr().err
 
 
+def test_sweep_reads_only_the_list_of_its_kind(tmp_path, capsys):
+    rc = run(["sweep", "--kind", "delta", "--seps", "x", "--thresholds-list", "-",
+              "--out", str(tmp_path)])
+    assert rc == cli.EXIT_USAGE
+    assert "needs --train and --test" in capsys.readouterr().err
+
+
 def test_bench_warns_when_steps_too_few(tmp_path, capsys):
     rc = run(["bench", "--widths", "4", "--output-neurons", "2",
               "--input-dim", "4", "--batch", "8", "--steps", "3",

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,36 @@ def test_bad_dataset_metadata_is_a_data_error(tmp_path, capsys, meta):
     rc, err = run_train_on(p, tmp_path, capsys)
     assert rc == cli.EXIT_DATA
     assert err.startswith("data error:") and "line 1" in err
+
+
+@pytest.mark.parametrize("first", ["1,inf,0", "nan,2,0", "1_0,2,0", "1,-inf,0"])
+def test_headerless_csv_with_a_bad_first_row_is_a_data_error(tmp_path, capsys, first):
+    # The first row parses as numbers, so it is data, not a header.
+    p = tmp_path / "bad.csv"
+    p.write_text(f"{first}\n3,4,1\n")
+    rc, err = run_train_on(p, tmp_path, capsys)
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error:") and "line 1, column" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["native", "csv"])
+def test_float_label_is_refused_where_numpy_only_warns(tmp_path, monkeypatch, fmt):
+    # Older numpy reads "1.7" into an int64 field as 1 with only a
+    # DeprecationWarning; the reader must still refuse the row.
+    real = np.loadtxt
+
+    def truncating(body, **kwargs):
+        warnings.warn("parsing an integer via a float is deprecated",
+                      DeprecationWarning, stacklevel=2)
+        return real([line.replace("1.7", "1") for line in body], **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", truncating)
+    p = tmp_path / f"bad.{fmt}"
+    (write_native if fmt == "native" else write_csv)(p, ["0.1,0.2,0", "0.3,0.4,1.7"])
+    load = sz.load_dataset if fmt == "native" else dt.load_csv
+    with pytest.raises(dt.DataFormatError, match="line 3, column 3"):
+        load(p)
 
 
 # ------------------------------------------------- mutation fuzzing

@@ -155,6 +155,36 @@ def test_spectral_class_boundaries():
     assert fr.spectral_class(f) == "LINEAR"
 
 
+def set_spectral_class(fhat, tol=1e-9):
+    """The scalar set-test rule spectral_class replaced, kept as its oracle."""
+    linear = {0, 1, 3}  # 00, 01, 10
+    bilinear = linear | {4}  # + 11
+    pure_quad, higher_mixed = {2, 6}, {5, 7, 8}  # 02, 20; 12, 21, 22
+    support = {int(i) for i in np.flatnonzero(np.abs(fhat) > tol)}
+    if support <= linear:
+        return "LINEAR"
+    if support <= bilinear:
+        return "BILINEAR"
+    if support & pure_quad and not (support & higher_mixed):
+        return "QUADRATIC"
+    return "FULL"
+
+
+def test_spectral_class_matches_the_set_rule_on_every_support():
+    # every one of the 2^9 supports, with tiny entries off the support
+    masks = (np.arange(512)[:, None] >> np.arange(9)) & 1
+    rng = np.random.default_rng(3)
+    stack = np.where(masks == 1, rng.choice([-1.0, 0.5, 2.0], size=(512, 9)),
+                     rng.uniform(-1e-10, 1e-10, size=(512, 9)))
+    want = [set_spectral_class(f) for f in stack]
+    assert fr.spectral_class(stack).tolist() == want
+    assert fr.spectral_class(stack.reshape(8, 64, 9)).tolist() == np.reshape(
+        want, (8, 64)).tolist()
+    assert [fr.spectral_class(f) for f in stack] == want
+    with pytest.raises(ValueError):
+        fr.spectral_class(np.zeros(8))
+
+
 def test_energy_bands_sum_to_one():
     rng = np.random.default_rng(6)
     for _ in range(20):
