@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -32,6 +33,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# Flags that do not change what a command computes: manifests leave them
+# out and --config does not set them.
+_NOT_CONFIG = ("command", "fn", "help", "out", "name", "config", "force")
 
 
 class UsageError(ValueError):
@@ -57,10 +62,15 @@ def _parse_list(text: str, kind=float) -> list:
 
 
 def _parse_widths(text: str) -> tuple[int, ...]:
-    widths = tuple(_parse_list(text, int))
-    if any(w < 1 for w in widths):
-        raise UsageError(f"widths must be positive integers, got {text!r}")
-    return widths
+    """The type of --widths: comma-separated positive integers."""
+    try:
+        widths = tuple(int(v) for v in text.split(","))
+        if all(w >= 1 for w in widths):
+            return widths
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"widths must be comma-separated positive integers, got {text!r}")
 
 
 def _load_any_dataset(path, k: int, d: int | None = None) -> dt.Dataset:
@@ -77,25 +87,21 @@ def _load_any_dataset(path, k: int, d: int | None = None) -> dt.Dataset:
     return ds
 
 
-def _manifest(command: str, config: dict, artifacts: dict,
-              timings: dict, extra: dict | None = None) -> dict:
+def _write_manifest(args, out: str, name: str, artifacts: dict, timings: dict,
+                    extra: dict | None = None, config: dict | None = None) -> None:
+    """Write name.manifest.json; its config is the parsed flags unless given."""
+    if config is None:
+        config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
     doc = {
-        "command": command,
+        "command": args.command,
         "version": sz.FORMAT_VERSION,
         "config": config,
         "artifacts": {p: cc.file_sha256(p) for p in artifacts.values()},
         "artifact_paths": artifacts,
         "timings": timings,
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _write_manifest(doc: dict, out: str, name: str) -> str:
-    path = os.path.join(out, f"{name}.manifest.json")
-    sz.save_manifest(doc, path)
-    return path
+    sz.save_manifest(doc, os.path.join(out, f"{name}.manifest.json"))
 
 
 @contextlib.contextmanager
@@ -107,27 +113,19 @@ def _flag_values():
         raise UsageError(str(exc)) from None
 
 
+def _check_at_least(args, **bounds) -> None:
+    """Reject a flag value below its lower bound."""
+    for dest, low in bounds.items():
+        if getattr(args, dest) < low:
+            raise UsageError(f"{dest} must be >= {low}, got {getattr(args, dest)}")
+
+
 def _recipe_from_args(args) -> pl.RunRecipe:
-    body_widths = _parse_widths(args.widths)
+    """The recipe from the command's recipe flags, defaults for the rest."""
     with _flag_values():  # the recipe checks every value on construction
-        return pl.RunRecipe(
-            arch=args.arch,
-            body_widths=body_widths,
-            output_neurons=args.output_neurons,
-            k=args.k,
-            tau=args.tau,
-            thresholds=args.thresholds,
-            delta=args.delta,
-            steps=args.steps,
-            batch_size=args.batch,
-            lr=args.lr,
-            lambda_max=args.lambda_max,
-            gamma=args.gamma,
-            beta=args.beta,
-            loss=args.loss,
-            seed=args.seed,
-            eval_every=args.eval_every,
-        )
+        return pl.RunRecipe(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(pl.RunRecipe)
+                               if hasattr(args, f.name)})
 
 
 # ---------------------------------------------------------------- commands
@@ -135,9 +133,11 @@ def _recipe_from_args(args) -> pl.RunRecipe:
 def cmd_gen_data(args) -> int:
     out = _out_dir(args)
     name = args.name or args.kind
-    n_train = int(round(args.n * args.train_frac))
+    # a NaN or infinite fraction fails the range test and leaves no split
+    n_train = round(args.n * args.train_frac) if 0 < args.train_frac < 1 else 0
     if not 0 < n_train < args.n:
         raise UsageError(f"train fraction {args.train_frac} leaves an empty split")
+    _check_at_least(args, seed=0)
     paths = {
         "train": os.path.join(out, f"{name}.train.txt"),
         "test": os.path.join(out, f"{name}.test.txt"),
@@ -147,15 +147,12 @@ def cmd_gen_data(args) -> int:
         raise UsageError(
             f"refusing to overwrite {existing[0]} (pass --force to allow)")
     t0 = time.perf_counter()
-    full = dt.gen_dataset(args.kind, args.n, args.noise, args.seed, sep=args.sep)
+    with _flag_values():  # the generator checks the noise and separation
+        full = dt.gen_dataset(args.kind, args.n, args.noise, args.seed, sep=args.sep)
     train_ds, test_ds = dt.split_dataset(full, n_train)
     sz.save_dataset(train_ds, paths["train"])
     sz.save_dataset(test_ds, paths["test"])
-    config = {"kind": args.kind, "n": args.n, "noise": args.noise,
-              "seed": args.seed, "sep": args.sep, "train_frac": args.train_frac}
-    doc = _manifest("gen-data", config, paths,
-                    {"seconds": time.perf_counter() - t0})
-    _write_manifest(doc, out, name)
+    _write_manifest(args, out, name, paths, {"seconds": time.perf_counter() - t0})
     print(f"wrote {paths['train']} ({train_ds.n} rows) and "
           f"{paths['test']} ({test_ds.n} rows)")
     return EXIT_OK
@@ -180,10 +177,10 @@ def cmd_train(args) -> int:
     sz.save_history(res.history, paths["history"])
     res.circuit.provenance["source_sha256"] = cc.file_sha256(paths["checkpoint"])
     sz.save_circuit(res.circuit, paths["circuit"], res.encoder)
-    doc = _manifest("train", recipe.describe(), paths, res.timings,
+    _write_manifest(args, out, name, paths, res.timings,
                     {"gap_report": res.gap.__dict__,
-                     "data": {"train": args.train, "test": args.test}})
-    _write_manifest(doc, out, name)
+                     "data": {"train": args.train, "test": args.test}},
+                    config=recipe.describe())
     g = res.gap
     print(f"soft accuracy {100 * g.soft_accuracy:.1f}%  "
           f"circuit accuracy {100 * g.circuit_accuracy:.1f}%  "
@@ -221,9 +218,7 @@ def cmd_harden(args) -> int:
         extra["gap_report"] = gap.__dict__
         print(f"circuit accuracy {100 * gap.circuit_accuracy:.1f}%  "
               f"gap {gap.gap_pp:.2f}pp")
-    doc = _manifest("harden", {"checkpoint": args.checkpoint}, paths,
-                    {}, extra)
-    _write_manifest(doc, out, name)
+    _write_manifest(args, out, name, paths, {}, extra)
     print(f"wrote {paths['circuit']} (hardening error {herr:.3g})")
     return EXIT_OK
 
@@ -286,9 +281,7 @@ def cmd_eval(args) -> int:
                        comments=["spectral profile over distinct gates"])
         extra["spectral"] = {"pct_ternary": prof.pct_ternary,
                              "band_shares": prof.band_shares}
-    doc = _manifest("eval", {"circuit": args.circuit, "data": args.data},
-                    paths, {}, extra)
-    _write_manifest(doc, out, name)
+    _write_manifest(args, out, name, paths, {}, extra)
     print(f"circuit accuracy {100 * acc:.1f}%  unknown {100 * unk:.1f}%  "
           f"on {ds.n} samples")
     return EXIT_OK
@@ -301,6 +294,7 @@ def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     with _flag_values():  # every row's values, before the first row trains
         if args.kind == "separation":
+            _check_at_least(args, n_train=1, n_test=1, data_seed=0)
             seps = _parse_list(args.seps)
             for sep in seps:
                 dt.bayes_accuracy_gaussians(sep)
@@ -338,10 +332,8 @@ def cmd_sweep(args) -> int:
         paths["table"], columns=columns,
         comments=[f"{args.kind} sweep, {recipe.steps} steps per run"],
     )
-    doc = _manifest("sweep", dict(recipe.describe(), kind=args.kind),
-                    paths, {"seconds": time.perf_counter() - t0},
-                    {"rows": rows})
-    _write_manifest(doc, out, name)
+    _write_manifest(args, out, name, paths,
+                    {"seconds": time.perf_counter() - t0}, {"rows": rows})
     print(f"wrote {paths['table']} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -349,15 +341,11 @@ def cmd_sweep(args) -> int:
 def cmd_bench(args) -> int:
     out = _out_dir(args)
     name = args.name or "bench"
-    widths = _parse_widths(args.widths) + (args.output_neurons,)
-    with _flag_values():
-        pl.RunRecipe(body_widths=widths[:-1], output_neurons=args.output_neurons,
-                     steps=args.steps, batch_size=args.batch)
-    if args.steps < 1:
-        raise UsageError(f"steps must be >= 1, got {args.steps}")
+    widths = _recipe_from_args(args).widths
+    _check_at_least(args, steps=1, input_dim=2, warmup=0)
     results = {}
     for arch in ("ternary", "binary"):
-        times = pl._bench_arch(arch, widths, args.input_dim, args.batch,
+        times = pl._bench_arch(arch, widths, args.input_dim, args.batch_size,
                                args.steps, args.warmup, args.seed)
         results[arch] = {
             "median_ms": float(np.median(times) * 1000),
@@ -376,17 +364,13 @@ def cmd_bench(args) -> int:
          for arch, r in results.items()],
         paths["table"],
         columns=["arch", "median_ms_per_step", "mean_ms_per_step", "steps"],
-        comments=[f"matched widths {widths}, batch {args.batch}, "
+        comments=[f"matched widths {widths}, batch {args.batch_size}, "
                   f"warmup {args.warmup}",
                   f"binary / ternary median ratio: {ratio:.2f}x"],
     )
-    doc = _manifest(
-        "bench",
-        {"widths": list(widths), "batch": args.batch, "steps": args.steps,
-         "warmup": args.warmup, "input_dim": args.input_dim, "seed": args.seed},
-        paths, {}, {"results": results, "ratio_binary_over_ternary": ratio,
-                    "warning": warning})
-    _write_manifest(doc, out, name)
+    _write_manifest(args, out, name, paths, {},
+                    {"results": results, "ratio_binary_over_ternary": ratio,
+                     "warning": warning})
     print(f"ternary {results['ternary']['median_ms']:.2f} ms/step, "
           f"binary {results['binary']['median_ms']:.2f} ms/step "
           f"({ratio:.2f}x)")
@@ -395,40 +379,57 @@ def cmd_bench(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
-def _add_recipe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--arch", choices=("ternary", "binary"), default="ternary")
-    p.add_argument("--widths", default="512,512,512",
-                   help="comma-separated body widths")
-    p.add_argument("--output-neurons", type=int, default=200)
-    p.add_argument("--k", type=int, default=2, help="number of classes")
-    p.add_argument("--tau", type=float, default=10.0)
-    p.add_argument("--thresholds", "-K", type=int, default=3,
-                   help="thresholds per feature (resolution = K + 1)")
-    p.add_argument("--delta", type=float, default=1.0,
-                   help="dead-zone width factor of the ternary encoder")
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--lambda-max", type=float, default=0.1)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--loss", choices=("mse", "ce"), default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-every", type=int, default=500)
+# The flag of each RunRecipe field: its spellings and add_argument
+# keywords. The flag's dest is the field's name, its default the field's.
+_RECIPE_FLAGS = {
+    "arch": (["--arch"], dict(choices=("ternary", "binary"))),
+    "body_widths": (["--widths"], dict(type=_parse_widths,
+                                       help="comma-separated body widths")),
+    "output_neurons": (["--output-neurons"], dict(type=int)),
+    "k": (["--k"], dict(type=int, help="number of classes")),
+    "tau": (["--tau"], dict(type=float)),
+    "thresholds": (["--thresholds", "-K"], dict(
+        type=int, help="thresholds per feature (resolution = K + 1)")),
+    "delta": (["--delta"], dict(
+        type=float, help="dead-zone width factor of the ternary encoder")),
+    "steps": (["--steps"], dict(type=int)),
+    "batch_size": (["--batch"], dict(type=int)),
+    "lr": (["--lr"], dict(type=float)),
+    "lambda_max": (["--lambda-max"], dict(type=float)),
+    "gamma": (["--gamma"], dict(type=float)),
+    "beta": (["--beta"], dict(type=float)),
+    "loss": (["--loss"], dict(choices=("mse", "ce"))),
+    "seed": (["--seed"], dict(type=int)),
+    "eval_every": (["--eval-every"], dict(type=int)),
+}
+
+
+def _add_recipe_flags(p: argparse.ArgumentParser, dests=tuple(_RECIPE_FLAGS),
+                      **defaults) -> None:
+    """Add the flags of the named recipe fields, with the recipe's
+    defaults unless overridden here."""
+    for f in dataclasses.fields(pl.RunRecipe):
+        if f.name in dests:
+            spellings, kw = _RECIPE_FLAGS[f.name]
+            p.add_argument(*spellings, dest=f.name,
+                           default=defaults.get(f.name, f.default), **kw)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="tritnet",
                      description="ternary logic gate networks")
-    parser.sub_map = {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        p = sub.add_parser(name, **kw)
-        parser.sub_map[name] = p
+    def add_parser(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", default=None)
+        p.add_argument("--name", default=None)
+        p.add_argument("--config", help="manifest or JSON object whose config "
+                       "values are read as flags placed before the explicit ones")
+        p.set_defaults(fn=fn)
         return p
 
-    p = add_parser("gen-data", help="generate a synthetic dataset")
+    p = add_parser("gen-data", cmd_gen_data, "generate a synthetic dataset")
     p.add_argument("--kind", required=True, choices=dt.DATASET_KINDS)
     p.add_argument("--n", type=int, default=2500, help="total points")
     p.add_argument("--noise", type=float, default=0.5)
@@ -438,37 +439,25 @@ def build_parser() -> _Parser:
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--force", action="store_true",
                    help="overwrite existing output files")
-    p.add_argument("--out", default=None)
-    p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_gen_data)
 
-    p = add_parser("train", help="train a network and harden it")
+    p = add_parser("train", cmd_train, "train a network and harden it")
     p.add_argument("--train", required=True, help="training dataset file")
     p.add_argument("--test", required=True, help="test dataset file")
     _add_recipe_flags(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_train)
 
-    p = add_parser("harden", help="round a checkpoint to a circuit")
+    p = add_parser("harden", cmd_harden, "round a checkpoint to a circuit")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default=None,
                    help="dataset for a soft-versus-circuit gap report")
-    p.add_argument("--out", default=None)
-    p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_harden)
 
-    p = add_parser("eval", help="evaluate a circuit on a dataset")
+    p = add_parser("eval", cmd_eval, "evaluate a circuit on a dataset")
     p.add_argument("--circuit", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--selective", action="store_true")
     p.add_argument("--diversity", action="store_true")
     p.add_argument("--spectral", action="store_true")
-    p.add_argument("--out", default=None)
-    p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_eval)
 
-    p = add_parser("sweep", help="run a parameter sweep")
+    p = add_parser("sweep", cmd_sweep, "run a parameter sweep")
     p.add_argument("--kind", required=True,
                    choices=("separation", "delta", "resolution"))
     p.add_argument("--seps", default="0.5,1.0,1.5,2.0,2.5,3.0")
@@ -481,65 +470,66 @@ def build_parser() -> _Parser:
     p.add_argument("--n-test", type=int, default=500)
     p.add_argument("--data-seed", type=int, default=0)
     _add_recipe_flags(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_sweep)
 
-    p = add_parser("bench", help="time training steps of both archs")
-    p.add_argument("--widths", default="512,512,512")
-    p.add_argument("--output-neurons", type=int, default=200)
+    p = add_parser("bench", cmd_bench, "time training steps of both archs")
+    _add_recipe_flags(p, ("body_widths", "output_neurons", "batch_size",
+                          "steps", "seed"), steps=50)
     p.add_argument("--input-dim", type=int, default=6)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--steps", type=int, default=50)
     p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 
-def _apply_config_file(argv: list[str], parser: _Parser) -> list[str]:
-    """Pull --config FILE out of argv and fold it into parser defaults.
+def _config_flags(action: argparse.Action, value) -> list[str]:
+    """The command-line tokens that give action's dest a config value."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # a switch such as --selective
+        if not isinstance(value, bool):
+            raise UsageError(f"argument {flag}: config value {value!r} is not "
+                             "true or false")
+        return [flag] if value else []
+    items = value if isinstance(value, list) else [value]
+    if all(isinstance(v, (str, int, float)) for v in items):
+        text = ",".join(v if isinstance(v, str) else json.dumps(v) for v in items)
+        if "\0" not in text:  # which no command line can carry
+            return [f"{flag}={text}"]
+    raise UsageError(f"argument {flag}: config value {value!r} is not a flag "
+                     "value (a string, a number or a list of them)")
 
-    Values from the file sit between built-in defaults and explicit
-    flags: flags always win.
-    """
-    if "--config" not in argv:
+
+def _with_config(argv: list[str], parser: _Parser) -> list[str]:
+    """argv with the values of a --config file placed as flags right after
+    the subcommand, so that argparse types and checks them like typed
+    flags and the explicit flags that follow win."""
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    if not argv or argv[0] not in commands:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    path = argv[i + 1]
-    argv = argv[:i] + argv[i + 2:]
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
-    config = doc.get("config", doc)
-    known = {}
-    for key, value in config.items():
-        flag = key.replace("-", "_")
-        if flag == "body_widths":
-            known["widths"] = ",".join(str(v) for v in value)
-        elif flag == "batch_size":
-            known["batch"] = value
-        elif isinstance(value, (str, int, float, bool)):  # null keeps the default
-            known[flag] = value
-    # Subparsers fill the namespace from their own defaults, so the
-    # overrides must land on each of them, not on the root parser.
-    for p in parser.sub_map.values():
-        p.set_defaults(**known)
-    return argv
+    config = doc.get("config", doc) if isinstance(doc, dict) else doc
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path} is not a JSON object")
+    flags = {a.dest: a for a in commands[argv[0]]._actions
+             if a.option_strings and a.dest not in _NOT_CONFIG}
+    tokens = []
+    for dest, value in config.items():
+        if dest in flags and value is not None:  # null keeps the default
+            tokens += _config_flags(flags[dest], value)
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv, parser)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(argv, parser))
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -115,8 +115,10 @@ def gen_dataset(kind: str, n: int, noise: float, seed: int,
                          f"{DATASET_KINDS}")
     if n < 2:
         raise ValueError(f"need at least 2 points, got n={n}")
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if kind == "gaussians" and not 0 <= sep < math.inf:
+        raise ValueError(f"sep must be finite and >= 0, got {sep}")
     rng = np.random.default_rng(seed)
     n0 = n // 2 + n % 2
     n1 = n // 2
@@ -170,8 +172,8 @@ class EncoderConfig:
             raise ValueError(f"mode must be ternary or binary, got {self.mode!r}")
         if self.thresholds_per_feature < 1:
             raise ValueError("need at least 1 threshold per feature")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have equal length")
 

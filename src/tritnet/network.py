@@ -46,8 +46,8 @@ class GroupSumConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"GroupSum needs k >= 2 classes, got k={self.k}")
-        if not self.tau > 0:
-            raise ValueError(f"GroupSum needs tau > 0, got tau={self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"GroupSum needs tau > 0 and finite, got tau={self.tau}")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ class RunRecipe:
         # from the recipe, so a bad value fails before any data is read.
         if self.arch not in ("ternary", "binary"):
             raise ValueError(f"arch must be ternary or binary, got {self.arch!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         net_mod.GroupSumConfig(k=self.k, tau=self.tau)
         if self.output_neurons < 1 or self.output_neurons % self.k:
             raise ValueError(f"output neurons must be a positive multiple of "

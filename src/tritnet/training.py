@@ -73,12 +73,13 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.lambda_max < 0:
-            raise ValueError(f"lambda_max must be >= 0, got {self.lambda_max}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.lambda_max < np.inf:
+            raise ValueError(f"lambda_max must be >= 0 and finite, "
+                             f"got {self.lambda_max}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
         if self.loss not in ("mse", "ce"):
             raise ValueError(f"loss must be 'mse' or 'ce', got {self.loss!r}")
 

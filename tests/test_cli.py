@@ -1,13 +1,17 @@
 """End-to-end command line checks, run in process via cli.main()."""
 
+import dataclasses
 import filecmp
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tritnet.cli as cli
+import tritnet.pipeline as pl
 import tritnet.serialize as sz
 
 TINY = ["--widths", "8", "--output-neurons", "4", "--steps", "20",
@@ -225,6 +229,117 @@ def test_config_file_missing_is_usage_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_every_recipe_field_has_one_flag():
+    parser = cli.build_parser()
+    train = next(a.choices for a in parser._actions if a.dest == "command")["train"]
+    dests = {a.dest: a.default for a in train._actions}
+    for f in dataclasses.fields(pl.RunRecipe):
+        assert dests[f.name] == f.default, f.name
+    assert set(cli._RECIPE_FLAGS) == {f.name for f in dataclasses.fields(pl.RunRecipe)}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "harden", "eval",
+                                     "sweep", "bench"])
+def test_config_replays_every_command(trained, tmp_path, command):
+    data = ["--train", trained["train"], "--test", trained["test"]]
+    argv = {
+        "gen-data": ["--kind", "circles", "--n", 40, "--noise", "0.2", "--seed", 4,
+                     "--sep", "1.5", "--train-frac", "0.75"],
+        "train": [*data, *TINY, "--arch", "binary", "--delta", "0.5", "--loss", "mse"],
+        "harden": ["--checkpoint", trained["ckpt"], "--data", trained["test"]],
+        "eval": ["--circuit", trained["circuit"], "--data", trained["test"],
+                 "--selective"],
+        "sweep": ["--kind", "delta", "--deltas", "0.0,1.0", *data, *TINY],
+        "bench": ["--widths", "4,4", "--output-neurons", "2", "--input-dim", "4",
+                  "--batch", "8", "--steps", "2", "--warmup", "1", "--seed", "3"],
+    }[command]
+    rc = run([command, *argv, "--out", tmp_path / "a", "--name", "orig"])
+    assert rc == cli.EXIT_OK
+    extra = data if command == "train" else []
+    assert run([command, "--config", tmp_path / "a" / "orig.manifest.json", *extra,
+                "--out", tmp_path / "b", "--name", "replay"]) == cli.EXIT_OK
+    orig = sz.load_manifest(tmp_path / "a" / "orig.manifest.json")
+    replay = sz.load_manifest(tmp_path / "b" / "replay.manifest.json")
+    assert orig["config"] == replay["config"]
+    if command == "train":
+        assert filecmp.cmp(tmp_path / "a" / "orig.ckpt", tmp_path / "b" / "replay.ckpt",
+                           shallow=False)
+
+
+@pytest.mark.parametrize("doc", [
+    {"batch_size": 1.5}, {"k": 2.0}, {"steps": True}, {"steps": 2.5},
+    {"eval_every": 1.5}, {"thresholds": 1.5}, {"body_widths": [8, "x"]},
+    {"arch": "quantum"}, {"lr": {"value": 0.1}}, [1, 2], {"config": [1]},
+], ids=["batch-float", "k-float", "steps-bool", "steps-float", "eval-every-float",
+        "thresholds-float", "widths-text", "arch-choice", "lr-object",
+        "document-list", "config-list"])
+def test_malformed_config_is_usage_error(trained, tmp_path, capsys, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = run(["train", "--config", path, "--train", trained["train"],
+              "--test", trained["test"], "--out", out])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_config_cannot_ask_for_help_or_carry_nul(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"help": True, "checkpoint": "a\0b"}))
+    rc = run(["harden", "--config", path, "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_USAGE and "argument --checkpoint" in err
+
+
+def _mutate_manifest(doc, ops):
+    """Drop, null, retype or nest keys of the config block (or of the
+    document around it), or replace the whole document."""
+    for op, top, i, value in ops:
+        target = doc if top or not isinstance(doc.get("config"), dict) else doc["config"]
+        if op == "document":
+            return value
+        if not target:
+            continue
+        key = sorted(target)[i % len(target)]
+        if op == "drop":
+            del target[key]
+        elif op == "null":
+            target[key] = None
+        elif op == "retype":
+            target[key] = value
+        else:
+            target[key] = [target[key]] if i % 2 else {"value": target[key]}
+    return doc
+
+
+CONFIG_VALUES = st.sampled_from([
+    None, True, False, 0, -1, 3, 1.5, 1e308, float("nan"), float("inf"), 10**30,
+    "", "x", "-1", "8,x", "=", [], [8, "x"], [[8]], [4, 4], {}, {"a": 1}])
+CONFIG_MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["drop", "null", "retype", "nest", "document"]),
+    st.booleans(), st.integers(0, 60), CONFIG_VALUES), min_size=1, max_size=4)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ops=CONFIG_MUTATIONS, cut=st.none() | st.integers(0, 2000))
+def test_mutated_config_fails_cleanly(trained, tmp_path, capsys, ops, cut):
+    doc = _mutate_manifest(sz.load_manifest(trained["manifest"]), ops)
+    text = json.dumps(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(text if cut is None else text[:cut])
+    missing = tmp_path / "missing.txt"
+    capsys.readouterr()
+    rc = run(["train", "--config", path, "--train", missing, "--test", missing,
+              "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert rc in (cli.EXIT_USAGE, cli.EXIT_DATA)
+    assert err.startswith("usage error:" if rc == cli.EXIT_USAGE else "data error:")
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------- sweep, bench
 
 def test_delta_sweep_table(tmp_path):
@@ -355,6 +470,12 @@ def test_exit_code_for_unknown_command(capsys):
     (["--k", "3"], "positive multiple of k=3"),
     (["--thresholds", "0"], "at least 1 threshold"),
     (["--delta", "-1"], "delta must be >= 0"),
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--delta", "nan"], "delta must be >= 0 and finite"),
+    (["--tau", "inf"], "tau > 0 and finite"),
+    (["--lambda-max", "nan"], "lambda_max must be >= 0 and finite"),
+    (["--gamma", "inf"], "gamma must be > 0 and finite"),
+    (["--beta", "inf"], "beta must be >= 0 and finite"),
 ])
 def test_bad_train_flag_is_usage_error(trained, tmp_path, capsys, flags, message):
     rc = run(["train", "--train", trained["train"], "--test", trained["test"],
@@ -465,8 +586,23 @@ def test_non_utf8_csv_is_a_data_error(tmp_path, capsys):
      "at least 1 threshold"),
     (["sweep", "--kind", "separation", "--seps", "1,-1"], "sep must be finite and >= 0"),
     (["sweep", "--kind", "separation", "--seps", "nan"], "sep must be finite and >= 0"),
+    (["sweep", "--kind", "delta", "--seed", "-1"], "seed must be >= 0"),
+    (["sweep", "--kind", "separation", "--data-seed", "-1"], "data_seed must be >= 0"),
+    (["sweep", "--kind", "separation", "--n-train", "0"], "n_train must be >= 1"),
+    (["bench", "--input-dim", "1"], "input_dim must be >= 2"),
+    (["bench", "--input-dim", "0"], "input_dim must be >= 2"),
+    (["bench", "--warmup", "-2", "--steps", "3"], "warmup must be >= 0"),
+    (["bench", "--seed", "-1"], "seed must be >= 0"),
+    (["gen-data", "--kind", "moons", "--seed", "-1"], "seed must be >= 0"),
+    (["gen-data", "--kind", "moons", "--noise", "-1"], "noise must be finite and >= 0"),
+    (["gen-data", "--kind", "moons", "--noise", "nan"], "noise must be finite and >= 0"),
+    (["gen-data", "--kind", "gaussians", "--sep", "inf"], "sep must be finite and >= 0"),
+    (["gen-data", "--kind", "moons", "--train-frac", "nan"], "leaves an empty split"),
 ], ids=["bench-batch", "bench-steps", "bench-output-neurons", "sweep-delta",
-        "sweep-thresholds", "sweep-sep", "sweep-sep-nan"])
+        "sweep-thresholds", "sweep-sep", "sweep-sep-nan", "sweep-seed",
+        "sweep-data-seed", "sweep-n-train", "bench-input-dim", "bench-input-dim-0",
+        "bench-warmup", "bench-seed", "gen-data-seed", "gen-data-noise",
+        "gen-data-noise-nan", "gen-data-sep", "gen-data-train-frac"])
 def test_bad_sweep_or_bench_value_is_usage_error(tmp_path, capsys, argv, message):
     rc = run([*argv, "--out", tmp_path])
     err = capsys.readouterr().err
