@@ -87,6 +87,19 @@ def _load_any_dataset(path, k: int, d: int | None = None) -> dt.Dataset:
     return ds
 
 
+def _encoded_data(data, source, encoder, arch: str, model):
+    """The dataset at `data` and its codes for `model`, a network or
+    circuit of this arch read from `source` with an encoder that must fit."""
+    if encoder is None:
+        raise UsageError(f"{source} has no encoder; cannot encode raw data")
+    if encoder.mode != arch or encoder.encoded_dim != model.input_dim:
+        raise dt.DataFormatError(
+            f"{source}: its {encoder.mode} encoder gives {encoder.encoded_dim} "
+            f"inputs, the {arch} model takes {model.input_dim}")
+    ds = _load_any_dataset(data, model.groupsum.k, len(encoder.lo))
+    return ds, dt.encode(ds.features, encoder)
+
+
 def _write_manifest(args, out: str, name: str, artifacts: dict, timings: dict,
                     extra: dict | None = None, config: dict | None = None) -> None:
     """Write name.manifest.json; its config is the parsed flags unless given."""
@@ -200,10 +213,7 @@ def cmd_harden(args) -> int:
     sz.save_circuit(circuit, paths["circuit"], encoder)
     extra: dict = {"hardening_error": herr}
     if args.data:
-        if encoder is None:
-            raise UsageError("checkpoint has no encoder; cannot encode raw data")
-        ds = _load_any_dataset(args.data, net.groupsum.k, len(encoder.lo))
-        x_enc = dt.encode(ds.features, encoder)
+        ds, x_enc = _encoded_data(args.data, args.checkpoint, encoder, net.arch, net)
         gap = cc.gap_report(net, circuit, x_enc, ds.labels)
         paths["gap"] = os.path.join(out, f"{name}.gap.tsv")
         sz.save_report(
@@ -228,10 +238,9 @@ def cmd_eval(args) -> int:
     circuit, encoder = sz.load_circuit(args.circuit)
     name = args.name or os.path.splitext(os.path.basename(args.circuit))[0].replace(
         ".circuit", "")
-    if encoder is None:
-        raise UsageError("circuit file has no encoder; cannot encode raw data")
-    ds = _load_any_dataset(args.data, circuit.groupsum.k, len(encoder.lo))
-    x_enc = circuit.trit_inputs(dt.encode(ds.features, encoder))
+    ds, x_enc = _encoded_data(args.data, args.circuit, encoder,
+                              circuit.provenance["arch"], circuit)
+    x_enc = circuit.trit_inputs(x_enc)
     outputs, scores, preds, margins = cc.eval_circuit(circuit, x_enc)
     acc = float((preds == ds.labels).mean())
     unk = float((outputs == 0).mean())

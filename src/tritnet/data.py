@@ -176,6 +176,8 @@ class EncoderConfig:
             raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
         if len(self.lo) != len(self.hi):
             raise ValueError("lo and hi must have equal length")
+        if not all(-math.inf < lo <= hi < math.inf for lo, hi in zip(self.lo, self.hi)):
+            raise ValueError(f"lo {self.lo} and hi {self.hi} must be finite, lo <= hi")
 
     @property
     def resolution(self) -> int:

@@ -155,11 +155,12 @@ def _bench_arch(arch: str, widths, input_dim: int, batch: int, steps: int,
     rng = np.random.default_rng(seed)
     n = max(batch * 4, 256)
     y = rng.integers(0, 2, size=n)
+    recipe = RunRecipe(arch=arch, steps=1, batch_size=batch)
     net = net_mod.init_network(widths, input_dim, seed,
-                               net_mod.GroupSumConfig(2, 10.0), arch=arch)
+                               net_mod.GroupSumConfig(recipe.k, recipe.tau), arch=arch)
     lo, hi = net_mod.ARCHS[arch].domain
     x = rng.integers(int(lo), int(hi) + 1, size=(n, input_dim)).astype(float)
-    cfg = RunRecipe(arch=arch, steps=1, batch_size=batch).train_config()
+    cfg = recipe.train_config()
     lam = cfg.lambda_max / 4.0
     state = train_mod.AdamState.init(net.params)
     times = []

@@ -4,23 +4,34 @@ Everything is human-readable text so that runs can be diffed:
 
 * datasets: one `# tritnet-dataset v1 {json}` header line, then CSV
   rows of features and the integer label, read as `data` reads CSV;
-* checkpoints: a keyword header, the wiring, then one line of full-
-  precision coefficients per neuron;
-* circuits: a keyword header, the wiring, then one line of gate ids
-  per layer;
+* checkpoints and circuits: lines in one fixed order, written by one
+  writer and walked by one reader. The magic line and version; `arch`,
+  `input_dim`, `widths`, `seed`, `k`, `tau`, then `source_sha256` and
+  `hardened_at` for circuits, then `encoder` (JSON or null) and `---`;
+  `parents_s l` and `parents_t l` per layer; then `w l j` with the
+  full-precision coefficients of each neuron, or `gates l` with the
+  gate ids of each layer;
 * training history: one JSON object per line;
 * run manifests: a single JSON document with config, seeds, decision
   flags, artifact hashes and timings.
 
 Floats are written with repr-level precision so load(save(x)) is bit
-exact. Loading a file whose version is newer than this code fails
-cleanly rather than guessing. A file a reader cannot use raises a
-`data.DataFormatError`; `FormatError` is one.
+exact. The model reader checks each line as it comes: it must be the
+next one in the order above, and a missing, repeated, reordered or
+extra line is an error naming its line number. It also checks that the
+version is between 1 and this code's, the arch is known, the widths
+are positive with the last divisible by k, every coefficient is finite,
+every parent index is in range for its layer, every gate id is below
+3^9 and the encoder is valid. A file a reader cannot use raises a
+`data.DataFormatError` (`FormatError` is one), which the CLI reports
+with exit code 2.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 
@@ -32,6 +43,7 @@ DATASET_MAGIC = "# tritnet-dataset"
 CHECKPOINT_MAGIC = "tritnet-checkpoint"
 CIRCUIT_MAGIC = "tritnet-circuit"
 FORMAT_VERSION = 1
+_PROVENANCE = ("source_sha256", "hardened_at")  # circuit header fields
 
 #: Behavioral conventions frozen by this implementation, recorded in
 #: every run manifest so a reader can tell which variant produced it.
@@ -55,17 +67,15 @@ class FormatError(DataFormatError):
 
 def _check_version(found: str, path) -> None:
     try:
-        v = int(found.lstrip("v"))
+        v = int(found[1:]) if found[:1] == "v" else 0
     except ValueError:
-        raise FormatError(f"{path}: bad version tag {found!r}") from None
+        v = 0
+    if v < 1:
+        raise FormatError(f"{path}: bad version tag {found!r}")
     if v > FORMAT_VERSION:
         raise FormatError(
             f"{path}: format version {v} is newer than supported "
             f"version {FORMAT_VERSION}")
-
-
-def _fmt_floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
 
 
 # ----------------------------------------------------------------- datasets
@@ -91,226 +101,163 @@ def load_dataset(path) -> Dataset:
         meta = json.loads(parts[1]) if len(parts) > 1 else {}
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: line 1: bad metadata: {exc}") from None
     return Dataset(*_parse_table(path, lines, 1, -1), meta)
 
 
-# ------------------------------------------------------------- header utils
+# ------------------------------------------------ checkpoints + circuits
 
-def _parse_header(lines, path, magic):
-    first = next(lines, "").split()
-    if len(first) != 2 or first[0] != magic:
-        raise FormatError(f"{path}: not a {magic} file")
-    _check_version(first[1], path)
-    fields: dict[str, str] = {}
-    for line in lines:
-        line = line.rstrip("\n")
-        if line == "---":
-            return fields
-        key, _, value = line.partition(" ")
-        if not key or not value:
-            raise FormatError(f"{path}: malformed header line {line!r}")
-        fields[key] = value
-    raise FormatError(f"{path}: missing end-of-header marker")
+def _fmt(values) -> str:
+    """Numbers as the writers emit them: ints plainly, floats by repr."""
+    return " ".join(map(repr, np.asarray(values).tolist()))
 
 
-def _need(fields: dict, key: str, path) -> str:
-    if key not in fields:
-        raise FormatError(f"{path}: missing required field {key!r}")
-    return fields[key]
+def _write(path, magic, model, arch, seed, extra: dict, encoder, body) -> None:
+    """Write a checkpoint or circuit in the line order `_read` walks: the
+    shape, the `extra` fields, the encoder, `---`, each layer's wiring,
+    then the `body` lines."""
+    gs = model.groupsum
+    encoder = None if encoder is None else dataclasses.asdict(encoder)
+    header = {"arch": arch, "input_dim": model.input_dim,
+              "widths": ",".join(str(w) for w in model.widths), "seed": seed,
+              "k": gs.k, "tau": repr(gs.tau), **extra,
+              "encoder": json.dumps(encoder, sort_keys=True)}
+    with open(path, "w") as fh:
+        fh.write(f"{magic} v{FORMAT_VERSION}\n")
+        fh.writelines(f"{key} {value}\n" for key, value in header.items())
+        fh.write("---\n")
+        for l, (s, t) in enumerate(model.conn.layers):
+            fh.write(f"parents_s {l} {_fmt(s)}\nparents_t {l} {_fmt(t)}\n")
+        fh.writelines(body)
 
 
-def _write_shape(fh, magic, arch, input_dim, widths, seed, groupsum) -> None:
-    """The header lines `_read_shape` reads, after the magic line."""
-    fh.write(f"{magic} v{FORMAT_VERSION}\narch {arch}\ninput_dim {input_dim}\n"
-             f"widths {','.join(str(w) for w in widths)}\nseed {seed}\n"
-             f"k {groupsum.k}\ntau {groupsum.tau!r}\n")
+class _Lines:
+    """The lines of a checkpoint or circuit, taken strictly in order."""
 
+    def __init__(self, path, magic):
+        self.path, self.lines, self.at = path, _read_lines(path), 1
+        first = self.lines[0].split() if self.lines else []
+        if len(first) != 2 or first[0] != magic:
+            raise FormatError(f"{path}: not a {magic} file")
+        _check_version(first[1], path)
 
-def _read_shape(fields: dict, path):
-    """input_dim, widths, seed and GroupSum head of a checkpoint or circuit."""
-    raw = {key: _need(fields, key, path)
-           for key in ("input_dim", "widths", "seed", "k", "tau")}
-    try:
-        input_dim, seed, k = int(raw["input_dim"]), int(raw["seed"]), int(raw["k"])
-        widths = tuple(int(v) for v in raw["widths"].split(","))
-        groupsum = GroupSumConfig(k=k, tau=float(raw["tau"]))
-    except ValueError as exc:
-        raise FormatError(f"{path}: bad header value: {exc}") from None
-    if min(widths) < 1 or widths[-1] % k:
-        raise FormatError(f"{path}: widths {raw['widths']} must be positive, "
-                          f"the last divisible by k={k}")
-    return input_dim, widths, seed, groupsum
+    def error(self, message) -> FormatError:
+        return FormatError(f"{self.path}: line {self.at}: {message}")
 
-
-def _read_body(lines, path, widths, value_tags: dict) -> dict:
-    """Body lines `tag index... values...`, keyed by (tag, index...).
-
-    `value_tags` maps each allowed tag to its number of index fields and
-    the type of its values. Every index is range-checked: the first is
-    a layer, a second one a neuron of that layer. A repeated key is an
-    error rather than a silent overwrite.
-    """
-    body: dict = {}
-    for line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag not in value_tags:
-            raise FormatError(f"{path}: unexpected body line {tag!r}")
-        n_index, kind = value_tags[tag]
-        try:
-            index = tuple(int(v) for v in parts[1:1 + n_index])
-            values = [kind(v) for v in parts[1 + n_index:]]
-        except ValueError:
-            raise FormatError(f"{path}: malformed {tag} line") from None
-        if (len(index) < n_index or not 0 <= index[0] < len(widths)
-                or any(not 0 <= j < widths[index[0]] for j in index[1:])):
-            raise FormatError(f"{path}: {tag} line has bad index {index}")
-        key = (tag, *index)
-        if key in body:
-            raise FormatError(f"{path}: duplicate {tag} line for {index}")
-        body[key] = values
-    return body
-
-
-def _encoder_to_json(enc: EncoderConfig | None) -> str:
-    if enc is None:
-        return "null"
-    return json.dumps({
-        "mode": enc.mode,
-        "thresholds_per_feature": enc.thresholds_per_feature,
-        "delta": enc.delta,
-        "lo": list(enc.lo),
-        "hi": list(enc.hi),
-    }, sort_keys=True)
-
-
-def _encoder_from_json(text: str, path) -> EncoderConfig | None:
-    try:
-        obj = json.loads(text)
-        if obj is None:
+    def take(self, *key, parse=str):
+        """`parse` of the value after `key` on the next line; with `parse`
+        None, the line must be `key` alone."""
+        tag = " ".join(map(str, key))
+        line = self.lines[self.at].rstrip("\n") if self.at < len(self.lines) else None
+        self.at += 1
+        value = line[len(tag) + 1:] if line and line.startswith(tag + " ") else ""
+        if not (line == tag if parse is None else value):
+            found = "end of file" if line is None else repr(line[:40])
+            raise self.error(f"missing {tag!r} line, found {found}")
+        if parse is None:
             return None
-        return EncoderConfig(
-            mode=obj["mode"],
-            thresholds_per_feature=int(obj["thresholds_per_feature"]),
-            delta=float(obj["delta"]),
-            lo=tuple(float(v) for v in obj["lo"]),
-            hi=tuple(float(v) for v in obj["hi"]),
-        )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: bad encoder field: {exc!r}") from None
+        try:
+            return parse(value)
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise self.error(f"bad {tag!r} value: {exc}") from None
+
+    def row(self, key, count, kind=float, low=-math.inf, high=math.inf) -> list:
+        """The `count` values of `kind` after `key` on the next line, each
+        strictly between `low` and `high`."""
+        values = self.take(*key, parse=lambda text: list(map(kind, text.split())))
+        if len(values) != count:
+            raise self.error(f"{len(values)} values, expected {count}")
+        bad = [v for v in values if not low < v < high]
+        if bad:
+            raise self.error(f"value {bad[0]!r} is not in ({low}, {high})")
+        return values
+
+    def end(self) -> None:
+        if self.at < len(self.lines):
+            self.at += 1
+            raise self.error("extra line after the last layer")
 
 
-def _write_conn(fh, conn: ConnectivityMap) -> None:
-    for l, (s, t) in enumerate(conn.layers):
-        fh.write(f"parents_s {l} " + " ".join(str(int(v)) for v in s) + "\n")
-        fh.write(f"parents_t {l} " + " ".join(str(int(v)) for v in t) + "\n")
+def _read(path, magic, extra: tuple, read_layer) -> dict:
+    """Read a checkpoint or circuit in the order `_write` emits it.
 
-
-def _read_conn(lines, path, seed, input_dim, widths) -> ConnectivityMap:
-    layers = []
+    Returns the header fields by name, the wiring as `conn` and the
+    `read_layer(lines, arch, l, width)` results as `layers`.
+    """
+    lines = _Lines(path, magic)
+    head = {"arch": lines.take("arch")}
+    if head["arch"] not in ARCHS:
+        raise lines.error(f"unknown arch {head['arch']!r}")
+    head["input_dim"] = lines.take("input_dim", parse=int)
+    widths = lines.take("widths", parse=lambda t: tuple(int(v) for v in t.split(",")))
+    if min(widths) < 1:
+        raise lines.error(f"widths {widths} must be positive")
+    head["widths"] = widths
+    head["seed"] = lines.take("seed", parse=int)
+    k = lines.take("k", parse=int)
+    if k < 2 or widths[-1] % k:
+        raise lines.error(f"the last width {widths[-1]} must be divisible by k={k} >= 2")
+    head["groupsum"] = lines.take("tau", parse=lambda t: GroupSumConfig(k, float(t)))
+    head.update((key, lines.take(key)) for key in extra)
+    head["encoder"] = lines.take("encoder", parse=_encoder_from_json)
+    lines.take("---", parse=None)
+    wiring, prev = [], head["input_dim"]
     for l, w in enumerate(widths):
-        for tag in ("parents_s", "parents_t"):
-            if (tag, l) not in lines:
-                raise FormatError(f"{path}: missing {tag} for layer {l}")
-        s = np.array(lines[("parents_s", l)], dtype=np.int64)
-        t = np.array(lines[("parents_t", l)], dtype=np.int64)
-        prev = input_dim if l == 0 else widths[l - 1]
-        if s.size != w or t.size != w:
-            raise FormatError(f"{path}: layer {l} wiring has wrong width")
-        if s.size and (s.min() < 0 or s.max() >= prev or t.min() < 0 or t.max() >= prev):
-            raise FormatError(f"{path}: layer {l} wiring indexes out of range")
-        layers.append((s, t))
-    return ConnectivityMap(seed=seed, input_dim=input_dim, widths=widths,
-                           layers=tuple(layers))
+        wiring.append(tuple(np.array(lines.row((tag, l), w, int, -1, prev), dtype=np.int64)
+                            for tag in ("parents_s", "parents_t")))
+        prev = w
+    head["conn"] = ConnectivityMap(seed=head["seed"], input_dim=head["input_dim"],
+                                   widths=widths, layers=tuple(wiring))
+    head["layers"] = [read_layer(lines, head["arch"], l, w) for l, w in enumerate(widths)]
+    lines.end()
+    return head
 
 
-# ----------------------------------------------------------- checkpoints
+def _encoder_from_json(text: str) -> EncoderConfig | None:
+    obj = json.loads(text)
+    if obj is None:
+        return None
+    if type(obj["thresholds_per_feature"]) is not int:
+        raise ValueError(f"thresholds_per_feature {obj['thresholds_per_feature']!r} "
+                         "is not an integer")
+    return EncoderConfig(mode=obj["mode"],
+                         thresholds_per_feature=obj["thresholds_per_feature"],
+                         delta=float(obj["delta"]), lo=tuple(map(float, obj["lo"])),
+                         hi=tuple(map(float, obj["hi"])))
+
 
 def save_checkpoint(net: Network, path, encoder: EncoderConfig | None = None) -> None:
     """Write a ternary or binary network with its encoder config."""
-    with open(path, "w") as fh:
-        _write_shape(fh, CHECKPOINT_MAGIC, net.arch, net.input_dim, net.widths,
-                     net.seed, net.groupsum)
-        fh.write(f"encoder {_encoder_to_json(encoder)}\n")
-        fh.write("---\n")
-        _write_conn(fh, net.conn)
-        for l, mat in enumerate(net.params):
-            for j in range(mat.shape[0]):
-                fh.write(f"w {l} {j} " + _fmt_floats(mat[j]) + "\n")
+    _write(path, CHECKPOINT_MAGIC, net, net.arch, net.seed, {}, encoder,
+           (f"w {l} {j} {_fmt(row)}\n"
+            for l, mat in enumerate(net.params) for j, row in enumerate(mat)))
 
 
 def load_checkpoint(path):
     """Read a checkpoint. Returns (network, encoder_or_None)."""
-    lines = iter(_read_lines(path))
-    fields = _parse_header(lines, path, CHECKPOINT_MAGIC)
-    arch = _need(fields, "arch", path)
-    if arch not in ARCHS:
-        raise FormatError(f"{path}: unknown arch {arch!r}")
-    input_dim, widths, seed, groupsum = _read_shape(fields, path)
-    encoder = _encoder_from_json(_need(fields, "encoder", path), path)
-    body = _read_body(lines, path, widths, {
-        "parents_s": (1, int), "parents_t": (1, int), "w": (2, float)})
-    n_params = ARCHS[arch].n_params
-    params = [np.zeros((w, n_params)) for w in widths]
-    for l, w in enumerate(widths):
-        for j in range(w):
-            if ("w", l, j) not in body:
-                raise FormatError(f"{path}: layer {l} is missing coefficients")
-            vals = body[("w", l, j)]
-            if len(vals) != n_params:
-                raise FormatError(
-                    f"{path}: bad coefficient line for neuron {l}/{j}")
-            params[l][j] = vals
-    conn = _read_conn(body, path, seed, input_dim, widths)
-    return Network(arch=arch, input_dim=input_dim, widths=widths, conn=conn,
-                   params=params, groupsum=groupsum, seed=seed), encoder
+    head = _read(path, CHECKPOINT_MAGIC, (), lambda lines, arch, l, w: np.array(
+        [lines.row(("w", l, j), ARCHS[arch].n_params) for j in range(w)]))
+    return Network(arch=head["arch"], input_dim=head["input_dim"],
+                   widths=head["widths"], conn=head["conn"], params=head["layers"],
+                   groupsum=head["groupsum"], seed=head["seed"]), head["encoder"]
 
-
-# --------------------------------------------------------------- circuits
 
 def save_circuit(circ: Circuit, path, encoder: EncoderConfig | None = None) -> None:
-    with open(path, "w") as fh:
-        _write_shape(fh, CIRCUIT_MAGIC, circ.provenance.get("arch", "ternary"),
-                     circ.input_dim, circ.widths, circ.conn.seed, circ.groupsum)
-        fh.write(f"source_sha256 {circ.provenance.get('source_sha256', '') or '-'}\n")
-        fh.write(f"hardened_at {circ.provenance.get('hardened_at', '') or '-'}\n")
-        fh.write(f"encoder {_encoder_to_json(encoder)}\n")
-        fh.write("---\n")
-        _write_conn(fh, circ.conn)
-        for l, ids in enumerate(circ.gate_ids):
-            fh.write(f"gates {l} " + " ".join(str(int(g)) for g in ids) + "\n")
+    prov = circ.provenance
+    _write(path, CIRCUIT_MAGIC, circ, prov.get("arch", "ternary"), circ.conn.seed,
+           {key: prov.get(key, "") or "-" for key in _PROVENANCE}, encoder,
+           (f"gates {l} {_fmt(ids)}\n" for l, ids in enumerate(circ.gate_ids)))
 
 
 def load_circuit(path):
     """Read a circuit file. Returns (circuit, encoder_or_None)."""
-    lines = iter(_read_lines(path))
-    fields = _parse_header(lines, path, CIRCUIT_MAGIC)
-    input_dim, widths, seed, groupsum = _read_shape(fields, path)
-    encoder = _encoder_from_json(_need(fields, "encoder", path), path)
-    provenance = {key: _need(fields, key, path)
-                  for key in ("arch", "source_sha256", "hardened_at")}
-    provenance = {k: "" if v == "-" else v for k, v in provenance.items()}
-    body = _read_body(lines, path, widths, {
-        "parents_s": (1, int), "parents_t": (1, int), "gates": (1, int)})
-    gate_ids = []
-    for l, w in enumerate(widths):
-        if ("gates", l) not in body:
-            raise FormatError(f"{path}: missing gates for layer {l}")
-        ids = np.array(body[("gates", l)], dtype=np.int64)
-        if ids.size != w:
-            raise FormatError(f"{path}: layer {l} has {ids.size} gates, "
-                              f"expected {w}")
-        if ids.size and (ids.min() < 0 or ids.max() >= 3**9):
-            raise FormatError(f"{path}: layer {l} has gate id out of range")
-        gate_ids.append(ids)
-    conn = _read_conn(body, path, seed, input_dim, widths)
-    return Circuit(input_dim=input_dim, widths=widths, conn=conn,
-                   gate_ids=gate_ids, groupsum=groupsum,
-                   provenance=provenance), encoder
+    head = _read(path, CIRCUIT_MAGIC, _PROVENANCE, lambda lines, arch, l, w: np.array(
+        lines.row(("gates", l), w, int, -1, 3**9), dtype=np.int64))
+    provenance = {key: "" if head[key] == "-" else head[key] for key in _PROVENANCE}
+    return Circuit(input_dim=head["input_dim"], widths=head["widths"], conn=head["conn"],
+                   gate_ids=head["layers"], groupsum=head["groupsum"],
+                   provenance={"arch": head["arch"], **provenance}), head["encoder"]
 
 
 # ------------------------------------------------------ history + manifests

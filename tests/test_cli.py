@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tritnet.cli as cli
+import tritnet.network as nw
 import tritnet.pipeline as pl
 import tritnet.serialize as sz
 
@@ -31,16 +32,19 @@ def gen_moons(out, name="m", n=60):
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
-    """One tiny ternary run shared by the read-only tests."""
+    """One tiny ternary run and one binary run shared by the read-only tests."""
     out = str(tmp_path_factory.mktemp("trained"))
     train, test = gen_moons(out)
-    rc = run(["train", "--train", train, "--test", test,
-              "--out", out, "--name", "run", *TINY])
-    assert rc == cli.EXIT_OK
+    for name, arch in (("run", "ternary"), ("bin", "binary")):
+        rc = run(["train", "--train", train, "--test", test, "--arch", arch,
+                  "--out", out, "--name", name, *TINY])
+        assert rc == cli.EXIT_OK
     return {"out": out, "train": train, "test": test,
             "ckpt": os.path.join(out, "run.ckpt"),
             "circuit": os.path.join(out, "run.circuit.txt"),
-            "manifest": os.path.join(out, "run.manifest.json")}
+            "manifest": os.path.join(out, "run.manifest.json"),
+            "binary-ckpt": os.path.join(out, "bin.ckpt"),
+            "binary-circuit": os.path.join(out, "bin.circuit.txt")}
 
 
 # ------------------------------------------------------------------ gen-data
@@ -412,40 +416,161 @@ def _replace_prefix(old, new):
                           for ln in lines]
 
 
-@pytest.mark.parametrize("artifact, edit", [
-    ("circuit", _replace_prefix("gates 1 ", "gates x ")),
-    ("circuit", _replace_prefix("gates 0 ", "gates 0 7 y ")),
-    ("circuit", _replace_prefix("parents_t 0 ", "parents_t 0 1.5 ")),
-    ("circuit", _replace_prefix("gates 1 ", "gates 5 ")),
-    ("circuit", _duplicate_line("gates 0 ")),
-    ("circuit", _duplicate_line("parents_s 1 ")),
-    ("circuit", _replace_prefix("k ", "k two")),
-    ("circuit", _replace_prefix("encoder ", "encoder {not json")),
-    ("ckpt", _replace_prefix("w 0 1 ", "w 0 1 0.5x ")),
-    ("ckpt", _replace_prefix("w 0 1 ", "w -1 1 ")),
-    ("ckpt", _replace_prefix("parents_s 0 ", "parents_s zero ")),
-    ("ckpt", _duplicate_line("w 0 2 ")),
-    ("ckpt", _duplicate_line("parents_t 0 ")),
-    ("ckpt", _replace_prefix("input_dim ", "input_dim 2.0")),
-    ("ckpt", _replace_prefix("tau ", "tau -")),
-    ("ckpt", _replace_prefix("widths ", "widths 8,3")),
-], ids=["gates-layer", "gate-id", "parent-index", "gates-layer-range",
-        "duplicate-gates", "duplicate-parents-s", "k", "encoder",
-        "coefficient", "neuron-layer-range", "parents-layer",
-        "duplicate-coefficients", "duplicate-parents-t", "input-dim", "tau",
-        "widths-groups"])
+def _set_field(prefix, index, value):
+    """Set the index-th space-separated field of the line starting with prefix."""
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        fields = lines[i].split(" ")
+        fields[index] = value
+        return lines[:i] + [" ".join(fields)] + lines[i + 1:]
+    return edit
+
+
+def _insert_before(prefix, line):
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        return lines[:i] + [line] + lines[i:]
+    return edit
+
+
+def _reverse_body(lines):
+    i = lines.index("---") + 1
+    return lines[:i] + lines[i:][::-1]
+
+
+def _set_encoder(change):
+    """Rewrite the encoder JSON after applying change(dict) to it."""
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("encoder "))
+        enc = json.loads(lines[i][len("encoder "):])
+        change(enc)
+        return lines[:i] + ["encoder " + json.dumps(enc)] + lines[i + 1:]
+    return edit
+
+
+MALFORMED = {
+    "gates-layer": ("circuit", _replace_prefix("gates 1 ", "gates x ")),
+    "gate-id": ("circuit", _replace_prefix("gates 0 ", "gates 0 7 y ")),
+    "parent-index": ("circuit", _replace_prefix("parents_t 0 ", "parents_t 0 1.5 ")),
+    "gates-layer-range": ("circuit", _replace_prefix("gates 1 ", "gates 5 ")),
+    "duplicate-gates": ("circuit", _duplicate_line("gates 0 ")),
+    "duplicate-parents-s": ("circuit", _duplicate_line("parents_s 1 ")),
+    "k": ("circuit", _replace_prefix("k ", "k two")),
+    "encoder": ("circuit", _replace_prefix("encoder ", "encoder {not json")),
+    "encoder-nesting": ("circuit", _replace_prefix("encoder ", "encoder " + "[" * 10**5)),
+    "coefficient": ("ckpt", _replace_prefix("w 0 1 ", "w 0 1 0.5x ")),
+    "neuron-layer-range": ("ckpt", _replace_prefix("w 0 1 ", "w -1 1 ")),
+    "parents-layer": ("ckpt", _replace_prefix("parents_s 0 ", "parents_s zero ")),
+    "duplicate-coefficients": ("ckpt", _duplicate_line("w 0 2 ")),
+    "duplicate-parents-t": ("ckpt", _duplicate_line("parents_t 0 ")),
+    "input-dim": ("ckpt", _replace_prefix("input_dim ", "input_dim 2.0")),
+    "tau": ("ckpt", _replace_prefix("tau ", "tau -")),
+    "widths-groups": ("ckpt", _replace_prefix("widths ", "widths 8,3")),
+    # non-finite coefficients, in both architectures
+    **{f"{arch}-coefficient-{value}": (art, _set_field("w 1 2 ", 4, value))
+       for arch, art in (("ternary", "ckpt"), ("binary", "binary-ckpt"))
+       for value in ("nan", "inf", "1e999")},
+    "unknown-arch": ("circuit", _set_field("arch ", 1, "quantum")),
+    "ckpt-unknown-arch": ("binary-ckpt", _set_field("arch ", 1, "quantum")),
+    "circuit-version-0": ("circuit", _set_field("tritnet-circuit ", 1, "v0")),
+    "ckpt-version-minus-1": ("ckpt", _set_field("tritnet-checkpoint ", 1, "v-1")),
+    "ckpt-reversed-body": ("ckpt", _reverse_body),
+    "circuit-reversed-body": ("circuit", _reverse_body),
+    "ckpt-unknown-key": ("ckpt", _insert_before("---", "colour blue")),
+    "circuit-unknown-key": ("circuit", _insert_before("arch ", "colour blue")),
+    "swapped-header": ("ckpt", lambda lines: [lines[0], lines[2], lines[1], *lines[3:]]),
+    "blank-line": ("circuit", _insert_before("gates 1 ", "")),
+    # the encoder must be valid and fit the model it feeds
+    "circuit-encoder-mode": ("circuit", _set_encoder(lambda e: e.update(mode="binary"))),
+    "ckpt-encoder-mode": ("binary-ckpt", _set_encoder(lambda e: e.update(mode="ternary"))),
+    "circuit-encoder-width": (
+        "circuit", _set_encoder(lambda e: e.update(thresholds_per_feature=4))),
+    "ckpt-encoder-width": (
+        "ckpt", _set_encoder(lambda e: e.update(thresholds_per_feature=4))),
+    "encoder-nan-bound": (
+        "circuit", _set_encoder(lambda e: e["lo"].__setitem__(0, np.nan))),
+    "encoder-hi-below-lo": (
+        "ckpt", _set_encoder(lambda e: e.update(lo=e["hi"], hi=e["lo"]))),
+    "encoder-fractional-thresholds": (
+        "circuit", _set_encoder(lambda e: e.update(thresholds_per_feature=3.7))),
+}
+
+
+@pytest.mark.parametrize("artifact, edit", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_artifact_is_a_data_error(trained, tmp_path, capsys, artifact, edit):
     lines = open(trained[artifact]).read().splitlines()
     bad = tmp_path / f"bad.{artifact}.txt"
     bad.write_text("\n".join(edit(lines)) + "\n")
-    if artifact == "circuit":
+    if artifact.endswith("circuit"):
         argv = ["eval", "--circuit", bad, "--data", trained["test"]]
     else:
-        argv = ["harden", "--checkpoint", bad]
+        argv = ["harden", "--checkpoint", bad, "--data", trained["test"]]
     rc = run([*argv, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_DATA
     assert err.startswith("data error:") and "Traceback" not in err
+
+
+def _mutate_model(text, ops):
+    lines = text.split("\n")
+    for op, i, j, value, tag in ops:
+        k = i % len(lines)
+        if op == "drop":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            m = j % len(lines)
+            lines[k], lines[m] = lines[m], lines[k]
+        elif op == "truncate":
+            joined = "\n".join(lines)
+            lines = joined[:i % (len(joined) + 1)].split("\n")
+        elif op == "version":
+            lines[0] = " ".join(lines[0].split(" ")[:1] + [tag])
+        else:  # value
+            fields = lines[k].split(" ")
+            fields[j % len(fields)] = value
+            lines[k] = " ".join(fields)
+        if not lines:
+            lines = [""]
+    return "\n".join(lines)
+
+
+MODEL_MUTATIONS = st.lists(st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap", "truncate", "version", "value"]),
+    st.integers(0, 5000), st.integers(0, 200),
+    st.sampled_from(["nan", "-inf", "1e999", "2.5", "19683"]),
+    st.sampled_from(["v0", "v2", "garbage"])), min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("artifact", ["ckpt", "binary-ckpt", "circuit", "binary-circuit"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ops=MODEL_MUTATIONS)
+def test_mutated_model_files_fail_cleanly(trained, tmp_path, capsys, artifact, ops):
+    path = tmp_path / f"mutated.{artifact}"
+    path.write_text(_mutate_model(open(trained[artifact]).read(), ops))
+    if artifact.endswith("circuit"):
+        argv = ["eval", "--circuit", path]
+    else:
+        argv = ["harden", "--checkpoint", path]
+    capsys.readouterr()
+    rc = run([*argv, "--data", trained["test"], "--out", tmp_path / "out"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc == cli.EXIT_DATA:
+        assert err.startswith("data error:")
+        return
+    assert rc == cli.EXIT_OK
+    if artifact.endswith("circuit"):
+        circ, _ = sz.load_circuit(path)
+        assert circ.provenance["arch"] in nw.ARCHS
+        ids = circ.all_gate_ids()
+        assert ids.min() >= 0 and ids.max() < 3**9
+    else:
+        net, _ = sz.load_checkpoint(path)
+        assert net.arch in nw.ARCHS
+        assert all(np.isfinite(p).all() for p in net.params)
 
 
 def test_exit_code_for_unknown_command(capsys):

@@ -47,6 +47,22 @@ def test_dataset_rejects_newer_version(tmp_path):
     assert "version" in str(info.value)
 
 
+@pytest.mark.parametrize("tag", ["v0", "v-1", "vv1", "1", "v"])
+def test_dataset_rejects_bad_version_tags(tmp_path, tag):
+    p = tmp_path / "d.txt"
+    sz.save_dataset(dt.gen_dataset("moons", 10, 0.0, 0), p)
+    p.write_text(p.read_text().replace(" v1 ", f" {tag} ", 1))
+    with pytest.raises(sz.FormatError, match="bad version tag"):
+        sz.load_dataset(p)
+
+
+def test_dataset_rejects_deeply_nested_metadata(tmp_path):
+    p = tmp_path / "d.txt"
+    p.write_text(f"{sz.DATASET_MAGIC} v1 {'[' * 10**5}\n0.5,0.5,0\n")
+    with pytest.raises(sz.FormatError, match="line 1: bad metadata"):
+        sz.load_dataset(p)
+
+
 # ----------------------------------------------------------- checkpoints
 
 def test_ternary_checkpoint_round_trip(tmp_path):
@@ -223,6 +239,81 @@ def test_circuit_rejects_wrong_gate_count(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(sz.FormatError):
         sz.load_circuit(p)
+
+
+# ------------------------------------------------ checkpoints + circuits
+
+def model_files(tmp_path):
+    """A ternary and a binary checkpoint and circuit, with encoders."""
+    paths = []
+    for arch in nw.ARCHS:
+        net = nw.init_network((6, 4), 6, 3, GS, arch=arch)
+        enc = dt.EncoderConfig(arch, 3, 0.5, (0.0, -1.5), (4.0, 2.5))
+        paths.append((tmp_path / f"{arch}.ckpt", sz.load_checkpoint))
+        sz.save_checkpoint(net, paths[-1][0], enc)
+        paths.append((tmp_path / f"{arch}.circuit.txt", sz.load_circuit))
+        sz.save_circuit(cc.harden_network(net, source_hash="ab" * 32), paths[-1][0], enc)
+    return paths
+
+
+def test_model_files_reload_byte_for_byte(tmp_path):
+    for path, load in model_files(tmp_path):
+        again = tmp_path / "again.txt"
+        model, enc = load(path)
+        (sz.save_checkpoint if load is sz.load_checkpoint else sz.save_circuit)(
+            model, again, enc)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_model_files_are_read_in_writer_order(tmp_path):
+    """Swapping any two adjacent lines is an error naming the first one."""
+    for path, load in model_files(tmp_path):
+        lines = path.read_text().splitlines()
+        for i in range(1, len(lines) - 1):
+            bad = tmp_path / "bad.txt"
+            bad.write_text("\n".join(lines[:i] + [lines[i + 1], lines[i]]
+                                     + lines[i + 2:]) + "\n")
+            with pytest.raises(sz.FormatError, match=f"line {i + 1}: "):
+                load(bad)
+
+
+def set_field(lines, i, j, value):
+    fields = lines[i].split(" ")
+    fields[j] = value
+    return lines[:i] + [" ".join(fields)] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + ["w 9 9 1.0"], "line 24: extra line"),
+    (lambda lines: lines[:-1], "line 23: missing 'w 1 3"),
+    (lambda lines: lines[:6] + ["colour blue"] + lines[6:], "line 7: missing 'tau"),
+    (lambda lines: set_field(lines, 21, 4, "nan"), "line 22: value nan is not in"),
+    (lambda lines: set_field(lines, 21, 5, "1e999"), "line 22: value inf is not in"),
+    (lambda lines: set_field(lines, 21, 5, "0.5x"), "line 22: bad 'w 1 2' value"),
+    (lambda lines: set_field(lines, 9, 3, "6"), "line 10: value 6 is not in"),
+], ids=["extra", "missing", "unknown-key", "nan", "inf", "bad-float", "parent-range"])
+def test_checkpoint_errors_name_the_line(tmp_path, edit, message):
+    p = tmp_path / "net.ckpt"
+    sz.save_checkpoint(nw.init_network((6, 4), 6, 3, GS), p, sample_encoder())
+    p.write_text("\n".join(edit(p.read_text().splitlines())) + "\n")
+    with pytest.raises(sz.FormatError, match=message):
+        sz.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"thresholds_per_feature": 3.7}, "not an integer"),
+    ({"lo": [float("nan"), -1.5]}, "finite"),
+    ({"hi": [-1.0, 2.5]}, "lo <= hi"),
+])
+def test_checkpoint_rejects_bad_encoder(tmp_path, change, message):
+    p = tmp_path / "net.ckpt"
+    sz.save_checkpoint(nw.init_network((2,), 2, 1, GS), p, sample_encoder())
+    lines = p.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("encoder "))
+    lines[i] = "encoder " + json.dumps({**json.loads(lines[i][8:]), **change})
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(sz.FormatError, match=message):
+        sz.load_checkpoint(p)
 
 
 # ---------------------------------------------------- history + manifests
