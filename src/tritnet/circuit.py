@@ -23,9 +23,10 @@ samples packed into every uint64 word, so one bitwise numpy operation
 evaluates a gate on 64 samples at once. A gate is the OR over its 9
 grid points (a, b) of the minterm [a] & [b] of its parents' planes,
 taken into the TRUE plane where its table holds +1 and into the FALSE
-plane where it holds -1. Rows run through the circuit in blocks of
-`BLOCK_ROWS`, so the working memory is set by that constant and the
-widest layer, never by the batch size. Only the output layer is
+plane where it holds -1. Only the neurons with a path to the output
+run (`ConnectivityMap.live`), on masks built once per circuit. Rows run
+in blocks of `BLOCK_ROWS`, so the working memory is set by that constant
+and the widest layer, never by the batch size. Only the output layer is
 unpacked back to int8 trits. Class predictions take the argmax score
 with ties broken toward the lowest class index, and the margin is the
 gap between the top two scores.
@@ -60,13 +61,12 @@ class Circuit:
     groupsum: GroupSumConfig
     provenance: dict = field(default_factory=dict)
     tables: list[np.ndarray] = field(init=False)  # decoded gate_ids, (w, 9) int8
+    selectors: list[np.ndarray] = field(init=False)  # `_selectors` of the live neurons
 
     def __post_init__(self):
         self.tables = [algebra.decode_tables(ids) for ids in self.gate_ids]
-
-    @property
-    def n_neurons(self) -> int:
-        return sum(self.widths)
+        self.selectors = [_selectors(tbl[keep]) for (keep, _, _), tbl
+                          in zip(self.conn.live, self.tables)]
 
     def all_gate_ids(self) -> np.ndarray:
         return np.concatenate([np.asarray(g) for g in self.gate_ids])
@@ -217,7 +217,6 @@ def eval_circuit(circuit: Circuit, x):
     if x.shape[1] != circuit.input_dim:
         raise ValueError(f"expected {circuit.input_dim} inputs, got {x.shape[1]}")
     n = x.shape[0]
-    selectors = [_selectors(tbl) for tbl in circuit.tables]
     k, tau = circuit.groupsum.k, circuit.groupsum.tau
     group = circuit.widths[-1] // k
     outputs = np.empty((n, circuit.widths[-1]), dtype=np.int8)
@@ -231,7 +230,7 @@ def eval_circuit(circuit: Circuit, x):
         if xb.size and (np.any(xi != xb) or xi.min() < -1 or xi.max() > 1):
             raise ValueError("circuit inputs must be trits in {-1, 0, +1}")
         true, false = _pack(xi)
-        for (s, t), sel in zip(circuit.conn.layers, selectors):
+        for (_, s, t), sel in zip(circuit.conn.live, circuit.selectors):
             true, false = _gate_layer(true, false, s, t, sel)
         outputs[rows] = _unpack(true, false, xb.shape[0])
         scores[rows] = outputs[rows].reshape(-1, k, group).sum(axis=2) / tau

@@ -25,6 +25,7 @@ import numpy as np
 from . import analysis as an
 from . import circuit as cc
 from . import data as dt
+from . import network as nw
 from . import pipeline as pl
 from . import serialize as sz
 from . import training as tr
@@ -87,17 +88,29 @@ def _load_any_dataset(path, k: int, d: int | None = None) -> dt.Dataset:
     return ds
 
 
+def _check_encoder(source, encoder, arch: str, model) -> None:
+    """Reject an encoder from `source` that does not give `model`'s inputs."""
+    if encoder and (encoder.mode != arch or encoder.encoded_dim != model.input_dim):
+        raise dt.DataFormatError(
+            f"{source}: its {encoder.mode} encoder gives {encoder.encoded_dim} "
+            f"inputs, the {arch} model takes {model.input_dim}")
+
+
 def _encoded_data(data, source, encoder, arch: str, model):
     """The dataset at `data` and its codes for `model`, a network or
     circuit of this arch read from `source` with an encoder that must fit."""
     if encoder is None:
         raise UsageError(f"{source} has no encoder; cannot encode raw data")
-    if encoder.mode != arch or encoder.encoded_dim != model.input_dim:
-        raise dt.DataFormatError(
-            f"{source}: its {encoder.mode} encoder gives {encoder.encoded_dim} "
-            f"inputs, the {arch} model takes {model.input_dim}")
+    _check_encoder(source, encoder, arch, model)
     ds = _load_any_dataset(data, model.groupsum.k, len(encoder.lo))
     return ds, dt.encode(ds.features, encoder)
+
+
+def _neuron_counts(conn) -> dict:
+    """Per-layer widths and counts of the neurons with a path to the output."""
+    live = [len(keep) for keep, _, _ in conn.live]
+    return {"widths": list(conn.widths), "live_neurons": live,
+            "live_share": sum(live) / sum(conn.widths)}
 
 
 def _write_manifest(args, out: str, name: str, artifacts: dict, timings: dict,
@@ -192,7 +205,8 @@ def cmd_train(args) -> int:
     sz.save_circuit(res.circuit, paths["circuit"], res.encoder)
     _write_manifest(args, out, name, paths, res.timings,
                     {"gap_report": res.gap.__dict__,
-                     "data": {"train": args.train, "test": args.test}},
+                     "data": {"train": args.train, "test": args.test},
+                     **_neuron_counts(res.net.conn)},
                     config=recipe.describe())
     g = res.gap
     print(f"soft accuracy {100 * g.soft_accuracy:.1f}%  "
@@ -205,13 +219,14 @@ def cmd_train(args) -> int:
 def cmd_harden(args) -> int:
     out = _out_dir(args)
     net, encoder = sz.load_checkpoint(args.checkpoint)
+    _check_encoder(args.checkpoint, encoder, net.arch, net)
     name = args.name or os.path.splitext(os.path.basename(args.checkpoint))[0]
     src_hash = cc.file_sha256(args.checkpoint)
     circuit = cc.harden_network(net, source_hash=src_hash)
     herr = cc.hardening_error(net)
     paths = {"circuit": os.path.join(out, f"{name}.circuit.txt")}
     sz.save_circuit(circuit, paths["circuit"], encoder)
-    extra: dict = {"hardening_error": herr}
+    extra: dict = {"hardening_error": herr, **_neuron_counts(net.conn)}
     if args.data:
         ds, x_enc = _encoded_data(args.data, args.checkpoint, encoder, net.arch, net)
         gap = cc.gap_report(net, circuit, x_enc, ds.labels)
@@ -251,7 +266,8 @@ def cmd_eval(args) -> int:
         columns=["circuit_acc_pct", "unknown_pct", "n"],
         comments=[f"circuit {args.circuit} on {args.data}"],
     )
-    extra: dict = {"accuracy": acc, "unknown_fraction": unk}
+    extra: dict = {"accuracy": acc, "unknown_fraction": unk,
+                   **_neuron_counts(circuit.conn)}
     if args.selective:
         curve = an.coverage_curve(preds, margins, ds.labels)
         paths["selective"] = os.path.join(out, f"{name}.selective.tsv")
@@ -362,6 +378,8 @@ def cmd_bench(args) -> int:
             "steps": args.steps,
         }
     ratio = results["binary"]["median_ms"] / results["ternary"]["median_ms"]
+    counts = _neuron_counts(nw.sample_connectivity(widths, args.input_dim, args.seed))
+    live = f"{100 * counts['live_share']:.1f}% of neurons live"
     warning = None
     if args.steps < 30:
         warning = (f"only {args.steps} measured steps; timing variance "
@@ -374,15 +392,15 @@ def cmd_bench(args) -> int:
         paths["table"],
         columns=["arch", "median_ms_per_step", "mean_ms_per_step", "steps"],
         comments=[f"matched widths {widths}, batch {args.batch_size}, "
-                  f"warmup {args.warmup}",
+                  f"warmup {args.warmup}, {live}",
                   f"binary / ternary median ratio: {ratio:.2f}x"],
     )
     _write_manifest(args, out, name, paths, {},
                     {"results": results, "ratio_binary_over_ternary": ratio,
-                     "warning": warning})
+                     "warning": warning, **counts})
     print(f"ternary {results['ternary']['median_ms']:.2f} ms/step, "
           f"binary {results['binary']['median_ms']:.2f} ms/step "
-          f"({ratio:.2f}x)")
+          f"({ratio:.2f}x); {live}, the only ones ternary steps run")
     return EXIT_OK
 
 

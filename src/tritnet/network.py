@@ -16,12 +16,15 @@ parameter count, the init scale, the input domain and the layer op.
 
 Class scores come from a GroupSum head: the output layer is cut into k
 contiguous equal groups and each group is summed and divided by the
-temperature tau.
+temperature tau. The random wiring leaves some neurons with no path to
+the output; `ConnectivityMap.live` lists the others, the only ones the
+ternary training passes and the circuit engine run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,6 +66,24 @@ class ConnectivityMap:
     input_dim: int
     widths: tuple[int, ...]
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def live(self) -> tuple:
+        """Per layer (keep, s, t): the sorted indices of the neurons with a
+        path to the output, the only ones that can change a score, and
+        their parents renumbered into the previous layer's kept neurons
+        (raw input indices in layer 0). Cached, as the map is frozen."""
+        keeps = [np.arange(self.widths[-1])]
+        for s, t in self.layers[:0:-1]:
+            keeps.insert(0, np.union1d(s[keeps[0]], t[keeps[0]]))
+        prevs = [np.arange(self.input_dim), *keeps[:-1]]
+        return tuple((keep, *np.searchsorted(prev, (s[keep], t[keep])))
+                     for keep, prev, (s, t) in zip(keeps, prevs, self.layers))
+
+    @property
+    def all_neurons(self) -> tuple:
+        """The wiring in the form of `live` that keeps every neuron."""
+        return tuple((slice(None), s, t) for s, t in self.layers)
 
 
 def _draw_connectivity(rng, input_dim, widths):
@@ -154,18 +175,19 @@ def group_sum(h: np.ndarray, cfg: GroupSumConfig) -> np.ndarray:
     return grouped.sum(axis=-1) / cfg.tau
 
 
-def _layers(net: Network, x: np.ndarray):
-    """Unchecked batch core of the soft forward pass.
+def _layers(net: Network, x: np.ndarray, wiring=None):
+    """Unchecked batch core of the soft forward pass, over the neurons
+    `wiring` keeps (a `ConnectivityMap.live` or, by default, `.all_neurons`).
 
-    Yields, layer by layer, the parent values (a, b), the activation h
-    and the context the layer op keeps for the backward pass.
+    Yields, layer by layer, their parameters w, parent values (a, b),
+    activation h and the context the layer op keeps for the backward pass.
     """
     layer = ARCHS[net.arch].layer
     h = x
-    for (s, t), w in zip(net.conn.layers, net.params):
-        a, b = h[:, s], h[:, t]
+    for (keep, s, t), w in zip(wiring or net.conn.all_neurons, net.params):
+        w, a, b = w[keep], h[:, s], h[:, t]
         h, ctx = layer(w, a, b)
-        yield a, b, h, ctx
+        yield w, a, b, h, ctx
 
 
 def forward_soft(net: Network, x):
@@ -186,7 +208,7 @@ def forward_soft(net: Network, x):
     if x.size and not (x.min() >= lo - INPUT_SLACK and x.max() <= hi + INPUT_SLACK):
         raise ValueError(f"network inputs must be finite and lie in [{lo}, {hi}], "
                          f"got range [{x.min():.6g}, {x.max():.6g}]")
-    activations = [h for _, _, h, _ in _layers(net, x)]
+    activations = [h for *_, h, _ in _layers(net, x)]
     scores = group_sum(activations[-1], net.groupsum)
     if single:
         return [a[0] for a in activations], scores[0]

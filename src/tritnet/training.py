@@ -22,6 +22,10 @@ sign(0) = 0 in the L1 term.
 The binary baseline trains through the same loop and the same backward
 pass; only the local gradient of its layer op differs (`_LOCAL_GRADS`).
 It has no lattice to commit to, so the task loss alone drives it.
+
+A ternary network's task terms run only the neurons with a path to the
+output, bit-identical to running them all (the rest get zero task
+gradient); the regularizers and the binary baseline see every neuron.
 """
 
 from __future__ import annotations
@@ -182,11 +186,18 @@ def fourier_l1_grads(net: Network) -> list[np.ndarray]:
     return grads
 
 
+def _wiring(net: Network):
+    """Per layer (keep, s, t), the neurons training runs: the live ones, or
+    all for binary. Its `_blend_grads` sums the batch in numpy's gather
+    order, which moves with the column count and with it the last bits."""
+    return net.conn.live if net.arch == "ternary" else net.conn.all_neurons
+
+
 def _forward(net: Network, x: np.ndarray):
-    """Class scores of a batch plus each layer's (a, b, context) for backprop."""
+    """Class scores of a batch plus each `_wiring` layer's (w, a, b, context)."""
     cache = []
-    for a, b, h, ctx in _layers(net, x):
-        cache.append((a, b, ctx))
+    for w, a, b, h, ctx in _layers(net, x, _wiring(net)):
+        cache.append((w, a, b, ctx))
     return cache, group_sum(h, net.groupsum)
 
 
@@ -292,13 +303,12 @@ def backward(net: Network, x, y, lam: float, cfg: TrainConfig):
     gh = np.repeat(gscores, group, axis=1) / tau
 
     local_grads = _LOCAL_GRADS[net.arch]
-    grads = [None] * len(net.widths)
-    for l in range(len(net.widths) - 1, -1, -1):
-        a, b, ctx = cache[l]
-        grads[l], ga, gb = local_grads(net.params[l], a, b, ctx, gh, l > 0)
+    grads = [np.zeros_like(w) for w in net.params]
+    for l, (keep, s, t) in reversed(list(enumerate(_wiring(net)))):
+        w, a, b, ctx = cache[l]
+        grads[l][keep], ga, gb = local_grads(w, a, b, ctx, gh, l > 0)
         if l > 0:
-            s, t = net.conn.layers[l]
-            gh = _scatter_to_parents((x.shape[0], net.widths[l - 1]), s, t, ga, gb)
+            gh = _scatter_to_parents((x.shape[0], len(cache[l - 1][0])), s, t, ga, gb)
 
     if net.arch == "ternary" and lam != 0.0:
         loss += lam * commitment_loss(net)

@@ -94,6 +94,30 @@ def test_row_counts_around_word_and_block_edges(n):
     assert_same(circ, x)
 
 
+@pytest.mark.parametrize("widths", [(512, 8), (256, 256, 4), (64, 2), (9, 9, 9, 2)])
+def test_circuits_with_mostly_dead_neurons(widths):
+    circ = random_circuit(5, widths, seed=sum(widths), k=2)
+    n_live = sum(len(keep) for keep, _, _ in circ.conn.live)
+    assert n_live < sum(widths)
+    x = np.random.default_rng(len(widths)).integers(-1, 2, size=(700, 5))
+    assert_same(circ, x)
+    assert_same(circ, all_trit_rows(5))
+
+
+def test_dead_neurons_gates_do_not_reach_the_outputs():
+    circ = random_circuit(5, (512, 8), seed=17)
+    x = all_trit_rows(5)
+    want = cc.eval_circuit(circ, x)
+    keep = circ.conn.live[0][0]
+    ids = np.random.default_rng(18).integers(0, 3**9, size=512)
+    ids[keep] = circ.gate_ids[0][keep]
+    other = cc.Circuit(input_dim=5, widths=circ.widths, conn=circ.conn,
+                       gate_ids=[ids, circ.gate_ids[1]], groupsum=circ.groupsum)
+    assert (ids != circ.gate_ids[0]).sum() > 400
+    for g, w in zip(cc.eval_circuit(other, x), want):
+        assert np.array_equal(g, w)
+
+
 def test_trained_shape_circuit_and_float_inputs():
     net = nw.init_network((64, 64, 20), 6, 4, nw.GroupSumConfig(4, 2.5))
     circ = cc.harden_network(net)

@@ -93,6 +93,12 @@ def test_train_writes_artifacts(trained, capsys):
     assert doc["command"] == "train"
     assert doc["config"]["steps"] == 20
     assert 0.0 <= doc["gap_report"]["circuit_accuracy"] <= 1.0
+    # the live-neuron counts sit beside the config, which --config replays
+    net, _ = sz.load_checkpoint(trained["ckpt"])
+    assert doc["widths"] == [8, 4]
+    assert doc["live_neurons"] == [len(keep) for keep, _, _ in net.conn.live]
+    assert doc["live_share"] == sum(doc["live_neurons"]) / 12
+    assert "live_neurons" not in doc["config"]
     history = sz.load_history(os.path.join(trained["out"], "run.history.jsonl"))
     assert [r["step"] for r in history][:2] == [0, 1]
     # the saved circuit is traceable to the exact checkpoint bytes
@@ -126,6 +132,8 @@ def test_harden_matches_train_circuit(trained, tmp_path):
     assert gap[1].split("\t")[0] == "soft_acc_pct"
     doc = sz.load_manifest(tmp_path / "h.manifest.json")
     assert "gap_report" in doc and "hardening_error" in doc
+    train_doc = sz.load_manifest(trained["manifest"])
+    assert doc["live_neurons"] == train_doc["live_neurons"]
 
 
 def test_eval_writes_requested_reports(trained, tmp_path):
@@ -142,6 +150,8 @@ def test_eval_writes_requested_reports(trained, tmp_path):
     doc = sz.load_manifest(tmp_path / "e.manifest.json")
     assert {"accuracy", "unknown_fraction", "selective_auc",
             "diversity", "spectral"} <= set(doc)
+    train_doc = sz.load_manifest(trained["manifest"])
+    assert doc["live_neurons"] == train_doc["live_neurons"]
 
 
 def test_eval_selective_runs_the_circuit_once(trained, tmp_path, monkeypatch):
@@ -383,6 +393,8 @@ def test_bench_warns_when_steps_too_few(tmp_path, capsys):
     assert "ms/step" in captured.out
     doc = sz.load_manifest(tmp_path / "bm.manifest.json")
     assert doc["ratio_binary_over_ternary"] > 0
+    assert f"{100 * doc['live_share']:.1f}% of neurons live" in captured.out
+    assert doc["widths"] == [4, 2] and doc["live_neurons"][-1] == 2
     assert doc["warning"] is not None
 
 
@@ -493,22 +505,32 @@ MALFORMED = {
         "ckpt", _set_encoder(lambda e: e.update(lo=e["hi"], hi=e["lo"]))),
     "encoder-fractional-thresholds": (
         "circuit", _set_encoder(lambda e: e.update(thresholds_per_feature=3.7))),
+    # harden checks the fit even without a dataset to encode
+    "ckpt-encoder-mode-without-data": (
+        "ckpt", _set_encoder(lambda e: e.update(mode="binary"))),
 }
 
+#: Rows whose checkpoint is hardened without --data.
+WITHOUT_DATA = {"ckpt-encoder-mode-without-data"}
 
-@pytest.mark.parametrize("artifact, edit", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_artifact_is_a_data_error(trained, tmp_path, capsys, artifact, edit):
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_artifact_is_a_data_error(trained, tmp_path, capsys, name):
+    artifact, edit = MALFORMED[name]
     lines = open(trained[artifact]).read().splitlines()
     bad = tmp_path / f"bad.{artifact}.txt"
     bad.write_text("\n".join(edit(lines)) + "\n")
     if artifact.endswith("circuit"):
         argv = ["eval", "--circuit", bad, "--data", trained["test"]]
     else:
-        argv = ["harden", "--checkpoint", bad, "--data", trained["test"]]
+        argv = ["harden", "--checkpoint", bad]
+        if name not in WITHOUT_DATA:
+            argv += ["--data", trained["test"]]
     rc = run([*argv, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_DATA
     assert err.startswith("data error:") and "Traceback" not in err
+    assert not os.path.exists(tmp_path / f"bad.{artifact}.circuit.txt")
 
 
 def _mutate_model(text, ops):

@@ -1,0 +1,151 @@
+"""Neurons without a path to the output, and the passes that skip them.
+
+`ConnectivityMap.live` is checked against a forward-search oracle on
+random wirings. The ternary training passes run only its neurons; with
+`live` patched to keep every neuron they run the computation that kept
+them all, which is the oracle every result here must equal exactly.
+"""
+
+import numpy as np
+import pytest
+
+import tritnet.network as nw
+import tritnet.training as tr
+
+
+def reaches_output(conn):
+    """Per layer, a bool mask of the neurons from which some chain of
+    children reaches the output layer, found by a search per neuron."""
+    children = [[[] for _ in range(w)] for w in conn.widths]
+    for l in range(1, len(conn.widths)):
+        s, t = conn.layers[l]
+        for c in range(conn.widths[l]):
+            children[l - 1][s[c]].append(c)
+            children[l - 1][t[c]].append(c)
+    last = len(conn.widths) - 1
+    masks = []
+    for l, w in enumerate(conn.widths):
+        mask = np.zeros(w, dtype=bool)
+        for j in range(w):
+            frontier, depth = {j}, l
+            while frontier and depth < last:
+                frontier = {c for n in frontier for c in children[depth][n]}
+                depth += 1
+            mask[j] = bool(frontier)
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_live_matches_a_search_from_every_neuron(seed):
+    rng = np.random.default_rng(seed)
+    widths = tuple(int(w) for w in rng.integers(1, 24, size=rng.integers(1, 5)))
+    conn = nw.sample_connectivity(widths, int(rng.integers(2, 7)), seed)
+    live = conn.live
+    assert live is conn.live  # computed once
+    prev = np.arange(conn.input_dim)
+    for (keep, s, t), (s_raw, t_raw), mask in zip(live, conn.layers, reaches_output(conn)):
+        assert np.array_equal(keep, np.flatnonzero(mask))
+        # parents renumbered into the previous layer's kept neurons
+        assert np.array_equal(prev[s], s_raw[keep])
+        assert np.array_equal(prev[t], t_raw[keep])
+        prev = keep
+    assert np.array_equal(live[-1][0], np.arange(widths[-1]))
+
+
+def test_output_layer_alone_keeps_raw_input_indices():
+    conn = nw.sample_connectivity((6,), 3, seed=2)
+    ((keep, s, t),) = conn.live
+    assert np.array_equal(keep, np.arange(6))
+    assert np.array_equal(s, conn.layers[0][0])
+    assert np.array_equal(t, conn.layers[0][1])
+
+
+def _duplicate_parents_net():
+    """Every body neuron reads one parent twice, and several outputs share
+    parents; neurons 0, 2 and 5 of the body are dead."""
+    widths = (6, 4)
+    layers = (
+        (np.array([0, 1, 2, 3, 4, 0]), np.array([0, 1, 2, 3, 4, 0])),
+        (np.array([1, 1, 3, 4]), np.array([3, 1, 3, 1])),
+    )
+    conn = nw.ConnectivityMap(seed=0, input_dim=5, widths=widths, layers=layers)
+    params = [np.random.default_rng(1).normal(0.0, nw.INIT_STD, size=(w, 9))
+              for w in widths]
+    return nw.Network(arch="ternary", input_dim=5, widths=widths, conn=conn,
+                      params=params, groupsum=nw.GroupSumConfig(2, 3.0), seed=0)
+
+
+NETS = {
+    "many-dead": lambda: nw.init_network((64, 64, 4), 6, 3, nw.GroupSumConfig(2, 2.0)),
+    "deep": lambda: nw.init_network((32, 32, 32, 6), 4, 8, nw.GroupSumConfig(3, 1.5)),
+    "single-layer": lambda: nw.init_network((8,), 6, 5, nw.GroupSumConfig(2, 4.0)),
+    "duplicate-parents": _duplicate_parents_net,
+}
+
+
+def test_duplicate_parents_net_has_the_dead_neurons_it_claims():
+    keep, s, t = _duplicate_parents_net().conn.live[0]
+    assert np.array_equal(keep, [1, 3, 4])
+
+
+def _passes(net, x, y, lam, cfg):
+    loss, grads = tr.backward(net, x, y, lam, cfg)
+    _, scores = tr._forward(net, x)
+    return (loss, tr.total_loss(net, x, y, lam, cfg), scores,
+            tr._soft_accuracy(net, x, y), *grads)
+
+
+@pytest.mark.parametrize("name", NETS)
+@pytest.mark.parametrize("batch", [1, 7, 100])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("beta", [0.0, 0.01])
+@pytest.mark.parametrize("loss", ["mse", "ce"])
+def test_skipping_dead_neurons_changes_no_bit(monkeypatch, name, batch, lam, beta, loss):
+    net = NETS[name]()
+    rng = np.random.default_rng(batch)
+    x = rng.uniform(-1.0, 1.0, size=(batch, net.input_dim))
+    x[: batch // 2] = np.round(x[: batch // 2])  # trit rows too
+    y = rng.integers(0, net.groupsum.k, size=batch)
+    cfg = tr.TrainConfig(steps=10, beta=beta, loss=loss)
+    got = _passes(net, x, y, lam, cfg)
+    monkeypatch.setattr(nw.ConnectivityMap, "live", nw.ConnectivityMap.all_neurons)
+    want = _passes(net, x, y, lam, cfg)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", NETS)
+def test_dead_neurons_have_zero_task_gradient(name):
+    net = NETS[name]()
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, size=(50, net.input_dim))
+    y = rng.integers(0, net.groupsum.k, size=50)
+    _, grads = tr.backward(net, x, y, 0.0, tr.TrainConfig(steps=1))
+    n_dead = 0
+    for g, (keep, _, _) in zip(grads, net.conn.live):
+        dead = np.setdiff1d(np.arange(len(g)), keep)
+        n_dead += len(dead)
+        assert (g[dead] == 0.0).all()
+        assert (g[keep] != 0.0).any(axis=1).sum() > 0
+    if name in ("many-dead", "duplicate-parents"):
+        assert n_dead > 0
+
+
+def test_commitment_term_still_moves_dead_neurons():
+    net = NETS["many-dead"]()
+    keep = net.conn.live[0][0]
+    dead = np.setdiff1d(np.arange(64), keep)
+    x = np.zeros((3, 6))
+    _, grads = tr.backward(net, x, np.array([0, 1, 0]), 0.5, tr.TrainConfig(steps=1))
+    assert (grads[0][dead] != 0.0).any(axis=1).all()
+
+
+def test_binary_training_runs_every_neuron(monkeypatch):
+    net = nw.init_network((64, 64, 4), 6, 3, nw.GroupSumConfig(2, 2.0), arch="binary")
+    assert all(keep == slice(None) for keep, _, _ in tr._wiring(net))
+    monkeypatch.setattr(nw.ConnectivityMap, "live", property(lambda self: 1 / 0))
+    x = np.random.default_rng(6).uniform(0.0, 1.0, size=(9, 6))
+    tr.backward(net, x, np.zeros(9, dtype=int), 0.0, tr.TrainConfig(steps=1))
