@@ -20,13 +20,15 @@ corners.
 Circuits evaluate bit-sliced. Each trit is split into two bit-planes,
 TRUE and FALSE (UNKNOWN where neither bit is set), with 64
 samples packed into every uint64 word, so one bitwise numpy operation
-evaluates a gate on 64 samples at once. A gate is the OR over its 9
-grid points (a, b) of the minterm [a] & [b] of its parents' planes,
-taken into the TRUE plane where its table holds +1 and into the FALSE
-plane where it holds -1. Only the neurons with a path to the output
-run (`ConnectivityMap.live`), on masks built once per circuit. Rows run
-in blocks of `BLOCK_ROWS`, so the working memory is set by that constant
-and the widest layer, never by the batch size. Only the output layer is
+evaluates a gate on 64 samples at once. A parent's F, U and T
+indicators are exclusive, so a gate's 9 grid minterms [a] & [b] may be
+combined by XOR, and [U] = 1 ^ [T] ^ [F]. Each output plane is then
+the XOR over x in (1, aT, aF) and y in (1, bT, bF) of C[x, y] & x & y,
+with GF(2) coefficient masks C built once per circuit: 4 gathers and 9
+bitwise calls per layer. Only the neurons with a path to the output
+run (`ConnectivityMap.live`). Rows run in blocks of `BLOCK_ROWS`, so
+the working memory is set by that constant and the widest layer,
+never by the batch size. Only the output layer is
 unpacked back to int8 trits. Class predictions take the argmax score
 with ties broken toward the lowest class index, and the margin is the
 gap between the top two scores.
@@ -50,23 +52,29 @@ from .network import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """A discrete ternary gate circuit with a GroupSum head."""
+    """A discrete ternary gate circuit with a GroupSum head. Frozen, with
+    read-only copies of the gate ids, as the engine's masks derive from them."""
 
     input_dim: int
     widths: tuple[int, ...]
     conn: ConnectivityMap
-    gate_ids: list[np.ndarray]  # per layer, int64
+    gate_ids: tuple[np.ndarray, ...]  # per layer, read-only int64
     groupsum: GroupSumConfig
     provenance: dict = field(default_factory=dict)
-    tables: list[np.ndarray] = field(init=False)  # decoded gate_ids, (w, 9) int8
-    selectors: list[np.ndarray] = field(init=False)  # `_selectors` of the live neurons
+    tables: tuple[np.ndarray, ...] = field(init=False)  # decoded gate_ids, (w, 9)
+    coeffs: tuple[np.ndarray, ...] = field(init=False)  # `_coefficients`, live neurons
 
     def __post_init__(self):
-        self.tables = [algebra.decode_tables(ids) for ids in self.gate_ids]
-        self.selectors = [_selectors(tbl[keep]) for (keep, _, _), tbl
-                          in zip(self.conn.live, self.tables)]
+        ids = tuple(np.array(g, dtype=np.int64) for g in self.gate_ids)
+        tables = tuple(algebra.decode_tables(g) for g in ids)
+        for array in ids + tables:
+            array.flags.writeable = False
+        object.__setattr__(self, "gate_ids", ids)
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "coeffs", tuple(
+            _coefficients(tbl[keep]) for (keep, _, _), tbl in zip(self.conn.live, tables)))
 
     def all_gate_ids(self) -> np.ndarray:
         return np.concatenate([np.asarray(g) for g in self.gate_ids])
@@ -144,14 +152,18 @@ _BYTE_PAIR_TRITS = (_BYTE_BITS[:, None, :] - _BYTE_BITS[None, :, :]
                     ).reshape(-1).view(np.uint64)
 
 
-def _selectors(table: np.ndarray) -> np.ndarray:
-    """(2, 9, w) uint64 masks of one layer's (w, 9) tables.
+def _coefficients(table: np.ndarray) -> np.ndarray:
+    """(3, 2, 3, 1, w) uint64 GF(2) masks of one layer's (w, 9) tables.
 
-    [0, g] is all ones for the neurons whose table holds TRUE at grid
-    point g, [1, g] for those that hold FALSE there.
+    [x, p, y] is all ones for the neurons whose TRUE (p = 0) or FALSE
+    (p = 1) plane holds the term x & y, for basis elements x of parent a
+    and y of parent b, each in the order (1, [T], [F]).
     """
-    hits = np.stack([table.T == algebra.TRUE, table.T == algebra.FALSE])
-    return np.where(hits, _ALL_ONES, np.uint64(0))
+    # basis[x, v]: whether [v] holds term x, for v = F, U, T; [U] = 1 ^ [T] ^ [F]
+    basis = np.array([[0, 1, 0], [0, 1, 1], [1, 1, 0]])
+    hits = np.stack([table == algebra.TRUE, table == algebra.FALSE]).reshape(2, -1, 3, 3)
+    terms = np.einsum("xi,pwij,yj->xpyw", basis, hits.astype(np.int64), basis) % 2
+    return np.where(terms[:, :, :, None, :] == 1, _ALL_ONES, np.uint64(0))
 
 
 def _pack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,26 +182,21 @@ def _pack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return planes[0], planes[1]
 
 
-def _gate_layer(true, false, s, t, selectors):
+def _gate_layer(true, false, s, t, coeffs):
     """Planes of one layer from its parents' planes (see module doc).
 
     The planes are word-major, (words, neurons), so each neuron's masks
-    broadcast along the contiguous axis.
+    broadcast along the contiguous axis. h[p, y] collects the terms of
+    plane p that carry basis element y of parent b.
     """
-    def trits(idx):  # the parents' FALSE, UNKNOWN, TRUE planes, in grid order
-        pt, pf = true.take(idx, axis=1), false.take(idx, axis=1)
-        return pf, ~(pt | pf), pt
-
-    a, b = trits(s), trits(t)
-    out_true = np.zeros_like(a[0])
-    out_false = np.zeros_like(a[0])
-    minterm = np.empty_like(a[0])
-    picked = np.empty_like(a[0])
-    for g in range(9):
-        np.bitwise_and(a[g // 3], b[g % 3], out=minterm)
-        out_true |= np.bitwise_and(minterm, selectors[0, g], out=picked)
-        out_false |= np.bitwise_and(minterm, selectors[1, g], out=picked)
-    return out_true, out_false
+    one, c_true, c_false = coeffs
+    h = np.bitwise_and(true.take(s, axis=1), c_true)  # (2, 3, words, w)
+    h ^= np.bitwise_and(false.take(s, axis=1), c_false)
+    h ^= one
+    out = np.bitwise_and(true.take(t, axis=1), h[:, 1])  # (2, words, w)
+    out ^= np.bitwise_and(false.take(t, axis=1), h[:, 2], out=h[:, 2])
+    out ^= h[:, 0]
+    return out[0], out[1]
 
 
 def _unpack(true: np.ndarray, false: np.ndarray, m: int) -> np.ndarray:
@@ -230,10 +237,11 @@ def eval_circuit(circuit: Circuit, x):
         if xb.size and (np.any(xi != xb) or xi.min() < -1 or xi.max() > 1):
             raise ValueError("circuit inputs must be trits in {-1, 0, +1}")
         true, false = _pack(xi)
-        for (_, s, t), sel in zip(circuit.conn.live, circuit.selectors):
-            true, false = _gate_layer(true, false, s, t, sel)
+        for (_, s, t), coeffs in zip(circuit.conn.live, circuit.coeffs):
+            true, false = _gate_layer(true, false, s, t, coeffs)
         outputs[rows] = _unpack(true, false, xb.shape[0])
-        scores[rows] = outputs[rows].reshape(-1, k, group).sum(axis=2) / tau
+        sums = outputs[rows].reshape(-1, k, group).sum(axis=2, dtype=np.int32)
+        scores[rows] = sums / tau
         preds[rows] = scores[rows].argmax(axis=1)
         top2 = -np.partition(-scores[rows], 1, axis=1)[:, :2]
         margins[rows] = top2[:, 0] - top2[:, 1]
@@ -284,7 +292,7 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
     y = np.atleast_1d(np.asarray(y))
     if x_enc.shape[0] == 0:
         raise ValueError("cannot report on an empty dataset")
-    _, scores = forward_soft(net, x_enc.astype(float))
+    _, scores = forward_soft(net, x_enc.astype(float), net.conn.live)
     soft_pred = scores.argmax(axis=1)
     outputs, _, circ_pred, _ = eval_circuit(circuit, circuit.trit_inputs(x_enc))
     soft_acc = float((soft_pred == y).mean())

@@ -376,6 +376,8 @@ def cmd_bench(args) -> int:
             "median_ms": float(np.median(times) * 1000),
             "mean_ms": float(np.mean(times) * 1000),
             "steps": args.steps,
+            "circuit_samples_per_s": pl._bench_circuit(arch, widths, args.input_dim,
+                                                       args.steps, args.seed),
         }
     ratio = results["binary"]["median_ms"] / results["ternary"]["median_ms"]
     counts = _neuron_counts(nw.sample_connectivity(widths, args.input_dim, args.seed))
@@ -385,12 +387,15 @@ def cmd_bench(args) -> int:
         warning = (f"only {args.steps} measured steps; timing variance "
                    "is likely wide")
         print(f"warning: {warning}", file=sys.stderr)
+    per_s = {arch: [f"{rate:.0f}" for rate in r["circuit_samples_per_s"].values()]
+             for arch, r in results.items()}
     paths = {"table": os.path.join(out, f"{name}.tsv")}
     sz.save_report(
-        [[arch, f"{r['median_ms']:.3f}", f"{r['mean_ms']:.3f}", r["steps"]]
-         for arch, r in results.items()],
+        [[arch, f"{r['median_ms']:.3f}", f"{r['mean_ms']:.3f}", r["steps"],
+          *per_s[arch]] for arch, r in results.items()],
         paths["table"],
-        columns=["arch", "median_ms_per_step", "mean_ms_per_step", "steps"],
+        columns=["arch", "median_ms_per_step", "mean_ms_per_step", "steps",
+                 "circuit_samples_per_s_1e3", "circuit_samples_per_s_1e5"],
         comments=[f"matched widths {widths}, batch {args.batch_size}, "
                   f"warmup {args.warmup}, {live}",
                   f"binary / ternary median ratio: {ratio:.2f}x"],
@@ -400,7 +405,9 @@ def cmd_bench(args) -> int:
                      "warning": warning, **counts})
     print(f"ternary {results['ternary']['median_ms']:.2f} ms/step, "
           f"binary {results['binary']['median_ms']:.2f} ms/step "
-          f"({ratio:.2f}x); {live}, the only ones ternary steps run")
+          f"({ratio:.2f}x); {live}, the only ones ternary steps run; "
+          "circuit samples/s at 10^3/10^5 rows: "
+          + ", ".join(f"{arch} " + "/".join(r) for arch, r in per_s.items()))
     return EXIT_OK
 
 
@@ -498,7 +505,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data-seed", type=int, default=0)
     _add_recipe_flags(p)
 
-    p = add_parser("bench", cmd_bench, "time training steps of both archs")
+    p = add_parser("bench", cmd_bench, "time training steps and circuits of both archs")
     _add_recipe_flags(p, ("body_widths", "output_neurons", "batch_size",
                           "steps", "seed"), steps=50)
     p.add_argument("--input-dim", type=int, default=6)

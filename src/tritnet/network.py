@@ -18,7 +18,7 @@ Class scores come from a GroupSum head: the output layer is cut into k
 contiguous equal groups and each group is summed and divided by the
 temperature tau. The random wiring leaves some neurons with no path to
 the output; `ConnectivityMap.live` lists the others, the only ones the
-ternary training passes and the circuit engine run.
+ternary training passes, the soft accuracies and the circuit engine run.
 """
 
 from __future__ import annotations
@@ -190,12 +190,15 @@ def _layers(net: Network, x: np.ndarray, wiring=None):
         yield w, a, b, h, ctx
 
 
-def forward_soft(net: Network, x):
+def forward_soft(net: Network, x, wiring=None):
     """Soft forward pass. Returns (per-layer activations, class scores).
 
     `x` is one input vector or a batch (rows), finite and inside the
     architecture's input domain. Activations exclude the input; the
-    last entry is the output layer feeding GroupSum.
+    last entry is the output layer feeding GroupSum. Given a `wiring`
+    (`ConnectivityMap.live`), only the neurons it keeps run and return
+    activations; every layer op acts on each neuron's column on its own,
+    so the scores stay the same to the bit.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -208,7 +211,7 @@ def forward_soft(net: Network, x):
     if x.size and not (x.min() >= lo - INPUT_SLACK and x.max() <= hi + INPUT_SLACK):
         raise ValueError(f"network inputs must be finite and lie in [{lo}, {hi}], "
                          f"got range [{x.min():.6g}, {x.max():.6g}]")
-    activations = [h for *_, h, _ in _layers(net, x)]
+    activations = [h for *_, h, _ in _layers(net, x, wiring)]
     scores = group_sum(activations[-1], net.groupsum)
     if single:
         return [a[0] for a in activations], scores[0]

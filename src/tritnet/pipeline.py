@@ -12,6 +12,7 @@ network, softmax cross-entropy the binary baseline.
 from __future__ import annotations
 
 import time
+import timeit
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -173,3 +174,22 @@ def _bench_arch(arch: str, widths, input_dim: int, batch: int, steps: int,
         if i >= warmup:
             times.append(t1 - t0)
     return times
+
+
+
+
+def _bench_circuit(arch: str, widths, input_dim: int, calls: int, seed: int) -> dict:
+    """`eval_circuit` samples/s of the hardened net `_bench_arch` starts
+    from, on random trit rows: the median of `calls` calls at 10^3 rows,
+    one call at 10^5. The engine's work is set by the wiring and the
+    rows, not by the gates or the input values."""
+    rng = np.random.default_rng(seed)
+    net = net_mod.init_network(widths, input_dim, seed, arch=arch)
+    circuit = circ_mod.harden_network(net)
+    rates = {}
+    for rows, repeats in ((10**3, calls), (10**5, 1)):
+        x = rng.integers(-1, 2, size=(rows, input_dim))
+        times = timeit.repeat(lambda: circ_mod.eval_circuit(circuit, x), number=1,
+                              repeat=repeats)
+        rates[str(rows)] = rows / float(np.median(times))
+    return rates

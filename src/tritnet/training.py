@@ -23,9 +23,10 @@ The binary baseline trains through the same loop and the same backward
 pass; only the local gradient of its layer op differs (`_LOCAL_GRADS`).
 It has no lattice to commit to, so the task loss alone drives it.
 
-A ternary network's task terms run only the neurons with a path to the
-output, bit-identical to running them all (the rest get zero task
-gradient); the regularizers and the binary baseline see every neuron.
+A ternary network's task terms, and both architectures' accuracies, run
+only the neurons with a path to the output, bit-identical to running
+them all (the rest get zero task gradient); the regularizers and the
+binary baseline's training passes see every neuron.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, fourier
-from .network import Network, _layers, binary_gate_relaxation, group_sum, softmax
+from .network import (Network, _layers, binary_gate_relaxation, forward_soft, group_sum,
+                      softmax)
 
 #: Rows of the training set that eval-point history rows score
 #: train_acc on: the first TRAIN_ACC_ROWS, so the cost of an eval point
@@ -362,7 +364,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
 
 
 def _soft_accuracy(net, x, y) -> float:
-    _, scores = _forward(net, x)
+    _, scores = forward_soft(net, x, net.conn.live)
     return float((scores.argmax(axis=1) == y).mean())
 
 

@@ -1,5 +1,6 @@
 """Hardening soft networks into table-lookup circuits."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -69,6 +70,24 @@ def test_circuit_tables_cannot_be_passed_in():
         cc.Circuit(input_dim=circ.input_dim, widths=circ.widths, conn=circ.conn,
                    gate_ids=circ.gate_ids, groupsum=circ.groupsum,
                    tables=circ.tables)
+
+
+def test_circuit_is_frozen_and_its_gate_ids_read_only():
+    ids = [np.arange(4, dtype=np.int64), np.arange(2, dtype=np.int64)]
+    circ = cc.Circuit(input_dim=3, widths=(4, 2), conn=nw.sample_connectivity((4, 2), 3, 0),
+                      gate_ids=ids, groupsum=GS)
+    ids[0][:] = 5  # the circuit holds copies
+    assert np.array_equal(circ.gate_ids[0], np.arange(4))
+    for name in ("gate_ids", "tables", "coeffs", "conn", "widths", "provenance"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(circ, name, getattr(circ, name))
+    for array in (circ.gate_ids[0], circ.tables[1]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(TypeError):
+        circ.gate_ids[0] = np.zeros(4, dtype=np.int64)
+    circ.provenance["source_sha256"] = "abc"  # the dict stays open
+    assert circ.provenance == {"source_sha256": "abc"}
 
 
 def test_eval_circuit_matches_reference():

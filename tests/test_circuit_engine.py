@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tritnet.algebra as al
 import tritnet.circuit as cc
 import tritnet.network as nw
 
@@ -116,6 +117,23 @@ def test_dead_neurons_gates_do_not_reach_the_outputs():
     assert (ids != circ.gate_ids[0]).sum() > 400
     for g, w in zip(cc.eval_circuit(other, x), want):
         assert np.array_equal(g, w)
+
+
+def test_every_gate_on_every_trit_pair():
+    # one layer holding all 3^9 gates, plus a pad neuron to split into
+    # k=2 groups; input row g is grid point g, so outputs[g] = tables[:, g]
+    ids = np.append(np.arange(al.N_GATES), 0)
+    w = len(ids)
+    conn = nw.ConnectivityMap(seed=0, input_dim=2, widths=(w,),
+                              layers=((np.zeros(w, dtype=np.int64),
+                                       np.ones(w, dtype=np.int64)),))
+    circ = cc.Circuit(input_dim=2, widths=(w,), conn=conn, gate_ids=[ids],
+                      groupsum=nw.GroupSumConfig(2, 1.0))
+    x = all_trit_rows(2)
+    assert [tuple(row) for row in x] == list(al.GRID_POINTS)
+    outputs, *_ = cc.eval_circuit(circ, x)
+    assert np.array_equal(outputs, al.decode_tables(ids).T)
+    assert_same(circ, x)
 
 
 def test_trained_shape_circuit_and_float_inputs():

@@ -396,6 +396,17 @@ def test_bench_warns_when_steps_too_few(tmp_path, capsys):
     assert f"{100 * doc['live_share']:.1f}% of neurons live" in captured.out
     assert doc["widths"] == [4, 2] and doc["live_neurons"][-1] == 2
     assert doc["warning"] is not None
+    table = [ln.split("\t") for ln in open(tmp_path / "bm.tsv").read().splitlines()
+             if not ln.startswith("#")]
+    assert table[0][-2:] == ["circuit_samples_per_s_1e3", "circuit_samples_per_s_1e5"]
+    rates = []
+    for arch, row in zip(("ternary", "binary"), table[1:]):
+        per_s = doc["results"][arch]["circuit_samples_per_s"]
+        assert list(per_s) == ["1000", "100000"]
+        assert all(rate > 0 for rate in per_s.values())
+        assert row[0] == arch and row[-2:] == [f"{rate:.0f}" for rate in per_s.values()]
+        rates.append(f"{arch} " + "/".join(row[-2:]))
+    assert f"circuit samples/s at 10^3/10^5 rows: {', '.join(rates)}" in captured.out
 
 
 # ---------------------------------------------------------------- exit codes

@@ -149,3 +149,31 @@ def test_binary_training_runs_every_neuron(monkeypatch):
     monkeypatch.setattr(nw.ConnectivityMap, "live", property(lambda self: 1 / 0))
     x = np.random.default_rng(6).uniform(0.0, 1.0, size=(9, 6))
     tr.backward(net, x, np.zeros(9, dtype=int), 0.0, tr.TrainConfig(steps=1))
+
+
+
+@pytest.mark.parametrize("arch", ["ternary", "binary"])
+def test_soft_scores_of_the_live_neurons_equal_all_neurons(arch):
+    net = nw.init_network((512, 512, 512, 200), 6, 7, arch=arch)
+    lo, hi = nw.ARCHS[arch].domain
+    rng = np.random.default_rng(8)
+    n_live = sum(len(keep) for keep, _, _ in net.conn.live)
+    assert n_live < net.n_neurons
+    for rows in (1, 7, 100, 500, 2000):
+        x = rng.uniform(lo, hi, size=(rows, 6))
+        x[: rows // 2] = np.round(x[: rows // 2])  # grid rows too
+        y = rng.integers(0, 2, size=rows)
+        acts, want = nw.forward_soft(net, x)
+        live_acts, got = nw.forward_soft(net, x, net.conn.live)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        for h, h_all, (keep, _, _) in zip(live_acts, acts, net.conn.live):
+            assert np.array_equal(h, h_all[:, keep])
+        assert tr._soft_accuracy(net, x, y) == float((want.argmax(axis=1) == y).mean())
+    _, one = nw.forward_soft(net, x[0], net.conn.live)
+    assert np.array_equal(one, nw.forward_soft(net, x[0])[1])
+
+
+def test_soft_accuracy_checks_its_inputs():
+    net = nw.init_network((8, 4), 3, 1)
+    with pytest.raises(ValueError, match="finite"):
+        tr._soft_accuracy(net, np.full((2, 3), 1.5), np.zeros(2, dtype=int))
