@@ -405,7 +405,7 @@ def cmd_bench(args) -> int:
                      "warning": warning, **counts})
     print(f"ternary {results['ternary']['median_ms']:.2f} ms/step, "
           f"binary {results['binary']['median_ms']:.2f} ms/step "
-          f"({ratio:.2f}x); {live}, the only ones ternary steps run; "
+          f"({ratio:.2f}x); {live}, the only ones training steps run; "
           "circuit samples/s at 10^3/10^5 rows: "
           + ", ".join(f"{arch} " + "/".join(r) for arch, r in per_s.items()))
     return EXIT_OK

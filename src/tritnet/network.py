@@ -18,7 +18,7 @@ Class scores come from a GroupSum head: the output layer is cut into k
 contiguous equal groups and each group is summed and divided by the
 temperature tau. The random wiring leaves some neurons with no path to
 the output; `ConnectivityMap.live` lists the others, the only ones the
-ternary training passes, the soft accuracies and the circuit engine run.
+training passes, the soft accuracies and the circuit engine run.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ extra line is an error naming its line number. It also checks that the
 version is between 1 and this code's, the arch is known, the widths
 are positive with the last divisible by k, every coefficient is finite,
 every parent index is in range for its layer, every gate id is below
-3^9 and the encoder is valid. A file a reader cannot use raises a
-`data.DataFormatError` (`FormatError` is one), which the CLI reports
-with exit code 2.
+3^9 (for arch binary, one of the 16 Boolean gates) and the encoder is
+valid. A file a reader cannot use raises a `data.DataFormatError`
+(`FormatError` is one), which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import math
 
 import numpy as np
 
-from .circuit import Circuit
+from .algebra import encode_tables
+from .circuit import BOOLEAN_EMBEDDINGS, Circuit
 from .data import DataFormatError, Dataset, EncoderConfig, _parse_table, _read_lines
 from .network import ARCHS, ConnectivityMap, GroupSumConfig, Network
 
@@ -250,10 +251,17 @@ def save_circuit(circ: Circuit, path, encoder: EncoderConfig | None = None) -> N
            (f"gates {l} {_fmt(ids)}\n" for l, ids in enumerate(circ.gate_ids)))
 
 
+def _read_gates(lines, arch, l, width):
+    ids = np.array(lines.row(("gates", l), width, int, -1, 3**9), dtype=np.int64)
+    stray = np.setdiff1d(ids, encode_tables(BOOLEAN_EMBEDDINGS)) if arch == "binary" else ()
+    if len(stray):
+        raise lines.error(f"gate id {stray[0]} is not a Boolean gate of arch binary")
+    return ids
+
+
 def load_circuit(path):
     """Read a circuit file. Returns (circuit, encoder_or_None)."""
-    head = _read(path, CIRCUIT_MAGIC, _PROVENANCE, lambda lines, arch, l, w: np.array(
-        lines.row(("gates", l), w, int, -1, 3**9), dtype=np.int64))
+    head = _read(path, CIRCUIT_MAGIC, _PROVENANCE, _read_gates)
     provenance = {key: "" if head[key] == "-" else head[key] for key in _PROVENANCE}
     return Circuit(input_dim=head["input_dim"], widths=head["widths"], conn=head["conn"],
                    gate_ids=head["layers"], groupsum=head["groupsum"],

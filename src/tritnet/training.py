@@ -23,10 +23,9 @@ The binary baseline trains through the same loop and the same backward
 pass; only the local gradient of its layer op differs (`_LOCAL_GRADS`).
 It has no lattice to commit to, so the task loss alone drives it.
 
-A ternary network's task terms, and both architectures' accuracies, run
-only the neurons with a path to the output, bit-identical to running
-them all (the rest get zero task gradient); the regularizers and the
-binary baseline's training passes see every neuron.
+The task terms and the accuracies of both architectures run only the
+neurons with a path to the output, bit-identical to running them all
+(the rest get zero task gradient); the regularizers see every neuron.
 """
 
 from __future__ import annotations
@@ -188,19 +187,10 @@ def fourier_l1_grads(net: Network) -> list[np.ndarray]:
     return grads
 
 
-def _wiring(net: Network):
-    """Per layer (keep, s, t), the neurons training runs: the live ones, or
-    all for binary. Its `_blend_grads` sums the batch in numpy's gather
-    order, which moves with the column count and with it the last bits."""
-    return net.conn.live if net.arch == "ternary" else net.conn.all_neurons
-
-
 def _forward(net: Network, x: np.ndarray):
-    """Class scores of a batch plus each `_wiring` layer's (w, a, b, context)."""
-    cache = []
-    for w, a, b, h, ctx in _layers(net, x, _wiring(net)):
-        cache.append((w, a, b, ctx))
-    return cache, group_sum(h, net.groupsum)
+    """Class scores of a batch plus each live layer's (w, a, b, h, context)."""
+    cache = list(_layers(net, x, net.conn.live))
+    return cache, group_sum(cache[-1][3], net.groupsum)
 
 
 def total_loss(net: Network, x, y, lam: float, cfg: TrainConfig) -> float:
@@ -225,28 +215,35 @@ def _scatter_to_parents(gh_shape, s, t, ga, gb):
     return np.bincount(flat, weights=vals, minlength=n * prev).reshape(n, prev)
 
 
+def _batch_sums(g, n, factor, chunk):
+    """The batch sums of g * factor(i), i < n, as an (n, width) array. The
+    products go `chunk` at a time (chunk divides n) into one C-ordered
+    (batch, chunk, width) buffer summed over the batch axis, so numpy adds
+    the rows in order at every width; summing a (batch, width) array can
+    switch it to pairwise summation, so a column's last bits would move
+    with the number of columns, which skipping dead neurons changes."""
+    out = np.empty((n, g.shape[1]))
+    tmp = np.empty((g.shape[0], chunk, g.shape[1]))
+    for lo in range(0, n, chunk):
+        for i in range(chunk):
+            np.multiply(g, factor(lo + i), out=tmp[:, i])
+        tmp.sum(axis=0, out=out[lo:lo + chunk])
+    return out
+
+
 def _polynomial_grads(w, a, b, u, gh, parents: bool):
     """Local gradient of the clipped polynomial: the coefficient gradient
     and, if `parents`, the gradients at the two parent values.
 
     Coefficient k's gradient is the batch sum of gu * m_k over the
     monomials m_k of `algebra.monomials`, built from shared products.
-    The products go three at a time into one C-ordered (batch, 3, width)
-    buffer and are summed over the batch axis, so numpy adds the rows in
-    order at every width; summing a batch-contiguous or (batch, 1) array
-    would switch it to pairwise summation and change the last bits.
     """
     gu = gh * ((u >= -1.0) & (u <= 1.0))
     ab = a * b
     aa = a * a
     aab = aa * b
-    gw = np.empty((3, 3, w.shape[0]))
-    tmp = np.empty((gu.shape[0], 3, gu.shape[1]))
-    for out, group in zip(gw, ((1.0, a, b), (ab, aa, b * b), (aab, ab * b, aab * b))):
-        for i, m in enumerate(group):
-            np.multiply(gu, m, out=tmp[:, i])
-        tmp.sum(axis=0, out=out)
-    gw = gw.reshape(algebra.N_MONOMIALS, -1).T
+    monomials = (1.0, a, b, ab, aa, b * b, aab, ab * b, aab * b)
+    gw = _batch_sums(gu, algebra.N_MONOMIALS, monomials.__getitem__, 3).T
     if not parents:
         return gw, None, None
     da, db = algebra.poly_input_grads(w, a, b)
@@ -268,19 +265,14 @@ GATE_BILINEAR = np.array(
 
 def _blend_grads(logit, a, b, p, gh, parents: bool):
     """Local gradient of the softmax gate blend, like `_polynomial_grads`."""
-    # dL/dp_k per neuron, then through the softmax Jacobian
-    gp = np.stack(
-        [(gh * binary_gate_relaxation(k_, a, b)).sum(axis=0) for k_ in range(16)],
-        axis=1,
-    )
+    # dL/dp_k per neuron, C-ordered as the row sums below need, then the softmax Jacobian
+    gp = _batch_sums(gh, 16, lambda k: binary_gate_relaxation(k, a, b), 4).T.copy()
     inner = (gp * p).sum(axis=1, keepdims=True)
     gw = p * (gp - inner)
     if not parents:
         return gw, None, None
     q = p @ GATE_BILINEAR  # blended bilinear coefficients
-    da = q[:, 1] + q[:, 3] * b
-    db = q[:, 2] + q[:, 3] * a
-    return gw, gh * da, gh * db
+    return gw, gh * (q[:, 1] + q[:, 3] * b), gh * (q[:, 2] + q[:, 3] * a)
 
 
 #: Local gradient of each architecture's layer op (`network.ARCHS`).
@@ -306,8 +298,8 @@ def backward(net: Network, x, y, lam: float, cfg: TrainConfig):
 
     local_grads = _LOCAL_GRADS[net.arch]
     grads = [np.zeros_like(w) for w in net.params]
-    for l, (keep, s, t) in reversed(list(enumerate(_wiring(net)))):
-        w, a, b, ctx = cache[l]
+    for l, (keep, s, t) in reversed(list(enumerate(net.conn.live))):
+        w, a, b, _, ctx = cache[l]
         grads[l][keep], ga, gb = local_grads(w, a, b, ctx, gh, l > 0)
         if l > 0:
             gh = _scatter_to_parents((x.shape[0], len(cache[l - 1][0])), s, t, ga, gb)

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tritnet.algebra as al
+import tritnet.circuit as cc
 import tritnet.cli as cli
 import tritnet.network as nw
 import tritnet.pipeline as pl
@@ -542,6 +544,24 @@ def test_malformed_artifact_is_a_data_error(trained, tmp_path, capsys, name):
     assert rc == cli.EXIT_DATA
     assert err.startswith("data error:") and "Traceback" not in err
     assert not os.path.exists(tmp_path / f"bad.{artifact}.circuit.txt")
+
+
+def test_binary_circuit_of_non_boolean_gates_is_a_data_error(trained, tmp_path, capsys):
+    """A binary circuit's gates are the 16 embedded Boolean gates; any other
+    id is refused when the file is read, before a report counts them."""
+    lines = open(trained["binary-circuit"]).read().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("gates 0 "))
+    ternary_ids = np.setdiff1d(np.arange(100), al.encode_tables(cc.BOOLEAN_EMBEDDINGS))
+    n_gates = len(lines[i].split()) - 2
+    lines[i] = "gates 0 " + " ".join(map(str, ternary_ids[:n_gates]))
+    bad = tmp_path / "bad.circuit.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = run(["eval", "--circuit", bad, "--data", trained["test"], "--diversity",
+              "--out", tmp_path])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error:") and "Traceback" not in err
+    assert f"line {i + 1}: gate id {ternary_ids[0]} is not a Boolean gate" in err
 
 
 def _mutate_model(text, ops):

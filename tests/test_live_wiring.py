@@ -1,9 +1,10 @@
 """Neurons without a path to the output, and the passes that skip them.
 
 `ConnectivityMap.live` is checked against a forward-search oracle on
-random wirings. The ternary training passes run only its neurons; with
-`live` patched to keep every neuron they run the computation that kept
-them all, which is the oracle every result here must equal exactly.
+random wirings. The training passes of both architectures run only its
+neurons; with `live` patched to keep every neuron they run the
+computation that kept them all, which is the oracle every result here
+must equal exactly.
 """
 
 import numpy as np
@@ -61,7 +62,7 @@ def test_output_layer_alone_keeps_raw_input_indices():
     assert np.array_equal(t, conn.layers[0][1])
 
 
-def _duplicate_parents_net():
+def _duplicate_parents_net(arch):
     """Every body neuron reads one parent twice, and several outputs share
     parents; neurons 0, 2 and 5 of the body are dead."""
     widths = (6, 4)
@@ -70,22 +71,39 @@ def _duplicate_parents_net():
         (np.array([1, 1, 3, 4]), np.array([3, 1, 3, 1])),
     )
     conn = nw.ConnectivityMap(seed=0, input_dim=5, widths=widths, layers=layers)
-    params = [np.random.default_rng(1).normal(0.0, nw.INIT_STD, size=(w, 9))
+    spec = nw.ARCHS[arch]
+    params = [np.random.default_rng(1).normal(0.0, spec.init_std, size=(w, spec.n_params))
               for w in widths]
-    return nw.Network(arch="ternary", input_dim=5, widths=widths, conn=conn,
+    return nw.Network(arch=arch, input_dim=5, widths=widths, conn=conn,
                       params=params, groupsum=nw.GroupSumConfig(2, 3.0), seed=0)
 
 
 NETS = {
-    "many-dead": lambda: nw.init_network((64, 64, 4), 6, 3, nw.GroupSumConfig(2, 2.0)),
-    "deep": lambda: nw.init_network((32, 32, 32, 6), 4, 8, nw.GroupSumConfig(3, 1.5)),
-    "single-layer": lambda: nw.init_network((8,), 6, 5, nw.GroupSumConfig(2, 4.0)),
+    "many-dead": lambda arch: nw.init_network(
+        (64, 64, 4), 6, 3, nw.GroupSumConfig(2, 2.0), arch=arch),
+    "deep": lambda arch: nw.init_network(
+        (32, 32, 32, 6), 4, 8, nw.GroupSumConfig(3, 1.5), arch=arch),
+    "single-layer": lambda arch: nw.init_network(
+        (8,), 6, 5, nw.GroupSumConfig(2, 4.0), arch=arch),
     "duplicate-parents": _duplicate_parents_net,
 }
 
+#: (arch, net name) pairs; ternary cases keep the bare net name as their id.
+CASES = [pytest.param(arch, name, id=name if arch == "ternary" else f"{arch}-{name}")
+         for arch in nw.ARCHS for name in NETS]
+
+
+def _batch(arch, net, batch, seed):
+    """Inputs drawn from the architecture's domain, the first half rounded
+    to grid rows, with random labels."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(*nw.ARCHS[arch].domain, size=(batch, net.input_dim))
+    x[: batch // 2] = np.round(x[: batch // 2])
+    return x, rng.integers(0, net.groupsum.k, size=batch)
+
 
 def test_duplicate_parents_net_has_the_dead_neurons_it_claims():
-    keep, s, t = _duplicate_parents_net().conn.live[0]
+    keep, s, t = _duplicate_parents_net("ternary").conn.live[0]
     assert np.array_equal(keep, [1, 3, 4])
 
 
@@ -96,17 +114,15 @@ def _passes(net, x, y, lam, cfg):
             tr._soft_accuracy(net, x, y), *grads)
 
 
-@pytest.mark.parametrize("name", NETS)
+@pytest.mark.parametrize("arch,name", CASES)
 @pytest.mark.parametrize("batch", [1, 7, 100])
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 @pytest.mark.parametrize("beta", [0.0, 0.01])
 @pytest.mark.parametrize("loss", ["mse", "ce"])
-def test_skipping_dead_neurons_changes_no_bit(monkeypatch, name, batch, lam, beta, loss):
-    net = NETS[name]()
-    rng = np.random.default_rng(batch)
-    x = rng.uniform(-1.0, 1.0, size=(batch, net.input_dim))
-    x[: batch // 2] = np.round(x[: batch // 2])  # trit rows too
-    y = rng.integers(0, net.groupsum.k, size=batch)
+def test_skipping_dead_neurons_changes_no_bit(monkeypatch, arch, name, batch, lam, beta,
+                                              loss):
+    net = NETS[name](arch)
+    x, y = _batch(arch, net, batch, batch)
     cfg = tr.TrainConfig(steps=10, beta=beta, loss=loss)
     got = _passes(net, x, y, lam, cfg)
     monkeypatch.setattr(nw.ConnectivityMap, "live", nw.ConnectivityMap.all_neurons)
@@ -117,12 +133,10 @@ def test_skipping_dead_neurons_changes_no_bit(monkeypatch, name, batch, lam, bet
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("name", NETS)
-def test_dead_neurons_have_zero_task_gradient(name):
-    net = NETS[name]()
-    rng = np.random.default_rng(4)
-    x = rng.uniform(-1.0, 1.0, size=(50, net.input_dim))
-    y = rng.integers(0, net.groupsum.k, size=50)
+@pytest.mark.parametrize("arch,name", CASES)
+def test_dead_neurons_have_zero_task_gradient(arch, name):
+    net = NETS[name](arch)
+    x, y = _batch(arch, net, 50, 4)
     _, grads = tr.backward(net, x, y, 0.0, tr.TrainConfig(steps=1))
     n_dead = 0
     for g, (keep, _, _) in zip(grads, net.conn.live):
@@ -135,7 +149,7 @@ def test_dead_neurons_have_zero_task_gradient(name):
 
 
 def test_commitment_term_still_moves_dead_neurons():
-    net = NETS["many-dead"]()
+    net = NETS["many-dead"]("ternary")
     keep = net.conn.live[0][0]
     dead = np.setdiff1d(np.arange(64), keep)
     x = np.zeros((3, 6))
@@ -143,13 +157,32 @@ def test_commitment_term_still_moves_dead_neurons():
     assert (grads[0][dead] != 0.0).any(axis=1).all()
 
 
-def test_binary_training_runs_every_neuron(monkeypatch):
-    net = nw.init_network((64, 64, 4), 6, 3, nw.GroupSumConfig(2, 2.0), arch="binary")
-    assert all(keep == slice(None) for keep, _, _ in tr._wiring(net))
-    monkeypatch.setattr(nw.ConnectivityMap, "live", property(lambda self: 1 / 0))
-    x = np.random.default_rng(6).uniform(0.0, 1.0, size=(9, 6))
-    tr.backward(net, x, np.zeros(9, dtype=int), 0.0, tr.TrainConfig(steps=1))
+@pytest.mark.parametrize("arch", nw.ARCHS)
+@pytest.mark.parametrize("width", [16, 270, 512])
+def test_local_gradient_of_a_column_subset_is_those_columns(arch, width):
+    """Skipping dead neurons is exact only if each column's local gradient
+    is the same to the bit whichever other columns run beside it: here
+    `width` of a 512-wide layer's columns, batch 100."""
+    rng = np.random.default_rng(width)
+    spec = nw.ARCHS[arch]
+    h = rng.uniform(*spec.domain, size=(100, 512))  # the parent layer
+    s, t = rng.integers(0, 512, size=(2, 512))
+    w = rng.normal(0.0, spec.init_std, size=(512, spec.n_params))
+    gh = rng.normal(size=(100, 512))
 
+    def local_grads(keep):
+        # gathered parents, as the forward pass makes them; a C-ordered
+        # upstream gradient, as the scatter to parents makes it
+        a, b = h[:, s[keep]], h[:, t[keep]]
+        _, ctx = spec.layer(w[keep], a, b)
+        return tr._LOCAL_GRADS[arch](w[keep], a, b, ctx, gh[:, keep].copy(), True)
+
+    keep = np.sort(rng.choice(512, size=width, replace=False))
+    gw, ga, gb = local_grads(np.arange(512))
+    sub_gw, sub_ga, sub_gb = local_grads(keep)
+    assert np.array_equal(sub_gw, gw[keep])
+    assert np.array_equal(sub_ga, ga[:, keep])
+    assert np.array_equal(sub_gb, gb[:, keep])
 
 
 @pytest.mark.parametrize("arch", ["ternary", "binary"])
