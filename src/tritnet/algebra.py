@@ -119,7 +119,7 @@ def eval_poly_many(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
         p = c0 + a * (c1 + a * c2),   c_i = (w_hi * b + w_mid) * b + w_lo.
     """
-    w = coeffs.T
+    w = np.ascontiguousarray(coeffs.T)
     c0 = _horner2(w[5], w[2], w[0], b)
     c1 = _horner2(w[7], w[3], w[1], b)
     c2 = _horner2(w[8], w[6], w[4], b)
@@ -138,7 +138,7 @@ def poly_input_grads(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
         dp/da = ((w7 b + w3) b + w1) + 2a ((w8 b + w6) b + w4),
         dp/db = ((w6 a + w3) a + w2) + 2b ((w8 a + w7) a + w5).
     """
-    w = coeffs.T
+    w = np.ascontiguousarray(coeffs.T)
     da = _horner2(w[8], w[6], w[4], b)
     da *= 2.0 * a
     da += _horner2(w[7], w[3], w[1], b)

@@ -48,7 +48,7 @@ from .network import (
     GroupSumConfig,
     Network,
     boolean_gate_table,
-    forward_soft,
+    soft_scores,
 )
 
 
@@ -292,8 +292,7 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
     y = np.atleast_1d(np.asarray(y))
     if x_enc.shape[0] == 0:
         raise ValueError("cannot report on an empty dataset")
-    _, scores = forward_soft(net, x_enc.astype(float), net.conn.live)
-    soft_pred = scores.argmax(axis=1)
+    soft_pred = soft_scores(net, x_enc).argmax(axis=1)
     outputs, _, circ_pred, _ = eval_circuit(circuit, circuit.trit_inputs(x_enc))
     soft_acc = float((soft_pred == y).mean())
     circ_acc = float((circ_pred == y).mean())

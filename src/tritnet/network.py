@@ -15,10 +15,19 @@ activations live in [0, 1]. `ARCHS` holds all that differs here: the
 parameter count, the init scale, the input domain and the layer op.
 
 Class scores come from a GroupSum head: the output layer is cut into k
-contiguous equal groups and each group is summed and divided by the
-temperature tau. The random wiring leaves some neurons with no path to
-the output; `ConnectivityMap.live` lists the others, the only ones the
-training passes, the soft accuracies and the circuit engine run.
+contiguous equal groups and each group is summed in index order and
+divided by the temperature tau. The random wiring leaves some neurons
+with no path to the output; `ConnectivityMap.live` lists the others, the
+only ones the training passes, the soft scores and the circuit engine run.
+
+The layer loop gathers parent values with `take`, so every array of a
+pass is row-major (C-ordered). Each layer op returns its activation and
+a context for the backward pass: the pre-clip values of a ternary layer,
+the softmax weights and the 16 relaxations of a binary one, so the
+backward pass computes none of them again. `soft_scores` runs the live
+neurons SOFT_BLOCK_ROWS rows at a time and keeps only the scores, so its
+working memory does not grow with the rows; every layer op and GroupSum
+act on each row on its own, so its scores equal `forward_soft`'s to the bit.
 """
 
 from __future__ import annotations
@@ -37,6 +46,10 @@ INIT_STD = 0.45
 
 #: Tolerance when validating that forward inputs sit inside the domain.
 INPUT_SLACK = 1e-9
+
+#: Rows `soft_scores` runs at a time. A binary layer keeps its 16
+#: relaxations, 16 x 256 x 512 floats (16 MB) at a 512-wide layer.
+SOFT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -167,12 +180,18 @@ def init_network(widths, input_dim: int, seed: int,
 
 
 def group_sum(h: np.ndarray, cfg: GroupSumConfig) -> np.ndarray:
-    """Scores from output activations: contiguous group sums over tau."""
+    """Scores from output activations: contiguous group sums over tau.
+
+    Each group is summed in index order, as a running sum, so a row's
+    scores do not depend on the layout of `h` or on the rows scored with
+    it (numpy's sum turns pairwise along a contiguous axis). The scores
+    are F-ordered, the layout the task loss reduces them in.
+    """
     n = h.shape[-1]
     if n % cfg.k != 0:
         raise ValueError(f"output width {n} not divisible by k={cfg.k}")
     grouped = h.reshape(h.shape[:-1] + (cfg.k, n // cfg.k))
-    return grouped.sum(axis=-1) / cfg.tau
+    return np.asfortranarray(np.cumsum(grouped, axis=-1)[..., -1] / cfg.tau)
 
 
 def _layers(net: Network, x: np.ndarray, wiring=None):
@@ -181,13 +200,31 @@ def _layers(net: Network, x: np.ndarray, wiring=None):
 
     Yields, layer by layer, their parameters w, parent values (a, b),
     activation h and the context the layer op keeps for the backward pass.
+    The gathers are C-ordered copies, as is every array the layers make.
     """
     layer = ARCHS[net.arch].layer
     h = x
     for (keep, s, t), w in zip(wiring or net.conn.all_neurons, net.params):
-        w, a, b = w[keep], h[:, s], h[:, t]
+        w, a, b = w[keep], h.take(s, axis=1), h.take(t, axis=1)
         h, ctx = layer(w, a, b)
         yield w, a, b, h, ctx
+
+
+def _checked_inputs(net: Network, x):
+    """`x` as a float batch and whether it was one input vector, after
+    checking that it is finite and inside the architecture's domain."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    if x.shape[1] != net.input_dim:
+        raise ValueError(f"expected {net.input_dim} inputs, got {x.shape[1]}")
+    lo, hi = ARCHS[net.arch].domain
+    # NaN fails this check too: every comparison with NaN is false.
+    if x.size and not (x.min() >= lo - INPUT_SLACK and x.max() <= hi + INPUT_SLACK):
+        raise ValueError(f"network inputs must be finite and lie in [{lo}, {hi}], "
+                         f"got range [{x.min():.6g}, {x.max():.6g}]")
+    return x, single
 
 
 def forward_soft(net: Network, x, wiring=None):
@@ -200,22 +237,26 @@ def forward_soft(net: Network, x, wiring=None):
     activations; every layer op acts on each neuron's column on its own,
     so the scores stay the same to the bit.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"expected {net.input_dim} inputs, got {x.shape[1]}")
-    lo, hi = ARCHS[net.arch].domain
-    # NaN fails this check too: every comparison with NaN is false.
-    if x.size and not (x.min() >= lo - INPUT_SLACK and x.max() <= hi + INPUT_SLACK):
-        raise ValueError(f"network inputs must be finite and lie in [{lo}, {hi}], "
-                         f"got range [{x.min():.6g}, {x.max():.6g}]")
+    x, single = _checked_inputs(net, x)
     activations = [h for *_, h, _ in _layers(net, x, wiring)]
     scores = group_sum(activations[-1], net.groupsum)
     if single:
         return [a[0] for a in activations], scores[0]
     return activations, scores
+
+
+def soft_scores(net: Network, x) -> np.ndarray:
+    """The class scores of `forward_soft`, to the bit, from the live
+    neurons run SOFT_BLOCK_ROWS rows at a time, so memory stays one block
+    of activations and contexts whatever the number of rows. The whole of
+    `x` is checked before the first block runs."""
+    x, single = _checked_inputs(net, x)
+    scores = np.empty((x.shape[0], net.groupsum.k), order="F")
+    for lo in range(0, x.shape[0], SOFT_BLOCK_ROWS):
+        for *_, h, _ in _layers(net, x[lo:lo + SOFT_BLOCK_ROWS], net.conn.live):
+            pass  # only the output layer's activations feed the scores
+        scores[lo:lo + SOFT_BLOCK_ROWS] = group_sum(h, net.groupsum)
+    return scores[0] if single else scores
 
 
 # Kept under its former name, which the benchmark's tracer reports.
@@ -289,12 +330,14 @@ def _polynomial_layer(w, a, b):
 
 
 def _blend_layer(logit, a, b):
-    """Binary neuron: softmax blend of the 16 relaxations; keeps the weights."""
+    """Binary neuron: softmax blend of the 16 relaxations; keeps the
+    weights and the relaxations."""
     p = softmax(logit)
+    relaxations = [binary_gate_relaxation(k, a, b) for k in range(16)]
     out = np.zeros_like(a)
-    for k in range(16):
-        out += p[:, k] * binary_gate_relaxation(k, a, b)
-    return out, p
+    for pk, g in zip(p.T.copy(), relaxations):
+        out += pk * g
+    return out, (p, relaxations)
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,17 @@ sign(0) = 0 in the L1 term.
 
 The binary baseline trains through the same loop and the same backward
 pass; only the local gradient of its layer op differs (`_LOCAL_GRADS`).
-It has no lattice to commit to, so the task loss alone drives it.
+It has no lattice to commit to, so the task loss alone drives it. A
+local gradient reads the context its layer op kept in the forward pass:
+the pre-clip values of a ternary layer, the softmax weights and the 16
+relaxations of a binary one, so no relaxation is evaluated twice a step.
 
 The task terms and the accuracies of both architectures run only the
 neurons with a path to the output, bit-identical to running them all
 (the rest get zero task gradient); the regularizers see every neuron.
+The accuracies score through `network.soft_scores`, SOFT_BLOCK_ROWS rows
+at a time; GroupSum sums each group in index order, so the blocks leave
+every score bit as the whole batch would give it.
 """
 
 from __future__ import annotations
@@ -35,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, fourier
-from .network import (Network, _layers, binary_gate_relaxation, forward_soft, group_sum,
-                      softmax)
+from .network import Network, _layers, group_sum, soft_scores, softmax
 
 #: Rows of the training set that eval-point history rows score
 #: train_acc on: the first TRAIN_ACC_ROWS, so the cost of an eval point
@@ -263,10 +268,12 @@ GATE_BILINEAR = np.array(
 )
 
 
-def _blend_grads(logit, a, b, p, gh, parents: bool):
-    """Local gradient of the softmax gate blend, like `_polynomial_grads`."""
+def _blend_grads(logit, a, b, ctx, gh, parents: bool):
+    """Local gradient of the softmax gate blend, like `_polynomial_grads`;
+    `ctx` holds the weights and relaxations of the forward pass."""
+    p, relaxations = ctx
     # dL/dp_k per neuron, C-ordered as the row sums below need, then the softmax Jacobian
-    gp = _batch_sums(gh, 16, lambda k: binary_gate_relaxation(k, a, b), 4).T.copy()
+    gp = _batch_sums(gh, 16, relaxations.__getitem__, 4).T.copy()
     inner = (gp * p).sum(axis=1, keepdims=True)
     gw = p * (gp - inner)
     if not parents:
@@ -356,8 +363,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
 
 
 def _soft_accuracy(net, x, y) -> float:
-    _, scores = forward_soft(net, x, net.conn.live)
-    return float((scores.argmax(axis=1) == y).mean())
+    return float((soft_scores(net, x).argmax(axis=1) == y).mean())
 
 
 def train(net, data, cfg: TrainConfig, eval_data=None):

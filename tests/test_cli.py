@@ -722,6 +722,18 @@ def test_feature_count_must_match_the_encoder(trained, tmp_path, capsys):
         assert err.startswith("data error:") and "3 feature columns, expected 2" in err
 
 
+@pytest.mark.parametrize("arch_ckpt", ["ckpt", "binary-ckpt"])
+def test_harden_data_with_a_nan_past_the_first_block_is_a_data_error(
+        trained, tmp_path, capsys, arch_ckpt):
+    rows = [f"{i % 7 * 0.1},{i % 5 * 0.2},{i % 2}" for i in range(2 * nw.SOFT_BLOCK_ROWS)]
+    bad = tmp_path / "late-nan.csv"
+    bad.write_text("\n".join(["x,y,label", *rows, "nan,0.5,1"]) + "\n")
+    rc = run(["harden", "--checkpoint", trained[arch_ckpt], "--data", bad,
+              "--out", tmp_path / "out"])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error:")
+
+
 @pytest.mark.parametrize("flag", ["--data", "--circuit", "--train", "--checkpoint"])
 @pytest.mark.parametrize("what", ["directory", "non-utf8"])
 def test_unreadable_path_is_a_data_error(trained, tmp_path, capsys, flag, what):

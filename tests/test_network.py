@@ -1,5 +1,7 @@
 """Network construction, soft forward passes and the group-sum head."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,15 +118,19 @@ def test_forward_clips_activations():
 
 
 def test_forward_single_matches_batch():
-    net = tiny_net(seed=5)
+    # groups of 32 outputs: numpy's own sum would add a lone row pairwise
+    # and the rows of a batch in order
     rng = np.random.default_rng(0)
-    x = rng.uniform(-1, 1, size=(7, 5))
-    acts_b, scores_b = nw.forward_soft(net, x)
-    for i in range(7):
-        acts_s, scores_s = nw.forward_soft(net, x[i])
-        assert np.allclose(scores_s, scores_b[i], atol=1e-15)
-        for a_s, a_b in zip(acts_s, acts_b):
-            assert np.allclose(a_s, a_b[i], atol=1e-15)
+    for arch in ("ternary", "binary"):
+        net = nw.init_network((48, 64), 5, 5, GS, arch=arch)
+        lo, hi = nw.ARCHS[arch].domain
+        x = rng.uniform(lo, hi, size=(7, 5))
+        acts_b, scores_b = nw.forward_soft(net, x)
+        for i in range(7):
+            acts_s, scores_s = nw.forward_soft(net, x[i])
+            assert np.array_equal(scores_s, scores_b[i])
+            for a_s, a_b in zip(acts_s, acts_b):
+                assert np.array_equal(a_s, a_b[i])
 
 
 def test_exact_gate_network_computes_its_tables():
@@ -201,3 +207,66 @@ def test_forward_binary_rejects_out_of_range():
     net = nw.init_network((4,), 3, 0, nw.GroupSumConfig(2, 1.0), arch="binary")
     with pytest.raises(ValueError):
         nw.forward_binary(net, np.array([0.5, -0.2, 0.5]))
+
+
+ARCH_NAMES = sorted(nw.ARCHS)
+BLOCK = nw.SOFT_BLOCK_ROWS
+
+
+def block_net(arch):
+    """Groups of 32 outputs and some dead neurons, which `soft_scores` skips."""
+    return nw.init_network((96, 96, 64), 6, 3, arch=arch)
+
+
+def domain_rows(arch, rows, seed=0):
+    lo, hi = nw.ARCHS[arch].domain
+    return np.random.default_rng(seed).uniform(lo, hi, size=(rows, 6))
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_soft_scores_equal_the_full_pass(arch, rows):
+    net = block_net(arch)
+    assert sum(len(keep) for keep, _, _ in net.conn.live) < net.n_neurons
+    x = domain_rows(arch, rows, seed=rows)
+    got = nw.soft_scores(net, x)
+    _, want = nw.forward_soft(net, x)
+    assert got.shape == want.shape == (rows, 2)
+    assert np.array_equal(got, want)
+    if rows:
+        assert np.array_equal(nw.soft_scores(net, x[-1]), nw.forward_soft(net, x[-1])[1])
+
+
+def _soft_peak_beyond_scores(net, rows):
+    x = domain_rows(net.arch, rows, seed=rows)
+    tracemalloc.start()
+    try:
+        scores = nw.soft_scores(net, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - scores.nbytes
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_soft_scores_working_memory_does_not_grow_with_rows(arch):
+    net = nw.init_network((256, 256, 64), 6, 16, arch=arch)
+    net.conn.live  # cached on first use, outside the measurement
+    one = _soft_peak_beyond_scores(net, BLOCK)
+    four = _soft_peak_beyond_scores(net, 4 * BLOCK)
+    # below two layers of one block's 16 relaxations and parent values
+    assert one < 2 * 18 * 8 * BLOCK * 256
+    assert four <= one * 1.1
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_soft_scores_check_every_row_before_the_first_block(arch, monkeypatch):
+    net = block_net(arch)
+    x = domain_rows(arch, 2 * BLOCK + 1)
+    x[-1, 3] = np.nan
+    with pytest.raises(ValueError, match="finite") as full:
+        nw.forward_soft(net, x)
+    monkeypatch.setattr(nw, "_layers", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(ValueError, match="finite") as blocked:
+        nw.soft_scores(net, x)
+    assert str(blocked.value) == str(full.value)

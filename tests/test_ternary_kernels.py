@@ -1,7 +1,9 @@
-"""The ternary training kernels against the einsum/Horner code they replaced.
+"""The training kernels against the code they replaced: the ternary
+kernels against einsum/Horner code, the binary layer against the blend
+that recomputed every relaxation in the backward pass.
 
 The kernels compute the same expressions in the same order, only with
-fewer temporaries, so every comparison here is exact.
+fewer temporaries or fewer calls, so every comparison here is exact.
 """
 
 import numpy as np
@@ -44,11 +46,18 @@ def einsum_polynomial_grads(w, a, b, u, gh, parents):
     return gw, gu * da, gu * db
 
 
-def layer_inputs(batch, width, seed):
-    """Parent values gathered from a previous layer as the forward pass
-    does (numpy returns such gathers F-ordered), a C-ordered upstream
-    gradient, and pre-clip values with entries exactly at +-1 and
-    outside [-1, 1]."""
+def gather(h, s, t, order):
+    """Parent values of a previous layer: C-ordered as the forward pass's
+    `take` returns them, or F-ordered as the fancy index `h[:, s]` does."""
+    if order == "C":
+        return h.take(s, axis=1), h.take(t, axis=1)
+    return h[:, s], h[:, t]
+
+
+def layer_inputs(batch, width, seed, order="C"):
+    """Parent values gathered from a previous layer in the given order, a
+    C-ordered upstream gradient, and pre-clip values with entries exactly
+    at +-1 and outside [-1, 1]."""
     rng = np.random.default_rng(seed)
     prev = width + 3
     h = rng.uniform(-1.0, 1.0, size=(batch, prev))
@@ -56,7 +65,7 @@ def layer_inputs(batch, width, seed):
     h[:, 1] = -1.0
     s = rng.integers(0, prev, size=width)
     t = rng.integers(0, prev, size=width)
-    a, b = h[:, s], h[:, t]
+    a, b = gather(h, s, t, order)
     w = rng.normal(0.0, nw.INIT_STD, size=(width, 9))
     u = horner_eval_poly_many(w, a, b)
     special = np.array([1.0, -1.0, 1.5, -2.0, np.nextafter(1.0, 2.0)])
@@ -65,7 +74,10 @@ def layer_inputs(batch, width, seed):
     return w, a, b, u, gh
 
 
-SHAPES = [(batch, width) for batch in (1, 7, 100, 2000) for width in (1, 9, 512)]
+#: (batch, width, gather order); the F-ordered cases keep their plain ids.
+SHAPES = [pytest.param(batch, width, order,
+                       id=f"{batch}-{width}" + ("-C" if order == "C" else ""))
+          for order in "FC" for batch in (1, 7, 100, 2000) for width in (1, 9, 512)]
 
 
 def assert_identical(got, want):
@@ -78,22 +90,22 @@ def assert_identical(got, want):
         assert np.array_equal(g, e)
 
 
-@pytest.mark.parametrize("batch,width", SHAPES)
-def test_eval_poly_many_matches_horner(batch, width):
-    w, a, b, _, _ = layer_inputs(batch, width, seed=batch + width)
+@pytest.mark.parametrize("batch,width,order", SHAPES)
+def test_eval_poly_many_matches_horner(batch, width, order):
+    w, a, b, _, _ = layer_inputs(batch, width, seed=batch + width, order=order)
     assert_identical([al.eval_poly_many(w, a, b)], [horner_eval_poly_many(w, a, b)])
 
 
-@pytest.mark.parametrize("batch,width", SHAPES)
-def test_poly_input_grads_match_horner(batch, width):
-    w, a, b, _, _ = layer_inputs(batch, width, seed=batch + width)
+@pytest.mark.parametrize("batch,width,order", SHAPES)
+def test_poly_input_grads_match_horner(batch, width, order):
+    w, a, b, _, _ = layer_inputs(batch, width, seed=batch + width, order=order)
     assert_identical(al.poly_input_grads(w, a, b), horner_poly_input_grads(w, a, b))
 
 
 @pytest.mark.parametrize("parents", [True, False])
-@pytest.mark.parametrize("batch,width", SHAPES)
-def test_polynomial_grads_match_einsum(batch, width, parents):
-    args = layer_inputs(batch, width, seed=batch * width)
+@pytest.mark.parametrize("batch,width,order", SHAPES)
+def test_polynomial_grads_match_einsum(batch, width, order, parents):
+    args = layer_inputs(batch, width, seed=batch * width, order=order)
     assert_identical(tr._polynomial_grads(*args, parents),
                      einsum_polynomial_grads(*args, parents))
 
@@ -113,4 +125,68 @@ def test_full_backward_matches_einsum_kernels(monkeypatch):
     assert len(grads) == len(want_grads) == 4
     for g, e in zip(grads, want_grads):
         assert g.shape == e.shape
+        assert np.array_equal(g, e)
+
+
+def strided_blend_layer(logit, a, b):
+    """The binary layer weighting each relaxation by a strided column of p."""
+    p = nw.softmax(logit)
+    out = np.zeros_like(a)
+    for k in range(16):
+        out += p[:, k] * nw.binary_gate_relaxation(k, a, b)
+    return out
+
+
+def recomputed_blend_grads(logit, a, b, ctx, gh, parents):
+    """`_blend_grads` calling `binary_gate_relaxation` again inside the batch
+    sums, instead of reading the relaxations the forward pass kept."""
+    p, _ = ctx
+    gp = tr._batch_sums(gh, 16, lambda k: nw.binary_gate_relaxation(k, a, b), 4).T.copy()
+    inner = (gp * p).sum(axis=1, keepdims=True)
+    gw = p * (gp - inner)
+    if not parents:
+        return gw, None, None
+    q = p @ tr.GATE_BILINEAR
+    return gw, gh * (q[:, 1] + q[:, 3] * b), gh * (q[:, 2] + q[:, 3] * a)
+
+
+def binary_layer_inputs(batch, width, seed):
+    """Logits, C-ordered parent values in [0, 1] with exact corners, and
+    an upstream gradient."""
+    rng = np.random.default_rng(seed)
+    prev = width + 3
+    h = rng.uniform(0.0, 1.0, size=(batch, prev))
+    h[:, 0] = 1.0
+    h[:, 1] = 0.0
+    s = rng.integers(0, prev, size=width)
+    t = rng.integers(0, prev, size=width)
+    a, b = gather(h, s, t, "C")
+    logit = rng.normal(0.0, 1.0, size=(width, 16))
+    return logit, a, b, rng.normal(size=(batch, width))
+
+
+BINARY_SHAPES = [(batch, width) for batch in (1, 7, 100) for width in (1, 16, 512)]
+
+
+@pytest.mark.parametrize("parents", [True, False])
+@pytest.mark.parametrize("batch,width", BINARY_SHAPES)
+def test_blend_grads_from_the_context_match_recomputed_relaxations(batch, width, parents):
+    logit, a, b, gh = binary_layer_inputs(batch, width, seed=batch * width)
+    out, ctx = nw._blend_layer(logit, a, b)
+    assert_identical([out], [strided_blend_layer(logit, a, b)])
+    assert_identical(tr._blend_grads(logit, a, b, ctx, gh, parents),
+                     recomputed_blend_grads(logit, a, b, ctx, gh, parents))
+
+
+def test_full_binary_backward_matches_recomputed_relaxations(monkeypatch):
+    net = nw.init_network((512, 512, 512, 200), 6, seed=3, arch="binary")
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 2, size=(100, 6)).astype(float)
+    y = rng.integers(0, 2, size=100)
+    cfg = tr.TrainConfig(steps=10)
+    loss, grads = tr.backward(net, x, y, 0.0, cfg)
+    monkeypatch.setitem(tr._LOCAL_GRADS, "binary", recomputed_blend_grads)
+    want_loss, want_grads = tr.backward(net, x, y, 0.0, cfg)
+    assert loss == want_loss
+    for g, e in zip(grads, want_grads):
         assert np.array_equal(g, e)
