@@ -26,6 +26,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,16 @@ GRID_POINTS = tuple((a, b) for a in TRIT_VALUES for b in TRIT_VALUES)
 
 # Indices of the four Boolean corners (a, b in {-1, +1}) within the grid.
 CORNER_INDICES = (0, 2, 6, 8)
+
+
+def unknown_share(trits) -> float:
+    """Share of UNKNOWN entries in an array of trits.
+
+    One count and one correctly rounded division: the same float as
+    `(trits == 0).mean()`, without an array of the input's shape.
+    """
+    a = np.asarray(trits)
+    return (a.size - int(np.count_nonzero(a))) / a.size if a.size else math.nan
 
 
 def grid_index(a: int, b: int) -> int:

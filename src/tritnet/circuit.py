@@ -28,10 +28,12 @@ with GF(2) coefficient masks C built once per circuit: 4 gathers and 9
 bitwise calls per layer. Only the neurons with a path to the output
 run (`ConnectivityMap.live`). Rows run in blocks of `BLOCK_ROWS`, so
 the working memory is set by that constant and the widest layer,
-never by the batch size. Only the output layer is
-unpacked back to int8 trits. Class predictions take the argmax score
-with ties broken toward the lowest class index, and the margin is the
-gap between the top two scores.
+never by the batch size. Integer inputs are range-checked and packed
+in their own dtype; others must convert to int64 unchanged. Only the
+output layer is unpacked back to int8 trits, straight into the rows of
+the result. Class predictions take the argmax score with ties broken
+toward the lowest class index, and the margin is the gap between the
+top two scores; one pass over the k score columns yields both.
 """
 
 from __future__ import annotations
@@ -199,12 +201,42 @@ def _gate_layer(true, false, s, t, coeffs):
     return out[0], out[1]
 
 
-def _unpack(true: np.ndarray, false: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of `_pack` on a layer's planes: (m, w) int8 trits."""
+def _unpack(true: np.ndarray, false: np.ndarray, out: np.ndarray) -> None:
+    """Inverse of `_pack` on a layer's planes, written into the (m, w)
+    int8 rows `out`: whole words straight through, then the last part."""
     words, w = true.shape
+    whole = out.shape[0] // 64
     pairs = (true.view(np.uint8).astype(np.uint16) << 8) | false.view(np.uint8)
-    trits = _BYTE_PAIR_TRITS[pairs].view(np.int8).reshape(words, w, 64)
-    return trits.transpose(0, 2, 1).reshape(words * 64, w)[:m]
+    trits = _BYTE_PAIR_TRITS[pairs].view(np.int8).reshape(words, w, 64).transpose(0, 2, 1)
+    out[:64 * whole].reshape(whole, 64, w)[...] = trits[:whole]
+    out[64 * whole:] = trits[whole:].reshape(-1, w)[:out.shape[0] - 64 * whole]
+
+
+def _as_trits(x: np.ndarray) -> np.ndarray:
+    """A block of inputs as integers, if every entry is a trit.
+
+    Integer blocks are checked and packed in their own dtype; others
+    must convert to int64 without change.
+    """
+    xi = x if x.dtype.kind in "iu" else x.astype(np.int64)
+    if x.size and (xi.min() < -1 or xi.max() > 1 or (xi is not x and np.any(xi != x))):
+        raise ValueError("circuit inputs must be trits in {-1, 0, +1}")
+    return xi
+
+
+def _rank(scores: np.ndarray, preds: np.ndarray, margins: np.ndarray) -> None:
+    """Argmax (lowest index on ties) and top-minus-second score of each
+    row, in one pass over the k score columns; `margins` holds the
+    running second score."""
+    top = scores[:, 0].copy()
+    preds[...] = 0
+    margins[...] = -np.inf
+    for c in range(1, scores.shape[1]):
+        col = scores[:, c]
+        np.copyto(preds, c, where=col > top)
+        np.maximum(margins, np.minimum(top, col), out=margins)
+        np.maximum(top, col, out=top)
+    np.subtract(top, margins, out=margins)
 
 
 def eval_circuit(circuit: Circuit, x):
@@ -232,19 +264,13 @@ def eval_circuit(circuit: Circuit, x):
     margins = np.empty(n)
     for lo in range(0, n, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        xb = x[rows]
-        xi = xb.astype(np.int64)
-        if xb.size and (np.any(xi != xb) or xi.min() < -1 or xi.max() > 1):
-            raise ValueError("circuit inputs must be trits in {-1, 0, +1}")
-        true, false = _pack(xi)
+        true, false = _pack(_as_trits(x[rows]))
         for (_, s, t), coeffs in zip(circuit.conn.live, circuit.coeffs):
             true, false = _gate_layer(true, false, s, t, coeffs)
-        outputs[rows] = _unpack(true, false, xb.shape[0])
+        _unpack(true, false, outputs[rows])
         sums = outputs[rows].reshape(-1, k, group).sum(axis=2, dtype=np.int32)
         scores[rows] = sums / tau
-        preds[rows] = scores[rows].argmax(axis=1)
-        top2 = -np.partition(-scores[rows], 1, axis=1)[:, :2]
-        margins[rows] = top2[:, 0] - top2[:, 1]
+        _rank(scores[rows], preds[rows], margins[rows])
     if single:
         return outputs[0], scores[0], int(preds[0]), float(margins[0])
     return outputs, scores, preds, margins
@@ -301,7 +327,7 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
         circuit_accuracy=circ_acc,
         gap_pp=100.0 * (soft_acc - circ_acc),
         hardening_error=hardening_error(net),
-        unknown_fraction=float((outputs == 0).mean()),
+        unknown_fraction=algebra.unknown_share(outputs),
         n_samples=int(x_enc.shape[0]),
     )
 

@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from . import algebra as al
 from . import analysis as an
 from . import circuit as cc
 from . import data as dt
@@ -258,7 +259,7 @@ def cmd_eval(args) -> int:
     x_enc = circuit.trit_inputs(x_enc)
     outputs, scores, preds, margins = cc.eval_circuit(circuit, x_enc)
     acc = float((preds == ds.labels).mean())
-    unk = float((outputs == 0).mean())
+    unk = al.unknown_share(outputs)
     paths = {"metrics": os.path.join(out, f"{name}.metrics.tsv")}
     sz.save_report(
         [[f"{100 * acc:.2f}", f"{100 * unk:.2f}", ds.n]],

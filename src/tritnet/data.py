@@ -33,6 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import algebra
+
 DATASET_KINDS = ("moons", "circles", "spirals", "gaussians", "ring_sector")
 
 
@@ -227,28 +229,25 @@ def encode(x, cfg: EncoderConfig) -> np.ndarray:
     fitted range saturate like any other value.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = len(cfg.lo)
+    d, k = len(cfg.lo), cfg.thresholds_per_feature
     if x.shape[1] != d:
         raise ValueError(f"encoder fitted on {d} features, got {x.shape[1]}")
-    cols = []
-    for j in range(d):
-        theta = cfg.feature_thresholds(j)
-        v = x[:, j][:, None]
-        if cfg.mode == "ternary":
-            beta = cfg.feature_halfband(j)
-            code = np.zeros((x.shape[0], theta.size), dtype=np.int8)
-            code[v > theta + beta] = 1
-            code[v < theta - beta] = -1
-        else:
-            code = (v > theta).astype(np.int8)
-        cols.append(code)
-    return np.concatenate(cols, axis=1)
+    theta = np.array([cfg.feature_thresholds(j) for j in range(d)]).reshape(d, k)
+    v = x[:, :, None]
+    codes = np.empty((x.shape[0], d, k), dtype=np.int8)
+    if cfg.mode == "ternary":
+        # beta >= 0 keeps the two bands disjoint; NaN is in neither
+        beta = np.array([cfg.feature_halfband(j) for j in range(d)])[:, None]
+        np.subtract((v > theta + beta).view(np.int8), (v < theta - beta).view(np.int8),
+                    out=codes)
+    else:
+        np.greater(v, theta, out=codes)
+    return codes.reshape(x.shape[0], d * k)
 
 
 def encoder_unknown_share(x, cfg: EncoderConfig) -> float:
     """Share of UNKNOWN trits the ternary encoder emits on x."""
-    codes = encode(x, cfg)
-    return float((codes == 0).mean())
+    return algebra.unknown_share(encode(x, cfg))
 
 
 @dataclass(frozen=True)

@@ -293,3 +293,40 @@ def test_all_tables_shape_and_agreement():
     ids = np.array([0, 1, 9841, 19682, 777])
     assert np.array_equal(tables[ids], np.stack([al.decode_table(int(i)) for i in ids]))
     assert np.array_equal(al.encode_tables(tables[ids]), ids)
+
+
+@pytest.mark.parametrize("shape", [(1, 21), (21, 1), (3, 7), (7, 9, 11), (1000, 3), (97, 200)])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_unknown_share_is_the_mean_bit_for_bit(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.integers(-1, 2, size=shape).astype(dtype)
+    for zeros in range(a.size + 1) if a.size <= 21 else (1, a.size // 3, a.size - 1):
+        a.flat[:] = 1
+        a.flat[rng.choice(a.size, size=zeros, replace=False)] = 0
+        want = float((a == 0).mean())
+        for view in (a, a.T, a[::-1]):
+            assert al.unknown_share(view) == want
+            assert type(al.unknown_share(view)) is float
+    inexact = np.zeros(21, dtype=dtype)
+    inexact[1:] = 1  # 1/21 is not a binary fraction
+    assert al.unknown_share(inexact) == float((inexact == 0).mean()) == 1 / 21
+
+
+def test_unknown_share_of_nothing_is_nan():
+    assert math.isnan(al.unknown_share(np.zeros((0, 5), dtype=np.int8)))
+
+
+def test_unknown_share_allocates_less_than_the_array():
+    import tracemalloc
+
+    n, w = 4000, 200
+    a = np.random.default_rng(9).integers(-1, 2, size=(n, w)).astype(np.int8)
+    for view in (a, a[:, ::2], a.T):
+        tracemalloc.start()
+        try:
+            share = al.unknown_share(view)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < view.size  # one byte per entry: less than `view == 0`
+        assert share == float((view == 0).mean())

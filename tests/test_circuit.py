@@ -232,6 +232,21 @@ def test_gap_report_fields():
     assert rep.unknown_fraction == pytest.approx((outputs == 0).mean())
 
 
+
+def test_gap_report_unknown_fraction_is_the_mean_bit_for_bit():
+    from fractions import Fraction
+
+    net = exact_gate_net(seed=16, widths=(9, 6), input_dim=4)
+    circ = cc.harden_network(net)
+    x = np.random.default_rng(17).integers(-1, 2, size=(7, 4))
+    rep = cc.gap_report(net, circ, x, np.zeros(7, dtype=np.int64))
+    outputs, _, _, _ = cc.eval_circuit(circ, x)
+    count = int((outputs == 0).sum())
+    assert outputs.size == 42
+    denominator = Fraction(count, 42).denominator
+    assert denominator & (denominator - 1)  # not a power of two: an inexact share
+    assert rep.unknown_fraction == float((outputs == 0).mean())
+
 def test_gap_report_binary_converts_bits_to_trits():
     net = nw.init_network((6, 4), 5, 14, GS, arch="binary")
     circ = cc.harden_binary(net)

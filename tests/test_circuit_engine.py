@@ -167,6 +167,12 @@ def test_binary_embedded_circuit_on_corner_inputs():
     np.array([[np.nan, 0.0, 1.0]]),
     np.array([[0, 1]]),
     np.array([0, 1, 1, 0]),
+    np.array([[2, 0, 1]], dtype=np.int8),
+    np.array([[0, -2, 1]], dtype=np.int8),
+    np.array([[0, 1, -128]], dtype=np.int8),
+    np.array([[1, 255, 0]], dtype=np.uint8),
+    np.array([[0, 0, 2**40]], dtype=np.int64),
+    np.array([[0, 0, np.inf]]),
 ])
 def test_rejects_what_the_lookup_rejected(bad):
     circ = random_circuit(3, (4, 4), seed=14)
@@ -192,6 +198,46 @@ def test_rejects_a_non_trit_in_a_later_block():
     x[-1, 2] = 2
     with pytest.raises(ValueError, match="trits"):
         cc.eval_circuit(circ, x)
+
+
+@pytest.mark.parametrize("dtype, bad", [
+    (np.int8, 2), (np.int8, -2), (np.int8, -128), (np.int16, 2), (np.int16, -2),
+    (np.uint8, 2), (np.uint8, 255), (np.int64, -2),
+    (np.float64, 2.0), (np.float64, -2.0), (np.float64, 0.5),
+])
+def test_rejects_a_non_trit_of_any_dtype_in_a_later_block(dtype, bad):
+    circ = random_circuit(3, (4, 4), seed=15)
+    x = np.zeros((2 * cc.BLOCK_ROWS + 1, 3), dtype=dtype)
+    x[-1, 2] = bad
+    with pytest.raises(ValueError) as got:
+        cc.eval_circuit(circ, x)
+    assert str(got.value) == "circuit inputs must be trits in {-1, 0, +1}"
+
+
+@pytest.mark.parametrize("dtype, low", [
+    (np.int8, -1), (np.int16, -1), (np.int32, -1), (np.int64, -1), (np.float64, -1),
+    (np.uint8, 0), (bool, 0),
+])
+def test_every_dtype_gives_the_same_results(dtype, low):
+    circ = random_circuit(6, (40, 30, 8), seed=19, k=4)
+    x = np.random.default_rng(19).integers(low, 2, size=(cc.BLOCK_ROWS + 70, 6))
+    want = cc.eval_circuit(circ, x)
+    for g, w in zip(cc.eval_circuit(circ, x.astype(dtype)), want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert_same(circ, x.astype(dtype))
+    assert_same(circ, x[5].astype(dtype))
+
+
+def test_ranking_on_ties_and_many_classes():
+    # k = 9 classes of one neuron each: every score is -1, 0 or +1 over
+    # tau, so most rows hold ties for the top and for the second place
+    circ = random_circuit(4, (30, 9), seed=21, k=9, tau=0.7)
+    x = all_trit_rows(4)
+    _, scores, preds, margins = cc.eval_circuit(circ, x)
+    top = scores.max(axis=1)
+    assert (margins == 0).any() and (margins > 0).any()
+    assert np.array_equal(preds, [row.tolist().index(t) for row, t in zip(scores, top)])
+    assert_same(circ, x)
 
 
 def _peak_beyond_results(circ, n):

@@ -156,6 +156,24 @@ def test_eval_writes_requested_reports(trained, tmp_path):
     assert doc["live_neurons"] == train_doc["live_neurons"]
 
 
+
+def test_eval_unknown_fraction_is_the_mean_bit_for_bit(trained, tmp_path):
+    from fractions import Fraction
+
+    import tritnet.data as dt
+
+    rc = run(["eval", "--circuit", trained["circuit"], "--data", trained["test"],
+              "--out", str(tmp_path), "--name", "unk"])
+    assert rc == cli.EXIT_OK
+    circuit, encoder = sz.load_circuit(trained["circuit"])
+    ds = sz.load_dataset(trained["test"])
+    outputs, _, _, _ = cc.eval_circuit(circuit, dt.encode(ds.features, encoder))
+    count = int((outputs == 0).sum())
+    denominator = Fraction(count, outputs.size).denominator
+    assert denominator & (denominator - 1)  # not a power of two: an inexact share
+    doc = sz.load_manifest(tmp_path / "unk.manifest.json")
+    assert doc["unknown_fraction"] == float((outputs == 0).mean())
+
 def test_eval_selective_runs_the_circuit_once(trained, tmp_path, monkeypatch):
     import tritnet.analysis as an
     import tritnet.circuit as cc

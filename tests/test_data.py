@@ -202,6 +202,73 @@ def test_unknown_share_falls_with_resolution():
     assert all(a > b for a, b in zip(shares, shares[1:]))
 
 
+
+def boolean_mask_encode(x, cfg):
+    """The encoder `dt.encode` had before its arithmetic form: per
+    feature, zeros and two boolean-mask scatters (ternary) or a cast
+    comparison (binary), then one concatenation."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    cols = []
+    for j in range(len(cfg.lo)):
+        theta = cfg.feature_thresholds(j)
+        v = x[:, j][:, None]
+        if cfg.mode == "ternary":
+            beta = cfg.feature_halfband(j)
+            code = np.zeros((x.shape[0], theta.size), dtype=np.int8)
+            code[v > theta + beta] = 1
+            code[v < theta - beta] = -1
+        else:
+            code = (v > theta).astype(np.int8)
+        cols.append(code)
+    return np.concatenate(cols, axis=1)
+
+
+def edge_values(cfg, j):
+    """Values of feature j on every threshold and dead-zone edge, at and
+    beyond the fitted range, and the non-finite ones."""
+    theta, beta = cfg.feature_thresholds(j), cfg.feature_halfband(j)
+    lo, hi = cfg.lo[j], cfg.hi[j]
+    return np.concatenate([theta, theta + beta, theta - beta,
+                           np.nextafter(theta + beta, np.inf),
+                           np.nextafter(theta - beta, -np.inf),
+                           [lo, hi, lo - 1.0, hi + 1.0, -1e300, 1e300,
+                            np.nan, np.inf, -np.inf]])
+
+
+@pytest.mark.parametrize("mode", ["ternary", "binary"])
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("delta", [0.0, 0.3, 1.0, 2.5])
+def test_encode_equals_the_boolean_mask_encoder(mode, k, delta):
+    cfg = dt.EncoderConfig(mode, k, delta, (-1.0, 0.0, 2.5), (1.0, 0.7, 2.5))
+    edges = [edge_values(cfg, j) for j in range(3)]
+    rows = max(len(e) for e in edges)
+    x_edges = np.stack([np.resize(e, rows) for e in edges], axis=1)
+    rng = np.random.default_rng(k)
+    x_rand = rng.uniform(-3.0, 4.0, size=(500, 3))
+    for x in (x_edges, x_edges[::-1], x_rand, x_rand[0], np.empty((0, 3))):
+        got = dt.encode(x, cfg)
+        want = boolean_mask_encode(x, cfg)
+        assert got.dtype == np.int8 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_encode_edges_and_non_finite_values():
+    enc = dt.EncoderConfig("ternary", 1, 0.0, (0.0,), (2.0,))  # threshold 1
+    x = np.array([[1.0], [np.nextafter(1.0, 2.0)], [np.nan], [np.inf], [-np.inf]])
+    assert dt.encode(x, enc)[:, 0].tolist() == [0, 1, 0, 1, -1]
+    enc = dt.EncoderConfig("binary", 1, 0.0, (0.0,), (2.0,))
+    assert dt.encode(x, enc)[:, 0].tolist() == [0, 1, 0, 1, 0]
+
+
+def test_encoder_unknown_share_is_the_mean_bit_for_bit():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0, 1, size=(7, 1))
+    enc = dt.fit_encoder(x, 3, 2.0)  # 21 codes
+    share = dt.encoder_unknown_share(x, enc)
+    codes = dt.encode(x, enc)
+    assert codes.size == 21 and 0 < share < 1
+    assert share == float((codes == 0).mean())
+
 # ------------------------------------------------------------------ csv
 
 def write(tmp_path, text, name="data.csv"):
