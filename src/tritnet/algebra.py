@@ -58,6 +58,16 @@ def unknown_share(trits) -> float:
     return (a.size - int(np.count_nonzero(a))) / a.size if a.size else math.nan
 
 
+def exact_ints(x: np.ndarray, lo: int, hi: int, message: str) -> np.ndarray:
+    """`x` as integers if every entry is an integer in [lo, hi], else a
+    ValueError with `message`. Integer arrays are checked in their own
+    dtype; others must convert to int64 unchanged, so none is truncated."""
+    xi = x if x.dtype.kind in "iu" else x.astype(np.int64)
+    if x.size and (xi.min() < lo or xi.max() > hi or (xi is not x and np.any(xi != x))):
+        raise ValueError(message)
+    return xi
+
+
 def grid_index(a: int, b: int) -> int:
     """Canonical position of input pair (a, b) in a 9-entry table."""
     if a not in TRIT_VALUES or b not in TRIT_VALUES:

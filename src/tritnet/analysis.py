@@ -28,10 +28,8 @@ import numpy as np
 from . import algebra, fourier, pipeline
 from . import data as data_mod
 from .circuit import Circuit, eval_circuit
+from .network import ARCHS
 from .training import NumericalFailure
-
-TERNARY_VOCAB = algebra.N_GATES
-BINARY_VOCAB = 16
 
 DEFAULT_RETENTION_GRID = tuple(round(0.05 * i, 2) for i in range(20, 0, -1))
 
@@ -110,12 +108,11 @@ class DiversityReport:
 def diversity_report(circuit: Circuit, vocab_size: int | None = None) -> DiversityReport:
     """Usage statistics of the distinct gates in a circuit.
 
-    The vocabulary defaults to 3^9 for ternary-derived circuits and 16
-    for circuits hardened from the binary baseline.
+    The vocabulary defaults to the circuit's architecture's (`ArchSpec.vocab`):
+    3^9 gates, or 16 for circuits hardened from the binary baseline.
     """
     if vocab_size is None:
-        arch = circuit.provenance.get("arch", "ternary")
-        vocab_size = BINARY_VOCAB if arch == "binary" else TERNARY_VOCAB
+        vocab_size = len(ARCHS[circuit.arch].vocab)
     ids = circuit.all_gate_ids()
     n = ids.size
     _, counts = np.unique(ids, return_counts=True)
@@ -244,7 +241,7 @@ def separation_sweep(seps, recipe, n_train: int = 2000, n_test: int = 500,
         row: dict = {"sep": float(sep),
                      "bayes_accuracy": data_mod.bayes_accuracy_gaussians(sep)}
         errors = []
-        for arch in ("ternary", "binary"):
+        for arch in ARCHS:
             try:
                 res = pipeline.run_pipeline(train_ds, test_ds,
                                             pipeline.vary(recipe, arch=arch))

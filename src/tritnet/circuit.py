@@ -1,11 +1,13 @@
 """Hardening soft networks into discrete circuits, and running them.
 
-One hardener serves both architectures; `_HARD_TABLES` holds the part
-that differs. Hardening a ternary network rounds every neuron's
-truth-table values to the nearest trit (ties away from zero) and
-stores the resulting gate id. The mean squared rounding residue equals
-the commitment loss of the soft network exactly, so a committed
-network loses nothing in the discretization.
+One hardener serves both architectures; `Circuit.arch` names one, and
+its `network.ArchSpec` gives the hardening rule (`harden`), the input
+map (`trit_inputs`) and whether `hardening_error` applies (`lattice`).
+Hardening a ternary network rounds every neuron's truth-table values to
+the nearest trit (ties away from zero) and stores the resulting gate id.
+The mean squared rounding residue equals the commitment loss of the soft
+network exactly, so a committed network loses nothing in the
+discretization.
 
 Hardening the binary baseline takes every neuron's argmax-probability
 Boolean gate (ties to the lowest gate index) and embeds its 4-entry
@@ -13,9 +15,8 @@ table on the ternary grid: corner entries carry the Boolean outputs
 mapped 0 -> -1, 1 -> +1, and entries with an UNKNOWN input take the
 consensus of all Boolean completions, or UNKNOWN if they disagree. On
 all-Boolean inputs the embedded circuit reproduces the Boolean circuit
-bit for bit, since non-corner rows are never exercised;
-`Circuit.trit_inputs` maps the baseline's encoded bits to those
-corners.
+bit for bit, since non-corner rows are never exercised. Its input map
+takes encoded bits to those corners and refuses any other value.
 
 Circuits evaluate bit-sliced. Each trit is split into two bit-planes,
 TRUE and FALSE (UNKNOWN where neither bit is set), with 64
@@ -45,20 +46,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .network import (
-    ConnectivityMap,
-    GroupSumConfig,
-    Network,
-    boolean_gate_table,
-    soft_scores,
-)
+from .network import ARCHS, ConnectivityMap, GroupSumConfig, Network, soft_scores
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """A discrete ternary gate circuit with a GroupSum head. Frozen, with
-    read-only copies of the gate ids, as the engine's masks derive from them."""
+    """A ternary gate circuit with a GroupSum head, hardened from an `arch`
+    network; frozen, its gate ids read-only, as the engine's masks derive from them."""
 
+    arch: str
     input_dim: int
     widths: tuple[int, ...]
     conn: ConnectivityMap
@@ -81,52 +77,18 @@ class Circuit:
     def all_gate_ids(self) -> np.ndarray:
         return np.concatenate([np.asarray(g) for g in self.gate_ids])
 
-    def trit_inputs(self, x_enc) -> np.ndarray:
-        """Encoded inputs as circuit inputs: a circuit hardened from the
-        binary baseline takes its bits at the +-1 corners."""
-        if self.provenance.get("arch") == "binary":
-            return 2 * np.asarray(x_enc).astype(np.int64) - 1
-        return x_enc
-
-
-def _boolean_to_ternary_table(gate: int) -> np.ndarray:
-    """Embed one Boolean gate on the ternary grid (consensus rule)."""
-    bits = boolean_gate_table(gate)  # (a, b) in ((0,0), (0,1), (1,0), (1,1))
-
-    def bool_out(a: int, b: int) -> int:
-        return bits[2 * a + b]
-
-    entries = np.zeros(9, dtype=np.int8)
-    for g, (a, b) in enumerate(algebra.GRID_POINTS):
-        a_opts = (0, 1) if a == 0 else ((a + 1) // 2,)
-        b_opts = (0, 1) if b == 0 else ((b + 1) // 2,)
-        outs = {bool_out(ai, bi) for ai in a_opts for bi in b_opts}
-        entries[g] = 0 if len(outs) > 1 else 2 * outs.pop() - 1
-    return entries
-
-
-#: Ternary embeddings of the 16 Boolean gates, indexed by gate number.
-BOOLEAN_EMBEDDINGS = np.stack([_boolean_to_ternary_table(k) for k in range(16)])
-
-#: One layer's hardened (w, 9) tables, per architecture: truth tables
-#: rounded to trits, or the embedding of the argmax gate (lowest index).
-_HARD_TABLES = {
-    "ternary": lambda w: algebra.round_table(w @ algebra.VANDERMONDE.T),
-    "binary": lambda logit: BOOLEAN_EMBEDDINGS[logit.argmax(axis=1)],
-}
-
 
 def harden_network(net: Network, source_hash: str | None = None) -> Circuit:
     """Replace every neuron by its hardened gate (see the module doc)."""
-    hard_tables = _HARD_TABLES[net.arch]
+    harden = ARCHS[net.arch].harden
     return Circuit(
+        arch=net.arch,
         input_dim=net.input_dim,
         widths=net.widths,
         conn=net.conn,
-        gate_ids=[algebra.encode_tables(hard_tables(w)) for w in net.params],
+        gate_ids=[algebra.encode_tables(harden(w)) for w in net.params],
         groupsum=net.groupsum,
         provenance={
-            "arch": net.arch,
             "source_sha256": source_hash or "",
             "hardened_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         },
@@ -212,18 +174,6 @@ def _unpack(true: np.ndarray, false: np.ndarray, out: np.ndarray) -> None:
     out[64 * whole:] = trits[whole:].reshape(-1, w)[:out.shape[0] - 64 * whole]
 
 
-def _as_trits(x: np.ndarray) -> np.ndarray:
-    """A block of inputs as integers, if every entry is a trit.
-
-    Integer blocks are checked and packed in their own dtype; others
-    must convert to int64 without change.
-    """
-    xi = x if x.dtype.kind in "iu" else x.astype(np.int64)
-    if x.size and (xi.min() < -1 or xi.max() > 1 or (xi is not x and np.any(xi != x))):
-        raise ValueError("circuit inputs must be trits in {-1, 0, +1}")
-    return xi
-
-
 def _rank(scores: np.ndarray, preds: np.ndarray, margins: np.ndarray) -> None:
     """Argmax (lowest index on ties) and top-minus-second score of each
     row, in one pass over the k score columns; `margins` holds the
@@ -264,7 +214,8 @@ def eval_circuit(circuit: Circuit, x):
     margins = np.empty(n)
     for lo in range(0, n, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        true, false = _pack(_as_trits(x[rows]))
+        true, false = _pack(algebra.exact_ints(
+            x[rows], -1, 1, "circuit inputs must be trits in {-1, 0, +1}"))
         for (_, s, t), coeffs in zip(circuit.conn.live, circuit.coeffs):
             true, false = _gate_layer(true, false, s, t, coeffs)
         _unpack(true, false, outputs[rows])
@@ -281,9 +232,10 @@ def hardening_error(net: Network) -> float:
 
     Equals `training.commitment_loss` exactly; computed independently
     through the rounding path rather than the lattice-distance path.
-    The binary baseline is hardened by argmax, not rounding: 0.
+    An architecture without a lattice, such as the binary baseline
+    hardened by argmax, has no rounding residue: 0.
     """
-    if net.arch != "ternary":
+    if not ARCHS[net.arch].lattice:
         return 0.0
     total = 0.0
     for w in net.params:
@@ -319,7 +271,7 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
     if x_enc.shape[0] == 0:
         raise ValueError("cannot report on an empty dataset")
     soft_pred = soft_scores(net, x_enc).argmax(axis=1)
-    outputs, _, circ_pred, _ = eval_circuit(circuit, circuit.trit_inputs(x_enc))
+    outputs, _, circ_pred, _ = eval_circuit(circuit, ARCHS[circuit.arch].trit_inputs(x_enc))
     soft_acc = float((soft_pred == y).mean())
     circ_acc = float((circ_pred == y).mean())
     return GapReport(

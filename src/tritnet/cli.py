@@ -89,20 +89,20 @@ def _load_any_dataset(path, k: int, d: int | None = None) -> dt.Dataset:
     return ds
 
 
-def _check_encoder(source, encoder, arch: str, model) -> None:
+def _check_encoder(source, encoder, model) -> None:
     """Reject an encoder from `source` that does not give `model`'s inputs."""
-    if encoder and (encoder.mode != arch or encoder.encoded_dim != model.input_dim):
+    if encoder and (encoder.mode != model.arch or encoder.encoded_dim != model.input_dim):
         raise dt.DataFormatError(
             f"{source}: its {encoder.mode} encoder gives {encoder.encoded_dim} "
-            f"inputs, the {arch} model takes {model.input_dim}")
+            f"inputs, the {model.arch} model takes {model.input_dim}")
 
 
-def _encoded_data(data, source, encoder, arch: str, model):
+def _encoded_data(data, source, encoder, model):
     """The dataset at `data` and its codes for `model`, a network or
-    circuit of this arch read from `source` with an encoder that must fit."""
+    circuit read from `source` with an encoder that must fit it."""
     if encoder is None:
         raise UsageError(f"{source} has no encoder; cannot encode raw data")
-    _check_encoder(source, encoder, arch, model)
+    _check_encoder(source, encoder, model)
     ds = _load_any_dataset(data, model.groupsum.k, len(encoder.lo))
     return ds, dt.encode(ds.features, encoder)
 
@@ -220,7 +220,7 @@ def cmd_train(args) -> int:
 def cmd_harden(args) -> int:
     out = _out_dir(args)
     net, encoder = sz.load_checkpoint(args.checkpoint)
-    _check_encoder(args.checkpoint, encoder, net.arch, net)
+    _check_encoder(args.checkpoint, encoder, net)
     name = args.name or os.path.splitext(os.path.basename(args.checkpoint))[0]
     src_hash = cc.file_sha256(args.checkpoint)
     circuit = cc.harden_network(net, source_hash=src_hash)
@@ -229,7 +229,7 @@ def cmd_harden(args) -> int:
     sz.save_circuit(circuit, paths["circuit"], encoder)
     extra: dict = {"hardening_error": herr, **_neuron_counts(net.conn)}
     if args.data:
-        ds, x_enc = _encoded_data(args.data, args.checkpoint, encoder, net.arch, net)
+        ds, x_enc = _encoded_data(args.data, args.checkpoint, encoder, net)
         gap = cc.gap_report(net, circuit, x_enc, ds.labels)
         paths["gap"] = os.path.join(out, f"{name}.gap.tsv")
         sz.save_report(
@@ -254,9 +254,8 @@ def cmd_eval(args) -> int:
     circuit, encoder = sz.load_circuit(args.circuit)
     name = args.name or os.path.splitext(os.path.basename(args.circuit))[0].replace(
         ".circuit", "")
-    ds, x_enc = _encoded_data(args.data, args.circuit, encoder,
-                              circuit.provenance["arch"], circuit)
-    x_enc = circuit.trit_inputs(x_enc)
+    ds, x_enc = _encoded_data(args.data, args.circuit, encoder, circuit)
+    x_enc = nw.ARCHS[circuit.arch].trit_inputs(x_enc)
     outputs, scores, preds, margins = cc.eval_circuit(circuit, x_enc)
     acc = float((preds == ds.labels).mean())
     unk = al.unknown_share(outputs)
@@ -370,7 +369,7 @@ def cmd_bench(args) -> int:
     widths = _recipe_from_args(args).widths
     _check_at_least(args, steps=1, input_dim=2, warmup=0)
     results = {}
-    for arch in ("ternary", "binary"):
+    for arch in nw.ARCHS:
         times = pl._bench_arch(arch, widths, args.input_dim, args.batch_size,
                                args.steps, args.warmup, args.seed)
         results[arch] = {
@@ -380,7 +379,9 @@ def cmd_bench(args) -> int:
             "circuit_samples_per_s": pl._bench_circuit(arch, widths, args.input_dim,
                                                        args.steps, args.seed),
         }
-    ratio = results["binary"]["median_ms"] / results["ternary"]["median_ms"]
+    base, *others = results  # each other arch's median step over the first's
+    ratios = {f"ratio_{arch}_over_{base}": results[arch]["median_ms"]
+              / results[base]["median_ms"] for arch in others}
     counts = _neuron_counts(nw.sample_connectivity(widths, args.input_dim, args.seed))
     live = f"{100 * counts['live_share']:.1f}% of neurons live"
     warning = None
@@ -399,14 +400,13 @@ def cmd_bench(args) -> int:
                  "circuit_samples_per_s_1e3", "circuit_samples_per_s_1e5"],
         comments=[f"matched widths {widths}, batch {args.batch_size}, "
                   f"warmup {args.warmup}, {live}",
-                  f"binary / ternary median ratio: {ratio:.2f}x"],
+                  *(f"median {key}: {r:.2f}x" for key, r in ratios.items())],
     )
     _write_manifest(args, out, name, paths, {},
-                    {"results": results, "ratio_binary_over_ternary": ratio,
-                     "warning": warning, **counts})
-    print(f"ternary {results['ternary']['median_ms']:.2f} ms/step, "
-          f"binary {results['binary']['median_ms']:.2f} ms/step "
-          f"({ratio:.2f}x); {live}, the only ones training steps run; "
+                    {"results": results, **ratios, "warning": warning, **counts})
+    print(", ".join(f"{arch} {r['median_ms']:.2f} ms/step" for arch, r in results.items())
+          + " (" + ", ".join(f"{key} {r:.2f}x" for key, r in ratios.items())
+          + f"); {live}, the only ones training steps run; "
           "circuit samples/s at 10^3/10^5 rows: "
           + ", ".join(f"{arch} " + "/".join(r) for arch, r in per_s.items()))
     return EXIT_OK
@@ -417,7 +417,7 @@ def cmd_bench(args) -> int:
 # The flag of each RunRecipe field: its spellings and add_argument
 # keywords. The flag's dest is the field's name, its default the field's.
 _RECIPE_FLAGS = {
-    "arch": (["--arch"], dict(choices=("ternary", "binary"))),
+    "arch": (["--arch"], dict(choices=tuple(nw.ARCHS))),
     "body_widths": (["--widths"], dict(type=_parse_widths,
                                        help="comma-separated body widths")),
     "output_neurons": (["--output-neurons"], dict(type=int)),
@@ -506,7 +506,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data-seed", type=int, default=0)
     _add_recipe_flags(p)
 
-    p = add_parser("bench", cmd_bench, "time training steps and circuits of both archs")
+    p = add_parser("bench", cmd_bench, "time training steps and circuits of every arch")
     _add_recipe_flags(p, ("body_widths", "output_neurons", "batch_size",
                           "steps", "seed"), steps=50)
     p.add_argument("--input-dim", type=int, default=6)

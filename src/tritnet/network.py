@@ -11,8 +11,13 @@ truth table, so a fully committed network already behaves like the
 discrete circuit it will be hardened into. The binary baseline gives
 every neuron 16 logits and blends the standard real-valued relaxations
 of the 16 two-input Boolean gates with softmax weights; its inputs and
-activations live in [0, 1]. `ARCHS` holds all that differs here: the
-parameter count, the init scale, the input domain and the layer op.
+activations live in [0, 1]. `ARCHS` holds, per architecture, all that
+differs (`ArchSpec`), so no other module names one: the parameter count,
+init scale, input domain, layer op and its local gradient, hardening
+rule, whether the lattice terms apply, default loss, the gate vocabulary
+of its circuits and the map from encoded inputs to circuit trits. The
+truth tables of the 16 Boolean gates are `GATE_BILINEAR`'s values at
+the four corners; their ternary embeddings follow from those tables.
 
 Class scores come from a GroupSum head: the output layer is cut into k
 contiguous equal groups and each group is summed in index order and
@@ -267,7 +272,8 @@ def binary_gate_relaxation(k: int, a, b):
     """Real-valued relaxation of Boolean gate k on [0, 1] inputs.
 
     Index order is the usual 16-gate enumeration: 0 is constant false,
-    1 is AND, ..., 15 is constant true.
+    1 is AND, ..., 15 is constant true. Gate k is GATE_BILINEAR[k] . (1, a,
+    b, ab) up to rounding; no one order of that sum rounds as all 16 do.
     """
     if k == 0:
         return np.zeros(np.broadcast(a, b).shape)
@@ -311,22 +317,90 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+#: Bilinear coefficients (c0, c1, c2, c3) of each relaxed Boolean gate,
+#: g_k(a, b) = c0 + c1 a + c2 b + c3 ab, in `binary_gate_relaxation`'s order.
+GATE_BILINEAR = np.array(
+    [
+        [0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, -1], [0, 1, 0, 0],
+        [0, 0, 1, -1], [0, 0, 1, 0], [0, 1, 1, -2], [0, 1, 1, -1],
+        [1, -1, -1, 1], [1, -1, -1, 2], [1, 0, -1, 0], [1, 0, -1, 1],
+        [1, -1, 0, 0], [1, -1, 0, 1], [1, 0, 0, -1], [1, 0, 0, 0],
+    ],
+    dtype=float,
+)
+
+#: (16, 4) truth tables of the Boolean gates: GATE_BILINEAR times the
+#: monomials (1, a, b, ab) at the corners ((0,0), (0,1), (1,0), (1,1)).
+_BOOLEAN_TABLES = (GATE_BILINEAR @ np.array(
+    [[1, 1, 1, 1], [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 1]])).astype(np.int64)
+
+
 def boolean_gate_table(k: int) -> tuple[int, ...]:
     """Boolean truth table of gate k on the four corner inputs.
 
     Entries are bits ordered by (a, b) in ((0,0), (0,1), (1,0), (1,1)).
     """
-    out = []
-    for a, b in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
-        v = float(binary_gate_relaxation(k, np.float64(a), np.float64(b)))
-        out.append(int(round(v)))
-    return tuple(out)
+    if not 0 <= k < 16:
+        raise ValueError(f"gate index {k} out of range [0, 15]")
+    return tuple(int(v) for v in _BOOLEAN_TABLES[k])
+
+
+def _boolean_embeddings() -> np.ndarray:
+    """(16, 9) int8: each Boolean gate on the ternary grid. An entry is the
+    consensus of the gate's outputs over the Boolean completions of its
+    grid point (UNKNOWN stands for 0 and 1), or UNKNOWN if they disagree."""
+    a, b = np.array(algebra.GRID_POINTS).T
+    # completes[2 * i + j, g]: corner (i, j) completes grid point g
+    completes = (np.stack([a <= 0, a >= 0])[:, None]
+                 & np.stack([b <= 0, b >= 0])[None, :]).reshape(4, 9)
+    low = np.where(completes, _BOOLEAN_TABLES[:, :, None], 1).min(axis=1)
+    high = np.where(completes, _BOOLEAN_TABLES[:, :, None], 0).max(axis=1)
+    return (low + high - 1).astype(np.int8)
+
+
+#: Ternary embeddings of the 16 Boolean gates, indexed by gate number.
+BOOLEAN_EMBEDDINGS = _boolean_embeddings()
+
+
+def _batch_sums(g, n, factor, chunk):
+    """The batch sums of g * factor(i), i < n, as an (n, width) array. The
+    products go `chunk` at a time (chunk divides n) into one C-ordered
+    (batch, chunk, width) buffer summed over the batch axis, so numpy adds
+    the rows in order at every width; summing a (batch, width) array can
+    switch it to pairwise summation, so a column's last bits would move
+    with the number of columns, which skipping dead neurons changes."""
+    out = np.empty((n, g.shape[1]))
+    tmp = np.empty((g.shape[0], chunk, g.shape[1]))
+    for lo in range(0, n, chunk):
+        for i in range(chunk):
+            np.multiply(g, factor(lo + i), out=tmp[:, i])
+        tmp.sum(axis=0, out=out[lo:lo + chunk])
+    return out
 
 
 def _polynomial_layer(w, a, b):
     """Ternary neuron: the clipped polynomial; keeps the pre-clip value."""
     u = algebra.eval_poly_many(w, a, b)
     return np.clip(u, -1.0, 1.0), u
+
+
+def _polynomial_grads(w, a, b, u, gh, parents: bool):
+    """Local gradient of the clipped polynomial: the coefficient gradient
+    and, if `parents`, the gradients at the two parent values.
+
+    Coefficient k's gradient is the batch sum of gu * m_k over the
+    monomials m_k of `algebra.monomials`, built from shared products.
+    """
+    gu = gh * ((u >= -1.0) & (u <= 1.0))
+    ab = a * b
+    aa = a * a
+    aab = aa * b
+    monomials = (1.0, a, b, ab, aa, b * b, aab, ab * b, aab * b)
+    gw = _batch_sums(gu, algebra.N_MONOMIALS, monomials.__getitem__, 3).T
+    if not parents:
+        return gw, None, None
+    da, db = algebra.poly_input_grads(w, a, b)
+    return gw, gu * da, gu * db
 
 
 def _blend_layer(logit, a, b):
@@ -340,18 +414,59 @@ def _blend_layer(logit, a, b):
     return out, (p, relaxations)
 
 
+def _blend_grads(logit, a, b, ctx, gh, parents: bool):
+    """Local gradient of the softmax gate blend, like `_polynomial_grads`;
+    `ctx` holds the weights and relaxations of the forward pass."""
+    p, relaxations = ctx
+    # dL/dp_k per neuron, C-ordered as the row sums below need, then the softmax Jacobian
+    gp = _batch_sums(gh, 16, relaxations.__getitem__, 4).T.copy()
+    inner = (gp * p).sum(axis=1, keepdims=True)
+    gw = p * (gp - inner)
+    if not parents:
+        return gw, None, None
+    q = p @ GATE_BILINEAR  # blended bilinear coefficients
+    return gw, gh * (q[:, 1] + q[:, 3] * b), gh * (q[:, 2] + q[:, 3] * a)
+
+
+def _rounded_tables(w):
+    """Ternary hardening: the truth tables rounded to trits."""
+    return algebra.round_table(w @ algebra.VANDERMONDE.T)
+
+
+def _argmax_gate_tables(logit):
+    """Binary hardening: the embedding of the argmax gate (lowest index)."""
+    return BOOLEAN_EMBEDDINGS[logit.argmax(axis=1)]
+
+
+def _bits_as_corners(x):
+    """Encoded bits 0 and 1 as the trit corners -1 and +1; any other value
+    is an error, none is truncated."""
+    bits = algebra.exact_ints(np.asarray(x), 0, 1,
+                              "binary circuit inputs must be bits in {0, 1}")
+    return 2 * bits.astype(np.int8, copy=False) - 1
+
+
 @dataclass(frozen=True)
 class ArchSpec:
-    """What the network stage of an architecture makes of its neuron."""
+    """Everything an architecture decides, from its neuron to its circuit."""
 
     n_params: int  # parameters per neuron
     init_std: float  # standard deviation of the parameter init
     domain: tuple[float, float]  # range of inputs and activations
     layer: Callable  # (params, a, b) -> (activation, context)
+    local_grads: Callable  # (params, a, b, context, gh, parents) -> (gw, ga, gb)
+    harden: Callable  # one layer's (w, n_params) params -> hardened (w, 9) tables
+    lattice: bool  # whether commitment, sparsity and hardening error apply
+    loss: str  # the task loss a recipe picks by default
+    vocab: np.ndarray  # the gate ids its circuits may hold
+    trit_inputs: Callable  # encoded inputs -> circuit trits
 
 
 ARCHS = {
-    "ternary": ArchSpec(9, INIT_STD, (-1.0, 1.0), _polynomial_layer),
-    "binary": ArchSpec(16, 1.0, (0.0, 1.0), _blend_layer),
+    "ternary": ArchSpec(9, INIT_STD, (-1.0, 1.0), _polynomial_layer, _polynomial_grads,
+                        _rounded_tables, True, "mse", np.arange(algebra.N_GATES),
+                        np.asarray),
+    "binary": ArchSpec(16, 1.0, (0.0, 1.0), _blend_layer, _blend_grads,
+                       _argmax_gate_tables, False, "ce",
+                       algebra.encode_tables(BOOLEAN_EMBEDDINGS), _bits_as_corners),
 }
-

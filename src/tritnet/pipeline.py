@@ -43,15 +43,16 @@ class RunRecipe:
     lambda_max: float = 0.1
     gamma: float = 2.0
     beta: float = 0.0
-    loss: str | None = None  # None picks mse (ternary) or ce (binary)
+    loss: str | None = None  # None picks the arch's (`ArchSpec.loss`)
     seed: int = 0
     eval_every: int = 500
 
     def __post_init__(self):
         # Check every knob now, mostly through the configs a run builds
         # from the recipe, so a bad value fails before any data is read.
-        if self.arch not in ("ternary", "binary"):
-            raise ValueError(f"arch must be ternary or binary, got {self.arch!r}")
+        if self.arch not in net_mod.ARCHS:
+            raise ValueError(f"arch must be one of {sorted(net_mod.ARCHS)}, "
+                             f"got {self.arch!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         net_mod.GroupSumConfig(k=self.k, tau=self.tau)
@@ -67,9 +68,7 @@ class RunRecipe:
         return tuple(self.body_widths) + (self.output_neurons,)
 
     def effective_loss(self) -> str:
-        if self.loss is not None:
-            return self.loss
-        return "mse" if self.arch == "ternary" else "ce"
+        return net_mod.ARCHS[self.arch].loss if self.loss is None else self.loss
 
     def train_config(self) -> train_mod.TrainConfig:
         return train_mod.TrainConfig(
@@ -174,8 +173,6 @@ def _bench_arch(arch: str, widths, input_dim: int, batch: int, steps: int,
         if i >= warmup:
             times.append(t1 - t0)
     return times
-
-
 
 
 def _bench_circuit(arch: str, widths, input_dim: int, calls: int, seed: int) -> dict:

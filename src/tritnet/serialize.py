@@ -22,9 +22,10 @@ extra line is an error naming its line number. It also checks that the
 version is between 1 and this code's, the arch is known, the widths
 are positive with the last divisible by k, every coefficient is finite,
 every parent index is in range for its layer, every gate id is below
-3^9 (for arch binary, one of the 16 Boolean gates) and the encoder is
-valid. A file a reader cannot use raises a `data.DataFormatError`
-(`FormatError` is one), which the CLI reports with exit code 2.
+3^9 and in its arch's vocabulary (`ArchSpec.vocab`; for arch binary, the
+16 Boolean gates) and the encoder is valid. A file a reader cannot use
+raises a `data.DataFormatError` (`FormatError` is one), which the CLI
+reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ import math
 
 import numpy as np
 
-from .algebra import encode_tables
-from .circuit import BOOLEAN_EMBEDDINGS, Circuit
+from .circuit import Circuit
 from .data import DataFormatError, Dataset, EncoderConfig, _parse_table, _read_lines
 from .network import ARCHS, ConnectivityMap, GroupSumConfig, Network
 
@@ -114,13 +114,13 @@ def _fmt(values) -> str:
     return " ".join(map(repr, np.asarray(values).tolist()))
 
 
-def _write(path, magic, model, arch, seed, extra: dict, encoder, body) -> None:
+def _write(path, magic, model, seed, extra: dict, encoder, body) -> None:
     """Write a checkpoint or circuit in the line order `_read` walks: the
     shape, the `extra` fields, the encoder, `---`, each layer's wiring,
     then the `body` lines."""
     gs = model.groupsum
     encoder = None if encoder is None else dataclasses.asdict(encoder)
-    header = {"arch": arch, "input_dim": model.input_dim,
+    header = {"arch": model.arch, "input_dim": model.input_dim,
               "widths": ",".join(str(w) for w in model.widths), "seed": seed,
               "k": gs.k, "tau": repr(gs.tau), **extra,
               "encoder": json.dumps(encoder, sort_keys=True)}
@@ -230,7 +230,7 @@ def _encoder_from_json(text: str) -> EncoderConfig | None:
 
 def save_checkpoint(net: Network, path, encoder: EncoderConfig | None = None) -> None:
     """Write a ternary or binary network with its encoder config."""
-    _write(path, CHECKPOINT_MAGIC, net, net.arch, net.seed, {}, encoder,
+    _write(path, CHECKPOINT_MAGIC, net, net.seed, {}, encoder,
            (f"w {l} {j} {_fmt(row)}\n"
             for l, mat in enumerate(net.params) for j, row in enumerate(mat)))
 
@@ -245,17 +245,16 @@ def load_checkpoint(path):
 
 
 def save_circuit(circ: Circuit, path, encoder: EncoderConfig | None = None) -> None:
-    prov = circ.provenance
-    _write(path, CIRCUIT_MAGIC, circ, prov.get("arch", "ternary"), circ.conn.seed,
-           {key: prov.get(key, "") or "-" for key in _PROVENANCE}, encoder,
+    _write(path, CIRCUIT_MAGIC, circ, circ.conn.seed,
+           {key: circ.provenance.get(key, "") or "-" for key in _PROVENANCE}, encoder,
            (f"gates {l} {_fmt(ids)}\n" for l, ids in enumerate(circ.gate_ids)))
 
 
 def _read_gates(lines, arch, l, width):
     ids = np.array(lines.row(("gates", l), width, int, -1, 3**9), dtype=np.int64)
-    stray = np.setdiff1d(ids, encode_tables(BOOLEAN_EMBEDDINGS)) if arch == "binary" else ()
+    stray = ids[~np.isin(ids, ARCHS[arch].vocab)]
     if len(stray):
-        raise lines.error(f"gate id {stray[0]} is not a Boolean gate of arch binary")
+        raise lines.error(f"gate id {stray[0]} is not a Boolean gate of arch {arch}")
     return ids
 
 
@@ -263,9 +262,9 @@ def load_circuit(path):
     """Read a circuit file. Returns (circuit, encoder_or_None)."""
     head = _read(path, CIRCUIT_MAGIC, _PROVENANCE, _read_gates)
     provenance = {key: "" if head[key] == "-" else head[key] for key in _PROVENANCE}
-    return Circuit(input_dim=head["input_dim"], widths=head["widths"], conn=head["conn"],
-                   gate_ids=head["layers"], groupsum=head["groupsum"],
-                   provenance={"arch": head["arch"], **provenance}), head["encoder"]
+    return Circuit(arch=head["arch"], input_dim=head["input_dim"], widths=head["widths"],
+                   conn=head["conn"], gate_ids=head["layers"], groupsum=head["groupsum"],
+                   provenance=provenance), head["encoder"]
 
 
 # ------------------------------------------------------ history + manifests

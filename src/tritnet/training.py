@@ -1,6 +1,6 @@
 """Losses, analytic gradients and the minibatch training loop.
 
-The total objective for a ternary network is
+The total objective where the architecture has a lattice (ternary) is
 
     L = L_task + lambda(t) * R_commit + beta * R_sparse,
 
@@ -19,11 +19,12 @@ clip'(x) is 1 on the closed interval [-1, 1] and 0 outside, the squared
 lattice distance uses its left derivative at the breakpoints +-0.5, and
 sign(0) = 0 in the L1 term.
 
-The binary baseline trains through the same loop and the same backward
-pass; only the local gradient of its layer op differs (`_LOCAL_GRADS`).
-It has no lattice to commit to, so the task loss alone drives it. A
-local gradient reads the context its layer op kept in the forward pass:
-the pre-clip values of a ternary layer, the softmax weights and the 16
+Every architecture trains through this loop and backward pass; its
+`network.ArchSpec` gives the local gradient of its layer op
+(`local_grads`) and whether the lattice terms apply (`lattice`: the
+binary baseline has none, so the task loss alone drives it). A local
+gradient reads the context its layer op kept in the forward pass: the
+pre-clip values of a ternary layer, the softmax weights and the 16
 relaxations of a binary one, so no relaxation is evaluated twice a step.
 
 The task terms and the accuracies of both architectures run only the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, fourier
-from .network import Network, _layers, group_sum, soft_scores, softmax
+from .network import ARCHS, Network, _layers, group_sum, soft_scores, softmax
 
 #: Rows of the training set that eval-point history rows score
 #: train_acc on: the first TRAIN_ACC_ROWS, so the cost of an eval point
@@ -199,16 +200,9 @@ def _forward(net: Network, x: np.ndarray):
 
 
 def total_loss(net: Network, x, y, lam: float, cfg: TrainConfig) -> float:
-    """Task loss plus, for a ternary network, the weighted commitment and
-    sparsity terms."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    _, scores = _forward(net, x)
-    loss = task_loss(scores, y, cfg.loss)
-    if net.arch == "ternary" and lam != 0.0:
-        loss += lam * commitment_loss(net)
-    if net.arch == "ternary" and cfg.beta != 0.0:
-        loss += cfg.beta * fourier_l1_loss(net)
-    return loss
+    """Task loss plus, for an architecture with a lattice, the weighted
+    commitment and sparsity terms."""
+    return backward(net, x, y, lam, cfg)[0]
 
 
 def _scatter_to_parents(gh_shape, s, t, ga, gb):
@@ -220,78 +214,12 @@ def _scatter_to_parents(gh_shape, s, t, ga, gb):
     return np.bincount(flat, weights=vals, minlength=n * prev).reshape(n, prev)
 
 
-def _batch_sums(g, n, factor, chunk):
-    """The batch sums of g * factor(i), i < n, as an (n, width) array. The
-    products go `chunk` at a time (chunk divides n) into one C-ordered
-    (batch, chunk, width) buffer summed over the batch axis, so numpy adds
-    the rows in order at every width; summing a (batch, width) array can
-    switch it to pairwise summation, so a column's last bits would move
-    with the number of columns, which skipping dead neurons changes."""
-    out = np.empty((n, g.shape[1]))
-    tmp = np.empty((g.shape[0], chunk, g.shape[1]))
-    for lo in range(0, n, chunk):
-        for i in range(chunk):
-            np.multiply(g, factor(lo + i), out=tmp[:, i])
-        tmp.sum(axis=0, out=out[lo:lo + chunk])
-    return out
-
-
-def _polynomial_grads(w, a, b, u, gh, parents: bool):
-    """Local gradient of the clipped polynomial: the coefficient gradient
-    and, if `parents`, the gradients at the two parent values.
-
-    Coefficient k's gradient is the batch sum of gu * m_k over the
-    monomials m_k of `algebra.monomials`, built from shared products.
-    """
-    gu = gh * ((u >= -1.0) & (u <= 1.0))
-    ab = a * b
-    aa = a * a
-    aab = aa * b
-    monomials = (1.0, a, b, ab, aa, b * b, aab, ab * b, aab * b)
-    gw = _batch_sums(gu, algebra.N_MONOMIALS, monomials.__getitem__, 3).T
-    if not parents:
-        return gw, None, None
-    da, db = algebra.poly_input_grads(w, a, b)
-    return gw, gu * da, gu * db
-
-
-#: Bilinear coefficients (c0, c1, c2, c3) of each relaxed Boolean gate,
-#: g_k(a, b) = c0 + c1 a + c2 b + c3 ab. Used for input derivatives.
-GATE_BILINEAR = np.array(
-    [
-        [0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, -1], [0, 1, 0, 0],
-        [0, 0, 1, -1], [0, 0, 1, 0], [0, 1, 1, -2], [0, 1, 1, -1],
-        [1, -1, -1, 1], [1, -1, -1, 2], [1, 0, -1, 0], [1, 0, -1, 1],
-        [1, -1, 0, 0], [1, -1, 0, 1], [1, 0, 0, -1], [1, 0, 0, 0],
-    ],
-    dtype=float,
-)
-
-
-def _blend_grads(logit, a, b, ctx, gh, parents: bool):
-    """Local gradient of the softmax gate blend, like `_polynomial_grads`;
-    `ctx` holds the weights and relaxations of the forward pass."""
-    p, relaxations = ctx
-    # dL/dp_k per neuron, C-ordered as the row sums below need, then the softmax Jacobian
-    gp = _batch_sums(gh, 16, relaxations.__getitem__, 4).T.copy()
-    inner = (gp * p).sum(axis=1, keepdims=True)
-    gw = p * (gp - inner)
-    if not parents:
-        return gw, None, None
-    q = p @ GATE_BILINEAR  # blended bilinear coefficients
-    return gw, gh * (q[:, 1] + q[:, 3] * b), gh * (q[:, 2] + q[:, 3] * a)
-
-
-#: Local gradient of each architecture's layer op (`network.ARCHS`).
-_LOCAL_GRADS = {"ternary": _polynomial_grads, "binary": _blend_grads}
-
-
 def backward(net: Network, x, y, lam: float, cfg: TrainConfig):
     """Analytic gradient of the total loss. Returns (loss, grads).
 
     grads is a list of per-layer arrays shaped like net.params. The
-    commitment and sparsity terms apply to ternary networks only; the
-    binary baseline has no lattice, so `lam` and cfg.beta leave it be.
+    commitment and sparsity terms apply only where the architecture has
+    a lattice, so `lam` and cfg.beta leave the binary baseline be.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y))
@@ -303,19 +231,19 @@ def backward(net: Network, x, y, lam: float, cfg: TrainConfig):
     group = net.widths[-1] // k
     gh = np.repeat(gscores, group, axis=1) / tau
 
-    local_grads = _LOCAL_GRADS[net.arch]
+    spec = ARCHS[net.arch]
     grads = [np.zeros_like(w) for w in net.params]
     for l, (keep, s, t) in reversed(list(enumerate(net.conn.live))):
         w, a, b, _, ctx = cache[l]
-        grads[l][keep], ga, gb = local_grads(w, a, b, ctx, gh, l > 0)
+        grads[l][keep], ga, gb = spec.local_grads(w, a, b, ctx, gh, l > 0)
         if l > 0:
             gh = _scatter_to_parents((x.shape[0], len(cache[l - 1][0])), s, t, ga, gb)
 
-    if net.arch == "ternary" and lam != 0.0:
+    if spec.lattice and lam != 0.0:
         loss += lam * commitment_loss(net)
         for g, cg in zip(grads, commitment_grads(net)):
             g += lam * cg
-    if net.arch == "ternary" and cfg.beta != 0.0:
+    if spec.lattice and cfg.beta != 0.0:
         loss += cfg.beta * fourier_l1_loss(net)
         for g, fg in zip(grads, fourier_l1_grads(net)):
             g += cfg.beta * fg
@@ -375,9 +303,9 @@ def train(net, data, cfg: TrainConfig, eval_data=None):
     History is a list of per-step dicts; rows that carry evaluation
     metrics gain train_acc/eval_acc keys. train_acc is scored on the
     first TRAIN_ACC_ROWS training rows only, eval_acc on all of
-    `eval_data`. Ternary rows also carry the commitment weight lambda
-    and the commitment loss. With cfg.steps == 0 the network is
-    returned untouched with an empty history.
+    `eval_data`. Rows of an architecture with a lattice also carry the
+    commitment weight lambda and the commitment loss. With cfg.steps ==
+    0 the network is returned untouched with an empty history.
 
     Any non-finite loss or parameter aborts with NumericalFailure.
     """
@@ -391,7 +319,7 @@ def train(net, data, cfg: TrainConfig, eval_data=None):
         raise ValueError("cannot train on an empty dataset")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"{x.shape[0]} inputs but {y.shape[0]} labels")
-    ternary = net.arch == "ternary"
+    lattice = ARCHS[net.arch].lattice
     state = AdamState.init(net.params)
     rng = np.random.default_rng(cfg.seed)
     history: list[dict] = []
@@ -399,7 +327,7 @@ def train(net, data, cfg: TrainConfig, eval_data=None):
     for step in range(cfg.steps):
         idx = rng.integers(0, n, size=min(cfg.batch_size, n))
         xb, yb = x[idx], y[idx]
-        lam = lambda_schedule(step, cfg) if ternary else 0.0
+        lam = lambda_schedule(step, cfg) if lattice else 0.0
         loss, grads = backward(net, xb, yb, lam, cfg)
         if not np.isfinite(loss):
             raise NumericalFailure(step, f"loss became {loss!r}")
@@ -407,7 +335,7 @@ def train(net, data, cfg: TrainConfig, eval_data=None):
         if not all(np.isfinite(p).all() for p in net.params):
             raise NumericalFailure(step, "parameters became non-finite")
         row = {"step": step, "loss": loss}
-        if ternary:
+        if lattice:
             row["lambda"] = lam
             row["commit_loss"] = commitment_loss(net)
         due = (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1

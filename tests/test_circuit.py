@@ -50,14 +50,14 @@ def test_harden_rounds_each_table():
         want = al.round_table(w @ al.VANDERMONDE.T)
         assert np.array_equal(tbl, want)
         assert np.array_equal(ids, al.encode_tables(want))
-    assert circ.provenance["arch"] == "ternary"
+    assert circ.arch == "ternary"
 
 
 def test_circuit_tables_derive_from_gate_ids():
     net = nw.init_network((4,), 3, 1, GS)
     circ = cc.harden_network(net)
     rebuilt = cc.Circuit(
-        input_dim=circ.input_dim, widths=circ.widths, conn=circ.conn,
+        arch=circ.arch, input_dim=circ.input_dim, widths=circ.widths, conn=circ.conn,
         gate_ids=circ.gate_ids, groupsum=circ.groupsum,
         provenance=dict(circ.provenance))
     for t1, t2 in zip(circ.tables, rebuilt.tables):
@@ -67,15 +67,15 @@ def test_circuit_tables_derive_from_gate_ids():
 def test_circuit_tables_cannot_be_passed_in():
     circ = cc.harden_network(nw.init_network((4,), 3, 1, GS))
     with pytest.raises(TypeError):
-        cc.Circuit(input_dim=circ.input_dim, widths=circ.widths, conn=circ.conn,
-                   gate_ids=circ.gate_ids, groupsum=circ.groupsum,
+        cc.Circuit(arch=circ.arch, input_dim=circ.input_dim, widths=circ.widths,
+                   conn=circ.conn, gate_ids=circ.gate_ids, groupsum=circ.groupsum,
                    tables=circ.tables)
 
 
 def test_circuit_is_frozen_and_its_gate_ids_read_only():
     ids = [np.arange(4, dtype=np.int64), np.arange(2, dtype=np.int64)]
-    circ = cc.Circuit(input_dim=3, widths=(4, 2), conn=nw.sample_connectivity((4, 2), 3, 0),
-                      gate_ids=ids, groupsum=GS)
+    circ = cc.Circuit(arch="ternary", input_dim=3, widths=(4, 2),
+                      conn=nw.sample_connectivity((4, 2), 3, 0), gate_ids=ids, groupsum=GS)
     ids[0][:] = 5  # the circuit holds copies
     assert np.array_equal(circ.gate_ids[0], np.arange(4))
     for name in ("gate_ids", "tables", "coeffs", "conn", "widths", "provenance"):
@@ -171,20 +171,20 @@ def test_small_perturbations_round_to_the_same_gates():
 
 def test_boolean_embeddings_extend_kleene_gates():
     # AND embeds to min, OR to max, XOR to the Kleene xor
-    assert al.encode_table(cc.BOOLEAN_EMBEDDINGS[1]) == al.NAMED_GATES["and"].gate_id
-    assert al.encode_table(cc.BOOLEAN_EMBEDDINGS[7]) == al.NAMED_GATES["or"].gate_id
-    assert al.encode_table(cc.BOOLEAN_EMBEDDINGS[6]) == al.NAMED_GATES["xor"].gate_id
-    assert al.encode_table(cc.BOOLEAN_EMBEDDINGS[14]) == al.NAMED_GATES["nand"].gate_id
-    assert al.encode_table(cc.BOOLEAN_EMBEDDINGS[3]) == al.NAMED_GATES["a"].gate_id
-    assert al.encode_table(cc.BOOLEAN_EMBEDDINGS[0]) == al.NAMED_GATES["false"].gate_id
-    assert al.encode_table(cc.BOOLEAN_EMBEDDINGS[15]) == al.NAMED_GATES["true"].gate_id
+    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[1]) == al.NAMED_GATES["and"].gate_id
+    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[7]) == al.NAMED_GATES["or"].gate_id
+    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[6]) == al.NAMED_GATES["xor"].gate_id
+    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[14]) == al.NAMED_GATES["nand"].gate_id
+    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[3]) == al.NAMED_GATES["a"].gate_id
+    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[0]) == al.NAMED_GATES["false"].gate_id
+    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[15]) == al.NAMED_GATES["true"].gate_id
 
 
 def test_boolean_embeddings_restrict_to_boolean_tables():
     # on the four +-1 corners each embedding reproduces its gate bits
     for k in range(16):
         bits = nw.boolean_gate_table(k)
-        emb = cc.BOOLEAN_EMBEDDINGS[k]
+        emb = nw.BOOLEAN_EMBEDDINGS[k]
         for (a, b), want in zip(((0, 0), (0, 1), (1, 0), (1, 1)), bits):
             g = 3 * (2 * a - 1 + 1) + (2 * b - 1 + 1)
             assert emb[g] == 2 * want - 1
@@ -193,13 +193,13 @@ def test_boolean_embeddings_restrict_to_boolean_tables():
 def test_consensus_rule_on_unknown_inputs():
     # if both Boolean completions of an UNKNOWN input agree, the
     # embedded gate keeps the agreed value, else it emits UNKNOWN
-    emb_and = cc.BOOLEAN_EMBEDDINGS[1]
+    emb_and = nw.BOOLEAN_EMBEDDINGS[1]
     assert emb_and[al.grid_index(-1, 0)] == -1   # F AND ? = F
     assert emb_and[al.grid_index(1, 0)] == 0     # T AND ? = ?
-    emb_or = cc.BOOLEAN_EMBEDDINGS[7]
+    emb_or = nw.BOOLEAN_EMBEDDINGS[7]
     assert emb_or[al.grid_index(1, 0)] == 1      # T OR ? = T
     assert emb_or[al.grid_index(0, 0)] == 0
-    emb_xor = cc.BOOLEAN_EMBEDDINGS[6]
+    emb_xor = nw.BOOLEAN_EMBEDDINGS[6]
     assert emb_xor[al.grid_index(0, -1)] == 0    # xor never recovers
 
 
@@ -211,9 +211,33 @@ def test_harden_binary_argmax_and_tie_break():
     net.params[0][1, 5] = 2.0          # tie between gates 3 and 5
     circ = cc.harden_binary(net)
     assert circ.gate_ids[0][0] == al.NAMED_GATES["xor"].gate_id
-    assert circ.gate_ids[0][1] == al.encode_table(cc.BOOLEAN_EMBEDDINGS[3])
-    assert circ.gate_ids[0][2] == al.encode_table(cc.BOOLEAN_EMBEDDINGS[0])
-    assert circ.provenance["arch"] == "binary"
+    assert circ.gate_ids[0][1] == al.encode_table(nw.BOOLEAN_EMBEDDINGS[3])
+    assert circ.gate_ids[0][2] == al.encode_table(nw.BOOLEAN_EMBEDDINGS[0])
+    assert circ.arch == "binary"
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.999, -0.5, 1.5])
+def test_binary_inputs_must_be_bits(bad):
+    """A value between or beyond the bits is refused, not truncated to one."""
+    to_trits = nw.ARCHS["binary"].trit_inputs
+    x = np.zeros((3, 4))
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match=r"bits in \{0, 1\}"):
+        to_trits(x)
+    net = nw.init_network((8, 4), 4, 5, GS, arch="binary")
+    # the soft pass refuses what is outside [0, 1] first
+    with pytest.raises(ValueError, match="bits in" if 0 <= bad <= 1 else "lie in"):
+        cc.gap_report(net, cc.harden_network(net), x, np.zeros(3, dtype=int))
+
+
+def test_binary_input_map_gives_every_bit_dtype_the_same_results():
+    net = nw.init_network((16, 8), 6, 3, GS, arch="binary")
+    circ = cc.harden_network(net)
+    bits = np.random.default_rng(4).integers(0, 2, size=(300, 6))
+    want = cc.eval_circuit(circ, 2 * bits - 1)
+    for x in (bits.astype(np.int8), bits.astype(bool), bits.astype(np.float64)):
+        for got, w in zip(cc.eval_circuit(circ, nw.ARCHS["binary"].trit_inputs(x)), want):
+            assert np.array_equal(got, w)
 
 
 def test_gap_report_fields():

@@ -569,7 +569,7 @@ def test_binary_circuit_of_non_boolean_gates_is_a_data_error(trained, tmp_path, 
     id is refused when the file is read, before a report counts them."""
     lines = open(trained["binary-circuit"]).read().splitlines()
     i = next(i for i, ln in enumerate(lines) if ln.startswith("gates 0 "))
-    ternary_ids = np.setdiff1d(np.arange(100), al.encode_tables(cc.BOOLEAN_EMBEDDINGS))
+    ternary_ids = np.setdiff1d(np.arange(100), al.encode_tables(nw.BOOLEAN_EMBEDDINGS))
     n_gates = len(lines[i].split()) - 2
     lines[i] = "gates 0 " + " ".join(map(str, ternary_ids[:n_gates]))
     bad = tmp_path / "bad.circuit.txt"
@@ -635,7 +635,7 @@ def test_mutated_model_files_fail_cleanly(trained, tmp_path, capsys, artifact, o
     assert rc == cli.EXIT_OK
     if artifact.endswith("circuit"):
         circ, _ = sz.load_circuit(path)
-        assert circ.provenance["arch"] in nw.ARCHS
+        assert circ.arch in nw.ARCHS
         ids = circ.all_gate_ids()
         assert ids.min() >= 0 and ids.max() < 3**9
     else:

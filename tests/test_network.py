@@ -168,6 +168,58 @@ def test_boolean_gate_tables_frozen():
         nw.binary_gate_relaxation(16, 0.0, 0.0)
 
 
+def corner_sampled_gate_table(k):
+    """The former `boolean_gate_table`: the relaxation chain sampled at the
+    four corners, rounded to bits."""
+    out = []
+    for a, b in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
+        v = float(nw.binary_gate_relaxation(k, np.float64(a), np.float64(b)))
+        out.append(int(round(v)))
+    return tuple(out)
+
+
+def consensus_embedding(gate):
+    """The former per-gate consensus loop: each grid point's entry from
+    the set of outputs over its Boolean completions."""
+    bits = corner_sampled_gate_table(gate)
+    entries = np.zeros(9, dtype=np.int8)
+    for g, (a, b) in enumerate(al.GRID_POINTS):
+        a_opts = (0, 1) if a == 0 else ((a + 1) // 2,)
+        b_opts = (0, 1) if b == 0 else ((b + 1) // 2,)
+        outs = {bits[2 * ai + bi] for ai in a_opts for bi in b_opts}
+        entries[g] = 0 if len(outs) > 1 else 2 * outs.pop() - 1
+    return entries
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_gate_table_and_embedding_equal_the_chain_oracles(k):
+    assert nw.boolean_gate_table(k) == corner_sampled_gate_table(k)
+    assert nw.BOOLEAN_EMBEDDINGS.dtype == np.int8
+    assert np.array_equal(nw.BOOLEAN_EMBEDDINGS[k], consensus_embedding(k))
+
+
+def bilinear_gate(k, a, b):
+    """GATE_BILINEAR[k] . (1, a, b, ab)."""
+    return nw.GATE_BILINEAR[k] @ np.stack([np.ones_like(a), a, b, a * b])
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_relaxation_chain_is_the_bilinear_table(k):
+    a, b = np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0, 1.0])
+    assert np.array_equal(nw.binary_gate_relaxation(k, a, b), bilinear_gate(k, a, b))
+    a, b = np.random.default_rng(k).uniform(0.0, 1.0, size=(2, 10**4))
+    np.testing.assert_allclose(nw.binary_gate_relaxation(k, a, b), bilinear_gate(k, a, b),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [-1, 16, 100])
+def test_gate_index_out_of_range(k):
+    with pytest.raises(ValueError, match="out of range"):
+        nw.binary_gate_relaxation(k, 0.5, 0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        nw.boolean_gate_table(k)
+
+
 def test_relaxations_stay_in_unit_interval():
     rng = np.random.default_rng(3)
     a = rng.uniform(0, 1, size=200)

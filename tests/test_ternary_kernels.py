@@ -6,6 +6,8 @@ The kernels compute the same expressions in the same order, only with
 fewer temporaries or fewer calls, so every comparison here is exact.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,7 +108,7 @@ def test_poly_input_grads_match_horner(batch, width, order):
 @pytest.mark.parametrize("batch,width,order", SHAPES)
 def test_polynomial_grads_match_einsum(batch, width, order, parents):
     args = layer_inputs(batch, width, seed=batch * width, order=order)
-    assert_identical(tr._polynomial_grads(*args, parents),
+    assert_identical(nw._polynomial_grads(*args, parents),
                      einsum_polynomial_grads(*args, parents))
 
 
@@ -119,7 +121,8 @@ def test_full_backward_matches_einsum_kernels(monkeypatch):
     cfg = tr.TrainConfig(steps=10, beta=0.01)
     loss, grads = tr.backward(net, x, y, 0.05, cfg)
     monkeypatch.setattr(al, "eval_poly_many", horner_eval_poly_many)
-    monkeypatch.setitem(tr._LOCAL_GRADS, "ternary", einsum_polynomial_grads)
+    monkeypatch.setitem(nw.ARCHS, "ternary", dataclasses.replace(
+        nw.ARCHS["ternary"], local_grads=einsum_polynomial_grads))
     want_loss, want_grads = tr.backward(net, x, y, 0.05, cfg)
     assert loss == want_loss
     assert len(grads) == len(want_grads) == 4
@@ -141,12 +144,12 @@ def recomputed_blend_grads(logit, a, b, ctx, gh, parents):
     """`_blend_grads` calling `binary_gate_relaxation` again inside the batch
     sums, instead of reading the relaxations the forward pass kept."""
     p, _ = ctx
-    gp = tr._batch_sums(gh, 16, lambda k: nw.binary_gate_relaxation(k, a, b), 4).T.copy()
+    gp = nw._batch_sums(gh, 16, lambda k: nw.binary_gate_relaxation(k, a, b), 4).T.copy()
     inner = (gp * p).sum(axis=1, keepdims=True)
     gw = p * (gp - inner)
     if not parents:
         return gw, None, None
-    q = p @ tr.GATE_BILINEAR
+    q = p @ nw.GATE_BILINEAR
     return gw, gh * (q[:, 1] + q[:, 3] * b), gh * (q[:, 2] + q[:, 3] * a)
 
 
@@ -174,7 +177,7 @@ def test_blend_grads_from_the_context_match_recomputed_relaxations(batch, width,
     logit, a, b, gh = binary_layer_inputs(batch, width, seed=batch * width)
     out, ctx = nw._blend_layer(logit, a, b)
     assert_identical([out], [strided_blend_layer(logit, a, b)])
-    assert_identical(tr._blend_grads(logit, a, b, ctx, gh, parents),
+    assert_identical(nw._blend_grads(logit, a, b, ctx, gh, parents),
                      recomputed_blend_grads(logit, a, b, ctx, gh, parents))
 
 
@@ -185,7 +188,8 @@ def test_full_binary_backward_matches_recomputed_relaxations(monkeypatch):
     y = rng.integers(0, 2, size=100)
     cfg = tr.TrainConfig(steps=10)
     loss, grads = tr.backward(net, x, y, 0.0, cfg)
-    monkeypatch.setitem(tr._LOCAL_GRADS, "binary", recomputed_blend_grads)
+    monkeypatch.setitem(nw.ARCHS, "binary", dataclasses.replace(
+        nw.ARCHS["binary"], local_grads=recomputed_blend_grads))
     want_loss, want_grads = tr.backward(net, x, y, 0.0, cfg)
     assert loss == want_loss
     for g, e in zip(grads, want_grads):
