@@ -262,8 +262,7 @@ def delta_sweep(deltas, recipe, train_ds, test_ds) -> list[dict]:
     rows = []
     for delta in deltas:
         r = pipeline.vary(recipe, arch="ternary", delta=float(delta))
-        enc = data_mod.fit_encoder(train_ds.features, r.thresholds, r.delta,
-                                   mode="ternary")
+        enc = data_mod.fit_encoder(train_ds.features, r.thresholds, r.delta, mode=r.arch)
         rows.append(_run_row({"delta": r.delta, "encoder_unknown_share":
                               data_mod.encoder_unknown_share(train_ds.features, enc)},
                              r, train_ds, test_ds))

@@ -1,8 +1,10 @@
 """Hardening soft networks into discrete circuits, and running them.
 
-One hardener serves both architectures; `Circuit.arch` names one, and
-its `network.ArchSpec` gives the hardening rule (`harden`), the input
-map (`trit_inputs`) and whether `hardening_error` applies (`lattice`).
+A `Circuit` is the `network.Model` of the network it was hardened from
+(the same arch, wiring and GroupSum head) with gate ids for parameters.
+One hardener serves both architectures; the arch's `network.ArchSpec`
+gives the hardening rule (`harden`), the input map (`trit_inputs`) and
+whether `hardening_error` applies (`lattice`).
 Hardening a ternary network rounds every neuron's truth-table values to
 the nearest trit (ties away from zero) and stores the resulting gate id.
 The mean squared rounding residue equals the commitment loss of the soft
@@ -46,25 +48,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
-from .network import ARCHS, ConnectivityMap, GroupSumConfig, Network, soft_scores
+from .network import ARCHS, Model, Network, soft_scores
 
 
 @dataclass(frozen=True)
-class Circuit:
-    """A ternary gate circuit with a GroupSum head, hardened from an `arch`
-    network; frozen, its gate ids read-only, as the engine's masks derive from them."""
+class Circuit(Model):
+    """A `Model` of ternary gates hardened from an `arch` network; frozen,
+    its gate ids read-only, as the engine's masks derive from them."""
 
-    arch: str
-    input_dim: int
-    widths: tuple[int, ...]
-    conn: ConnectivityMap
     gate_ids: tuple[np.ndarray, ...]  # per layer, read-only int64
-    groupsum: GroupSumConfig
     provenance: dict = field(default_factory=dict)
     tables: tuple[np.ndarray, ...] = field(init=False)  # decoded gate_ids, (w, 9)
     coeffs: tuple[np.ndarray, ...] = field(init=False)  # `_coefficients`, live neurons
 
     def __post_init__(self):
+        super().__post_init__()
         ids = tuple(np.array(g, dtype=np.int64) for g in self.gate_ids)
         tables = tuple(algebra.decode_tables(g) for g in ids)
         for array in ids + tables:
@@ -83,11 +81,9 @@ def harden_network(net: Network, source_hash: str | None = None) -> Circuit:
     harden = ARCHS[net.arch].harden
     return Circuit(
         arch=net.arch,
-        input_dim=net.input_dim,
-        widths=net.widths,
         conn=net.conn,
-        gate_ids=[algebra.encode_tables(harden(w)) for w in net.params],
         groupsum=net.groupsum,
+        gate_ids=[algebra.encode_tables(harden(w)) for w in net.params],
         provenance={
             "source_sha256": source_hash or "",
             "hardened_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra
+from .network import ARCHS
 
 DATASET_KINDS = ("moons", "circles", "spirals", "gaussians", "ring_sector")
 
@@ -158,9 +159,10 @@ def bayes_accuracy_gaussians(sep: float) -> float:
 class EncoderConfig:
     """Threshold encoder fitted on a training split.
 
-    mode is "ternary" (trits with an UNKNOWN dead zone) or "binary"
-    (thermometer bits). lo/hi are the per-feature value ranges the
-    thresholds were spread over.
+    mode is the architecture the codes feed, a key of `network.ARCHS`:
+    "ternary" (trits with an UNKNOWN dead zone) or "binary" (thermometer
+    bits). lo/hi are the per-feature value ranges the thresholds were
+    spread over.
     """
 
     mode: str
@@ -170,8 +172,8 @@ class EncoderConfig:
     hi: tuple[float, ...]
 
     def __post_init__(self):
-        if self.mode not in ("ternary", "binary"):
-            raise ValueError(f"mode must be ternary or binary, got {self.mode!r}")
+        if self.mode not in ARCHS:
+            raise ValueError(f"mode must be one of {sorted(ARCHS)}, got {self.mode!r}")
         if self.thresholds_per_feature < 1:
             raise ValueError("need at least 1 threshold per feature")
         if not 0 <= self.delta < math.inf:

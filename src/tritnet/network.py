@@ -19,6 +19,12 @@ of its circuits and the map from encoded inputs to circuit trits. The
 truth tables of the 16 Boolean gates are `GATE_BILINEAR`'s values at
 the four corners; their ternary embeddings follow from those tables.
 
+A network and its hardened circuit are one frozen `Model`: the arch
+(checked by `arch_spec`), the wiring and the GroupSum head. Only the
+wiring holds the shape and seed; `Model.input_dim`, `widths` and `seed`
+read them from it. A `Network` adds its parameters, a `circuit.Circuit`
+its gate ids.
+
 Class scores come from a GroupSum head: the output layer is cut into k
 contiguous equal groups and each group is summed in index order and
 divided by the temperature tau. The random wiring leaves some neurons
@@ -104,56 +110,57 @@ class ConnectivityMap:
         return tuple((slice(None), s, t) for s, t in self.layers)
 
 
-def _draw_connectivity(rng, input_dim, widths):
-    layers = []
-    prev = input_dim
-    for w in widths:
-        s = rng.integers(0, prev, size=w)
-        t = rng.integers(0, prev, size=w)
-        layers.append((s, t))
-        prev = w
-    return tuple(layers)
-
-
-def sample_connectivity(widths, input_dim: int, seed: int) -> ConnectivityMap:
-    """Draw a fresh wiring. Both parents are uniform over the previous
-    layer, drawn independently per neuron, so duplicate parents and
-    unused neurons are allowed by design."""
+def _draw_connectivity(widths, input_dim: int, seed: int):
+    """The wiring of a checked shape, drawn from a stream seeded with
+    `seed`, and that stream, positioned for any draw that follows."""
     widths = tuple(int(w) for w in widths)
-    _validate_shape(widths, input_dim)
-    rng = np.random.default_rng(seed)
-    return ConnectivityMap(
-        seed=seed,
-        input_dim=input_dim,
-        widths=widths,
-        layers=_draw_connectivity(rng, input_dim, widths),
-    )
-
-
-def _validate_shape(widths, input_dim):
     if len(widths) == 0:
         raise ValueError("network needs at least one layer")
     if any(w < 1 for w in widths):
         raise ValueError(f"zero-width layer in {widths}")
     if input_dim < 2:
         raise ValueError(f"need at least 2 inputs, got input_dim={input_dim}")
+    rng = np.random.default_rng(seed)
+    layers, prev = [], input_dim
+    for w in widths:
+        layers.append((rng.integers(0, prev, size=w), rng.integers(0, prev, size=w)))
+        prev = w
+    return ConnectivityMap(seed=seed, input_dim=input_dim, widths=widths,
+                           layers=tuple(layers)), rng
 
 
-@dataclass
-class Network:
-    """Layered soft gate network; `arch` names its neuron (see `ARCHS`)."""
+def sample_connectivity(widths, input_dim: int, seed: int) -> ConnectivityMap:
+    """Draw a fresh wiring. Both parents are uniform over the previous
+    layer, drawn independently per neuron, so duplicate parents and
+    unused neurons are allowed by design."""
+    return _draw_connectivity(widths, input_dim, seed)[0]
+
+
+@dataclass(frozen=True)
+class Model:
+    """What a soft network and the circuit hardened from it share: the
+    neuron (`arch`, see `ARCHS`), the wiring and the GroupSum head. The
+    shape and seed are the wiring's own, read through properties."""
 
     arch: str
-    input_dim: int
-    widths: tuple[int, ...]
     conn: ConnectivityMap
-    params: list[np.ndarray]  # per layer, shape (widths[l], n_params)
     groupsum: GroupSumConfig
-    seed: int
 
-    @property
-    def n_neurons(self) -> int:
-        return sum(self.widths)
+    input_dim = property(lambda self: self.conn.input_dim)
+    widths = property(lambda self: self.conn.widths)
+    seed = property(lambda self: self.conn.seed)
+    n_neurons = property(lambda self: sum(self.conn.widths))
+
+    def __post_init__(self):
+        arch_spec(self.arch)
+
+
+@dataclass(frozen=True)
+class Network(Model):
+    """Layered soft gate network: a `Model` with per-layer parameters,
+    which training updates in place; no field is ever reassigned."""
+
+    params: list[np.ndarray]  # per layer, shape (widths[l], n_params)
 
 
 def init_network(widths, input_dim: int, seed: int,
@@ -164,24 +171,14 @@ def init_network(widths, input_dim: int, seed: int,
     The wiring is drawn first from the seeded stream, so it coincides
     with `sample_connectivity(widths, input_dim, seed)`.
     """
-    if arch not in ARCHS:
-        raise ValueError(f"arch must be one of {sorted(ARCHS)}, got {arch!r}")
-    spec = ARCHS[arch]
-    widths = tuple(int(w) for w in widths)
-    _validate_shape(widths, input_dim)
+    spec = arch_spec(arch)
     groupsum = groupsum or GroupSumConfig(k=2, tau=10.0)
-    if widths[-1] % groupsum.k != 0:
-        raise ValueError(
-            f"output width {widths[-1]} not divisible by k={groupsum.k}"
-        )
-    rng = np.random.default_rng(seed)
-    layers = _draw_connectivity(rng, input_dim, widths)
-    conn = ConnectivityMap(seed=seed, input_dim=input_dim, widths=widths,
-                           layers=layers)
+    conn, rng = _draw_connectivity(widths, input_dim, seed)
+    if conn.widths[-1] % groupsum.k != 0:
+        raise ValueError(f"output width {conn.widths[-1]} not divisible by k={groupsum.k}")
     params = [rng.normal(0.0, spec.init_std, size=(w, spec.n_params))
-              for w in widths]
-    return Network(arch=arch, input_dim=input_dim, widths=widths, conn=conn,
-                   params=params, groupsum=groupsum, seed=seed)
+              for w in conn.widths]
+    return Network(arch=arch, conn=conn, groupsum=groupsum, params=params)
 
 
 def group_sum(h: np.ndarray, cfg: GroupSumConfig) -> np.ndarray:
@@ -470,3 +467,10 @@ ARCHS = {
                        _argmax_gate_tables, False, "ce",
                        algebra.encode_tables(BOOLEAN_EMBEDDINGS), _bits_as_corners),
 }
+
+
+def arch_spec(name: str) -> ArchSpec:
+    """The `ArchSpec` of architecture `name`; a ValueError names the known ones."""
+    if name not in ARCHS:
+        raise ValueError(f"arch must be one of {sorted(ARCHS)}, got {name!r}")
+    return ARCHS[name]

@@ -50,9 +50,7 @@ class RunRecipe:
     def __post_init__(self):
         # Check every knob now, mostly through the configs a run builds
         # from the recipe, so a bad value fails before any data is read.
-        if self.arch not in net_mod.ARCHS:
-            raise ValueError(f"arch must be one of {sorted(net_mod.ARCHS)}, "
-                             f"got {self.arch!r}")
+        net_mod.arch_spec(self.arch)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         net_mod.GroupSumConfig(k=self.k, tau=self.tau)

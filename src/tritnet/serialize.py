@@ -114,14 +114,14 @@ def _fmt(values) -> str:
     return " ".join(map(repr, np.asarray(values).tolist()))
 
 
-def _write(path, magic, model, seed, extra: dict, encoder, body) -> None:
+def _write(path, magic, model, extra: dict, encoder, body) -> None:
     """Write a checkpoint or circuit in the line order `_read` walks: the
     shape, the `extra` fields, the encoder, `---`, each layer's wiring,
     then the `body` lines."""
     gs = model.groupsum
     encoder = None if encoder is None else dataclasses.asdict(encoder)
     header = {"arch": model.arch, "input_dim": model.input_dim,
-              "widths": ",".join(str(w) for w in model.widths), "seed": seed,
+              "widths": ",".join(str(w) for w in model.widths), "seed": model.seed,
               "k": gs.k, "tau": repr(gs.tau), **extra,
               "encoder": json.dumps(encoder, sort_keys=True)}
     with open(path, "w") as fh:
@@ -183,19 +183,19 @@ class _Lines:
 def _read(path, magic, extra: tuple, read_layer) -> dict:
     """Read a checkpoint or circuit in the order `_write` emits it.
 
-    Returns the header fields by name, the wiring as `conn` and the
+    Returns `arch`, `groupsum`, the `extra` fields and `encoder` by name,
+    the wiring, which holds the shape and seed, as `conn` and the
     `read_layer(lines, arch, l, width)` results as `layers`.
     """
     lines = _Lines(path, magic)
     head = {"arch": lines.take("arch")}
     if head["arch"] not in ARCHS:
         raise lines.error(f"unknown arch {head['arch']!r}")
-    head["input_dim"] = lines.take("input_dim", parse=int)
+    input_dim = lines.take("input_dim", parse=int)
     widths = lines.take("widths", parse=lambda t: tuple(int(v) for v in t.split(",")))
     if min(widths) < 1:
         raise lines.error(f"widths {widths} must be positive")
-    head["widths"] = widths
-    head["seed"] = lines.take("seed", parse=int)
+    seed = lines.take("seed", parse=int)
     k = lines.take("k", parse=int)
     if k < 2 or widths[-1] % k:
         raise lines.error(f"the last width {widths[-1]} must be divisible by k={k} >= 2")
@@ -203,13 +203,13 @@ def _read(path, magic, extra: tuple, read_layer) -> dict:
     head.update((key, lines.take(key)) for key in extra)
     head["encoder"] = lines.take("encoder", parse=_encoder_from_json)
     lines.take("---", parse=None)
-    wiring, prev = [], head["input_dim"]
+    wiring, prev = [], input_dim
     for l, w in enumerate(widths):
         wiring.append(tuple(np.array(lines.row((tag, l), w, int, -1, prev), dtype=np.int64)
                             for tag in ("parents_s", "parents_t")))
         prev = w
-    head["conn"] = ConnectivityMap(seed=head["seed"], input_dim=head["input_dim"],
-                                   widths=widths, layers=tuple(wiring))
+    head["conn"] = ConnectivityMap(seed=seed, input_dim=input_dim, widths=widths,
+                                   layers=tuple(wiring))
     head["layers"] = [read_layer(lines, head["arch"], l, w) for l, w in enumerate(widths)]
     lines.end()
     return head
@@ -230,7 +230,7 @@ def _encoder_from_json(text: str) -> EncoderConfig | None:
 
 def save_checkpoint(net: Network, path, encoder: EncoderConfig | None = None) -> None:
     """Write a ternary or binary network with its encoder config."""
-    _write(path, CHECKPOINT_MAGIC, net, net.seed, {}, encoder,
+    _write(path, CHECKPOINT_MAGIC, net, {}, encoder,
            (f"w {l} {j} {_fmt(row)}\n"
             for l, mat in enumerate(net.params) for j, row in enumerate(mat)))
 
@@ -239,13 +239,12 @@ def load_checkpoint(path):
     """Read a checkpoint. Returns (network, encoder_or_None)."""
     head = _read(path, CHECKPOINT_MAGIC, (), lambda lines, arch, l, w: np.array(
         [lines.row(("w", l, j), ARCHS[arch].n_params) for j in range(w)]))
-    return Network(arch=head["arch"], input_dim=head["input_dim"],
-                   widths=head["widths"], conn=head["conn"], params=head["layers"],
-                   groupsum=head["groupsum"], seed=head["seed"]), head["encoder"]
+    return Network(arch=head["arch"], conn=head["conn"], groupsum=head["groupsum"],
+                   params=head["layers"]), head["encoder"]
 
 
 def save_circuit(circ: Circuit, path, encoder: EncoderConfig | None = None) -> None:
-    _write(path, CIRCUIT_MAGIC, circ, circ.conn.seed,
+    _write(path, CIRCUIT_MAGIC, circ,
            {key: circ.provenance.get(key, "") or "-" for key in _PROVENANCE}, encoder,
            (f"gates {l} {_fmt(ids)}\n" for l, ids in enumerate(circ.gate_ids)))
 
@@ -262,9 +261,8 @@ def load_circuit(path):
     """Read a circuit file. Returns (circuit, encoder_or_None)."""
     head = _read(path, CIRCUIT_MAGIC, _PROVENANCE, _read_gates)
     provenance = {key: "" if head[key] == "-" else head[key] for key in _PROVENANCE}
-    return Circuit(arch=head["arch"], input_dim=head["input_dim"], widths=head["widths"],
-                   conn=head["conn"], gate_ids=head["layers"], groupsum=head["groupsum"],
-                   provenance=provenance), head["encoder"]
+    return Circuit(arch=head["arch"], conn=head["conn"], groupsum=head["groupsum"],
+                   gate_ids=head["layers"], provenance=provenance), head["encoder"]
 
 
 # ------------------------------------------------------ history + manifests

@@ -21,7 +21,7 @@ def circuit_with_gates(gate_names, input_dim=3, seed=0, groupsum=GS):
     conn = nw.sample_connectivity((width,), input_dim, seed)
     ids = [np.array([al.NAMED_GATES[g].gate_id for g in gate_names],
                     dtype=np.int64)]
-    return cc.Circuit(arch="ternary", input_dim=input_dim, widths=(width,), conn=conn,
+    return cc.Circuit(arch="ternary", conn=conn,
                       gate_ids=ids, groupsum=groupsum)
 
 

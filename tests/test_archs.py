@@ -6,20 +6,33 @@ input map) from the spec, so an architecture added to `ARCHS` is tested
 by these cases as it stands.
 """
 
+import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tritnet
+import tritnet.algebra as al
 import tritnet.analysis as an
 import tritnet.circuit as cc
 import tritnet.cli as cli
+import tritnet.data as dt
 import tritnet.network as nw
 import tritnet.pipeline as pl
 import tritnet.serialize as sz
 import tritnet.training as tr
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import reference  # noqa: E402
+
 GS = nw.GroupSumConfig(k=2, tau=4.0)
+UNKNOWN = "-".join(nw.ARCHS)  # an arch name that is not a key of ARCHS
 
 
 def run(argv):
@@ -79,10 +92,82 @@ def test_arch_flag_and_recipe_accept_exactly_the_archs():
         assert tuple(flag.choices) == tuple(nw.ARCHS)
     for arch in nw.ARCHS:
         assert pl.RunRecipe(arch=arch).arch == arch
-    unknown = "-".join(nw.ARCHS)
     with pytest.raises(ValueError, match="arch must be one of"):
-        pl.RunRecipe(arch=unknown)
-    assert run(["train", "--train", "t", "--test", "t", "--arch", unknown]) == cli.EXIT_USAGE
+        pl.RunRecipe(arch=UNKNOWN)
+    assert run(["train", "--train", "t", "--test", "t", "--arch", UNKNOWN]) == cli.EXIT_USAGE
+
+
+def test_models_and_encoders_refuse_an_unknown_arch():
+    conn = nw.sample_connectivity((4, 2), 3, 0)
+    with pytest.raises(ValueError, match="arch must be one of"):
+        nw.init_network((4, 2), 3, 0, GS, arch=UNKNOWN)
+    with pytest.raises(ValueError, match="arch must be one of"):
+        nw.Network(arch=UNKNOWN, conn=conn, groupsum=GS,
+                   params=[np.zeros((4, 9)), np.zeros((2, 9))])
+    with pytest.raises(ValueError, match="arch must be one of"):
+        cc.Circuit(arch=UNKNOWN, conn=conn, groupsum=GS,
+                   gate_ids=[np.zeros(4, dtype=np.int64), np.zeros(2, dtype=np.int64)])
+    for arch in nw.ARCHS:
+        assert dt.EncoderConfig(mode=arch, thresholds_per_feature=1, delta=0.0,
+                                lo=(), hi=()).mode == arch
+    with pytest.raises(ValueError, match="mode must be one of"):
+        dt.EncoderConfig(mode=UNKNOWN, thresholds_per_feature=1, delta=0.0, lo=(), hi=())
+
+
+def test_the_wiring_alone_holds_a_models_shape_and_seed():
+    assert [f.name for f in dataclasses.fields(nw.Network)] == [
+        "arch", "conn", "groupsum", "params"]
+    assert [f.name for f in dataclasses.fields(cc.Circuit) if f.init] == [
+        "arch", "conn", "groupsum", "gate_ids", "provenance"]
+    # RunRecipe.seed and TrainConfig.seed seed a run's draws; a model's
+    # seed is the one its wiring was drawn with
+    checked = []
+    for info in pkgutil.iter_modules(tritnet.__path__):
+        module = importlib.import_module(f"tritnet.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and dataclasses.is_dataclass(cls):
+                fields = {f.name for f in dataclasses.fields(cls)}
+                shape = {"input_dim", "widths"} | ({"seed"} if issubclass(cls, nw.Model) else set())
+                assert cls is nw.ConnectivityMap or not fields & shape, cls
+                checked.append(cls)
+    assert {nw.Model, nw.Network, cc.Circuit, nw.ConnectivityMap} <= set(checked)
+
+
+@pytest.mark.parametrize("arch", list(nw.ARCHS))
+def test_models_are_frozen_and_read_their_shape_from_the_wiring(arch, tmp_path):
+    net = nw.init_network((6, 4), 5, 3, GS, arch=arch)
+    for name in ("params", "conn", "arch", "groupsum", "widths", "input_dim", "seed"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(net, name, getattr(net, name))
+    circuit = cc.harden_network(net)
+    for name in ("widths", "input_dim", "seed"):
+        with pytest.raises(AttributeError):
+            setattr(circuit, name, getattr(circuit, name))
+    sz.save_checkpoint(net, tmp_path / "net.ckpt")
+    sz.save_circuit(circuit, tmp_path / "net.circuit.txt")
+    models = (net, sz.load_checkpoint(tmp_path / "net.ckpt")[0], circuit,
+              sz.load_circuit(tmp_path / "net.circuit.txt")[0])
+    for m in models:
+        assert m.widths is m.conn.widths
+        assert m.input_dim is m.conn.input_dim
+        assert m.seed is m.conn.seed
+        assert (m.widths, m.input_dim, m.seed) == ((6, 4), 5, 3)
+        assert m.n_neurons == 10
+
+
+@pytest.mark.parametrize("arch", list(nw.ARCHS))
+def test_benchmark_reference_reads_every_archs_circuit(arch):
+    spec = nw.ARCHS[arch]
+    net = nw.init_network((12, 10, 8), 5, 1, GS, arch=arch)
+    circuit = cc.harden_network(net)
+    x = np.vstack([spec.trit_inputs(domain_codes(spec, 100, 5, seed=4)),
+                   np.random.default_rng(5).integers(-1, 2, size=(200, 5))])
+    for got, want in zip(cc.eval_circuit(circuit, x),
+                         reference.reference_eval(circuit, x, al.all_tables())):
+        assert np.array_equal(got, want)
+    n_live = sum(len(keep) for keep, _, _ in circuit.conn.live)
+    assert n_live < circuit.n_neurons
+    assert reference.live_neuron_share(circuit) == n_live / circuit.n_neurons
 
 
 def test_bench_reports_one_row_per_arch(tmp_path, capsys):

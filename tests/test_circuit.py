@@ -57,7 +57,7 @@ def test_circuit_tables_derive_from_gate_ids():
     net = nw.init_network((4,), 3, 1, GS)
     circ = cc.harden_network(net)
     rebuilt = cc.Circuit(
-        arch=circ.arch, input_dim=circ.input_dim, widths=circ.widths, conn=circ.conn,
+        arch=circ.arch, conn=circ.conn,
         gate_ids=circ.gate_ids, groupsum=circ.groupsum,
         provenance=dict(circ.provenance))
     for t1, t2 in zip(circ.tables, rebuilt.tables):
@@ -67,14 +67,14 @@ def test_circuit_tables_derive_from_gate_ids():
 def test_circuit_tables_cannot_be_passed_in():
     circ = cc.harden_network(nw.init_network((4,), 3, 1, GS))
     with pytest.raises(TypeError):
-        cc.Circuit(arch=circ.arch, input_dim=circ.input_dim, widths=circ.widths,
+        cc.Circuit(arch=circ.arch,
                    conn=circ.conn, gate_ids=circ.gate_ids, groupsum=circ.groupsum,
                    tables=circ.tables)
 
 
 def test_circuit_is_frozen_and_its_gate_ids_read_only():
     ids = [np.arange(4, dtype=np.int64), np.arange(2, dtype=np.int64)]
-    circ = cc.Circuit(arch="ternary", input_dim=3, widths=(4, 2),
+    circ = cc.Circuit(arch="ternary",
                       conn=nw.sample_connectivity((4, 2), 3, 0), gate_ids=ids, groupsum=GS)
     ids[0][:] = 5  # the circuit holds copies
     assert np.array_equal(circ.gate_ids[0], np.arange(4))

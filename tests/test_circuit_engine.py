@@ -51,7 +51,7 @@ def random_circuit(input_dim, widths, seed, k=2, tau=3.0):
     conn = nw.ConnectivityMap(seed=seed, input_dim=input_dim, widths=tuple(widths),
                               layers=tuple(layers))
     gate_ids = [rng.integers(0, 3**9, size=w) for w in widths]
-    return cc.Circuit(arch="ternary", input_dim=input_dim, widths=tuple(widths),
+    return cc.Circuit(arch="ternary",
                       conn=conn, gate_ids=gate_ids, groupsum=nw.GroupSumConfig(k, tau))
 
 
@@ -112,7 +112,7 @@ def test_dead_neurons_gates_do_not_reach_the_outputs():
     keep = circ.conn.live[0][0]
     ids = np.random.default_rng(18).integers(0, 3**9, size=512)
     ids[keep] = circ.gate_ids[0][keep]
-    other = cc.Circuit(arch=circ.arch, input_dim=5, widths=circ.widths, conn=circ.conn,
+    other = cc.Circuit(arch=circ.arch, conn=circ.conn,
                        gate_ids=[ids, circ.gate_ids[1]], groupsum=circ.groupsum)
     assert (ids != circ.gate_ids[0]).sum() > 400
     for g, w in zip(cc.eval_circuit(other, x), want):
@@ -127,7 +127,7 @@ def test_every_gate_on_every_trit_pair():
     conn = nw.ConnectivityMap(seed=0, input_dim=2, widths=(w,),
                               layers=((np.zeros(w, dtype=np.int64),
                                        np.ones(w, dtype=np.int64)),))
-    circ = cc.Circuit(arch="ternary", input_dim=2, widths=(w,), conn=conn, gate_ids=[ids],
+    circ = cc.Circuit(arch="ternary", conn=conn, gate_ids=[ids],
                       groupsum=nw.GroupSumConfig(2, 1.0))
     x = all_trit_rows(2)
     assert [tuple(row) for row in x] == list(al.GRID_POINTS)

@@ -74,8 +74,8 @@ def _duplicate_parents_net(arch):
     spec = nw.ARCHS[arch]
     params = [np.random.default_rng(1).normal(0.0, spec.init_std, size=(w, spec.n_params))
               for w in widths]
-    return nw.Network(arch=arch, input_dim=5, widths=widths, conn=conn,
-                      params=params, groupsum=nw.GroupSumConfig(2, 3.0), seed=0)
+    return nw.Network(arch=arch, conn=conn,
+                      params=params, groupsum=nw.GroupSumConfig(2, 3.0))
 
 
 NETS = {
