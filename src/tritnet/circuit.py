@@ -64,6 +64,7 @@ class Circuit(Model):
     def __post_init__(self):
         super().__post_init__()
         ids = tuple(np.array(g, dtype=np.int64) for g in self.gate_ids)
+        self._check_layers("gate_ids", ids)
         tables = tuple(algebra.decode_tables(g) for g in ids)
         for array in ids + tables:
             array.flags.writeable = False

@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import platform
 import sys
 import time
 
@@ -363,6 +364,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+#: The thread settings of the numeric libraries a timing can depend on.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def cmd_bench(args) -> int:
     out = _out_dir(args)
     name = args.name or "bench"
@@ -391,6 +396,10 @@ def cmd_bench(args) -> int:
         print(f"warning: {warning}", file=sys.stderr)
     per_s = {arch: [f"{rate:.0f}" for rate in r["circuit_samples_per_s"].values()]
              for arch, r in results.items()}
+    # what the timings depend on besides the code; None where unset
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "cpu_count": os.cpu_count(),
+                   **{var: os.environ.get(var) for var in _THREAD_VARS}}
     paths = {"table": os.path.join(out, f"{name}.tsv")}
     sz.save_report(
         [[arch, f"{r['median_ms']:.3f}", f"{r['mean_ms']:.3f}", r["steps"],
@@ -400,10 +409,13 @@ def cmd_bench(args) -> int:
                  "circuit_samples_per_s_1e3", "circuit_samples_per_s_1e5"],
         comments=[f"matched widths {widths}, batch {args.batch_size}, "
                   f"warmup {args.warmup}, {live}",
-                  *(f"median {key}: {r:.2f}x" for key, r in ratios.items())],
+                  *(f"median {key}: {r:.2f}x" for key, r in ratios.items()),
+                  "environment: " + ", ".join(f"{key} {value}"
+                                              for key, value in environment.items())],
     )
     _write_manifest(args, out, name, paths, {},
-                    {"results": results, **ratios, "warning": warning, **counts})
+                    {"results": results, **ratios, "warning": warning, **counts,
+                     "environment": environment})
     print(", ".join(f"{arch} {r['median_ms']:.2f} ms/step" for arch, r in results.items())
           + " (" + ", ".join(f"{key} {r:.2f}x" for key, r in ratios.items())
           + f"); {live}, the only ones training steps run; "

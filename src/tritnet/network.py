@@ -35,7 +35,12 @@ The layer loop gathers parent values with `take`, so every array of a
 pass is row-major (C-ordered). Each layer op returns its activation and
 a context for the backward pass: the pre-clip values of a ternary layer,
 the softmax weights and the 16 relaxations of a binary one, so the
-backward pass computes none of them again. `soft_scores` runs the live
+backward pass computes none of them again. Both local gradients sum over
+the batch in `_batch_sums`, one einsum multiply-reduce per factor that,
+on row-major operands, adds the rows in order at every width; a 1-wide
+layer goes through a zero-padded 2-wide copy, as einsum would sum a lone
+column with unrolled accumulators. So a neuron's gradient bits do not
+depend on which other neurons run. `soft_scores` runs the live
 neurons SOFT_BLOCK_ROWS rows at a time and keeps only the scores, so its
 working memory does not grow with the rows; every layer op and GroupSum
 act on each row on its own, so its scores equal `forward_soft`'s to the bit.
@@ -82,7 +87,8 @@ class ConnectivityMap:
     """Fixed random wiring: parent indices (s, t) for every neuron.
 
     layers[l] is a pair of int arrays of length widths[l] indexing into
-    the previous layer (the input vector for l = 0). Regenerating with
+    the previous layer (the input vector for l = 0); construction refuses
+    any other layers, as the file reader does. Regenerating with
     the same widths, input_dim and seed reproduces the map bit-exactly.
     """
 
@@ -90,6 +96,21 @@ class ConnectivityMap:
     input_dim: int
     widths: tuple[int, ...]
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self):
+        if len(self.layers) != len(self.widths):
+            raise ValueError(f"{len(self.layers)} layers of parents for "
+                             f"{len(self.widths)} widths {self.widths}")
+        prev = self.input_dim
+        for l, (w, parents) in enumerate(zip(self.widths, self.layers)):
+            for p in parents:
+                if np.shape(p) != (w,):
+                    raise ValueError(f"layer {l}: parent array of shape {np.shape(p)}, "
+                                     f"expected ({w},)")
+                if not (p.min() >= 0 and p.max() < prev):
+                    raise ValueError(f"layer {l}: parent indices must lie in "
+                                     f"[0, {prev}), got [{p.min()}, {p.max()}]")
+            prev = w
 
     @cached_property
     def live(self) -> tuple:
@@ -154,6 +175,15 @@ class Model:
     def __post_init__(self):
         arch_spec(self.arch)
 
+    def _check_layers(self, name: str, arrays, tail=()):
+        """Refuse `arrays` unless it holds one array of shape
+        (widths[l], *tail) per layer l."""
+        shapes = [np.shape(a) for a in arrays]
+        want = [(w, *tail) for w in self.widths]
+        if shapes != want:
+            raise ValueError(f"{name} shapes {shapes} do not fit widths "
+                             f"{self.widths}: expected {want}")
+
 
 @dataclass(frozen=True)
 class Network(Model):
@@ -161,6 +191,10 @@ class Network(Model):
     which training updates in place; no field is ever reassigned."""
 
     params: list[np.ndarray]  # per layer, shape (widths[l], n_params)
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._check_layers("params", self.params, (ARCHS[self.arch].n_params,))
 
 
 def init_network(widths, input_dim: int, seed: int,
@@ -219,6 +253,9 @@ def _checked_inputs(net: Network, x):
     single = x.ndim == 1
     if single:
         x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"expected one input vector or a 2-D batch, "
+                         f"got shape {x.shape}")
     if x.shape[1] != net.input_dim:
         raise ValueError(f"expected {net.input_dim} inputs, got {x.shape[1]}")
     lo, hi = ARCHS[net.arch].domain
@@ -359,20 +396,42 @@ def _boolean_embeddings() -> np.ndarray:
 BOOLEAN_EMBEDDINGS = _boolean_embeddings()
 
 
-def _batch_sums(g, n, factor, chunk):
-    """The batch sums of g * factor(i), i < n, as an (n, width) array. The
-    products go `chunk` at a time (chunk divides n) into one C-ordered
-    (batch, chunk, width) buffer summed over the batch axis, so numpy adds
-    the rows in order at every width; summing a (batch, width) array can
-    switch it to pairwise summation, so a column's last bits would move
-    with the number of columns, which skipping dead neurons changes."""
-    out = np.empty((n, g.shape[1]))
-    tmp = np.empty((g.shape[0], chunk, g.shape[1]))
-    for lo in range(0, n, chunk):
-        for i in range(chunk):
-            np.multiply(g, factor(lo + i), out=tmp[:, i])
-        tmp.sum(axis=0, out=out[lo:lo + chunk])
-    return out
+def _batch_sums(g, factors):
+    """(len(factors), width) array: row i holds the batch sums of
+    g * factors[i], or of g alone where factors[i] is None, each added
+    row by row in batch order, the order `out += g[r] * f[r]` gives.
+
+    Each sum is one einsum multiply-reduce over row-major (batch, width)
+    operands, with no product temporaries. numpy's iterator then keeps the
+    width axis inner and adds the rows in order, rounding each product and
+    then each sum: einsum's loops are built for numpy's baseline instruction
+    set, which has no fused multiply-add on x86-64 (X86_V2); the oracle
+    tests guard any other build. So a column's bits do not depend on how
+    many columns there are, which skipping dead neurons changes. Operands
+    in another layout are copied to row-major first, as their rows would
+    otherwise be the inner axis. A 1-wide operand is summed as the first
+    column of a zero-padded 2-wide copy: einsum drops a width-1 axis and
+    would sum the batch with unrolled accumulators, out of order.
+    """
+    width = g.shape[1]
+    g = _two_wide_rows(g)
+    factors = [f if f is None else _two_wide_rows(f) for f in factors]
+    out = np.empty((len(factors), g.shape[1]))
+    for row, f in zip(out, factors):
+        if f is None:
+            np.einsum("bw->w", g, out=row)
+        else:
+            np.einsum("bw,bw->w", g, f, out=row)
+    return out[:, :width]
+
+
+def _two_wide_rows(x):
+    """`x` as a row-major array, zero-padded to 2 columns if it has 1."""
+    if x.shape[1] > 1:
+        return np.ascontiguousarray(x)
+    padded = np.zeros((x.shape[0], 2))
+    padded[:, :1] = x
+    return padded
 
 
 def _polynomial_layer(w, a, b):
@@ -392,8 +451,8 @@ def _polynomial_grads(w, a, b, u, gh, parents: bool):
     ab = a * b
     aa = a * a
     aab = aa * b
-    monomials = (1.0, a, b, ab, aa, b * b, aab, ab * b, aab * b)
-    gw = _batch_sums(gu, algebra.N_MONOMIALS, monomials.__getitem__, 3).T
+    monomials = (None, a, b, ab, aa, b * b, aab, ab * b, aab * b)  # None: 1
+    gw = _batch_sums(gu, monomials).T
     if not parents:
         return gw, None, None
     da, db = algebra.poly_input_grads(w, a, b)
@@ -416,7 +475,7 @@ def _blend_grads(logit, a, b, ctx, gh, parents: bool):
     `ctx` holds the weights and relaxations of the forward pass."""
     p, relaxations = ctx
     # dL/dp_k per neuron, C-ordered as the row sums below need, then the softmax Jacobian
-    gp = _batch_sums(gh, 16, relaxations.__getitem__, 4).T.copy()
+    gp = _batch_sums(gh, relaxations).T.copy()
     inner = (gp * p).sum(axis=1, keepdims=True)
     gw = p * (gp - inner)
     if not parents:

@@ -90,6 +90,13 @@ def test_circuit_is_frozen_and_its_gate_ids_read_only():
     assert circ.provenance == {"source_sha256": "abc"}
 
 
+def test_circuit_refuses_gate_ids_that_do_not_fit_its_shape():
+    conn = nw.sample_connectivity((4, 2), 3, 0)
+    for ids in ([np.zeros(5), np.zeros(2)], [np.zeros(4)], [np.zeros(4), np.zeros((2, 1))]):
+        with pytest.raises(ValueError, match="gate_ids shapes .* do not fit widths"):
+            cc.Circuit(arch="ternary", conn=conn, gate_ids=ids, groupsum=GS)
+
+
 def test_eval_circuit_matches_reference():
     rng = np.random.default_rng(2)
     net = nw.init_network((8, 6, 4), 5, 3, GS)

@@ -4,6 +4,7 @@ import dataclasses
 import filecmp
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -427,6 +428,26 @@ def test_bench_warns_when_steps_too_few(tmp_path, capsys):
         assert row[0] == arch and row[-2:] == [f"{rate:.0f}" for rate in per_s.values()]
         rates.append(f"{arch} " + "/".join(row[-2:]))
     assert f"circuit samples/s at 10^3/10^5 rows: {', '.join(rates)}" in captured.out
+
+
+def test_bench_records_its_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    rc = run(["bench", "--widths", "4", "--output-neurons", "2", "--input-dim", "4",
+              "--batch", "8", "--steps", "2", "--warmup", "0",
+              "--out", str(tmp_path), "--name", "bm"])
+    assert rc == cli.EXIT_OK
+    env = sz.load_manifest(tmp_path / "bm.manifest.json")["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count() >= 1
+    assert env["OMP_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
+    assert "OPENBLAS_NUM_THREADS" in env
+    comments = [ln for ln in open(tmp_path / "bm.tsv").read().splitlines()
+                if ln.startswith("# environment: ")]
+    assert len(comments) == 1
+    assert sorted(comments[0][len("# environment: "):].split(", ")) == sorted(
+        f"{key} {value}" for key, value in env.items())
 
 
 # ---------------------------------------------------------------- exit codes

@@ -38,6 +38,29 @@ def test_connectivity_shapes_and_ranges():
         fan_in = width
 
 
+def test_connectivity_refuses_layers_that_do_not_fit_its_shape():
+    s, t = nw.sample_connectivity((4, 2), 3, 0).layers
+    short = ((s[0][:3], s[1][:3]), t)  # the first layer 3 neurons long
+    with pytest.raises(ValueError, match=r"layer 0: parent array of shape \(3,\), expected \(4,\)"):
+        nw.ConnectivityMap(seed=0, input_dim=3, widths=(4, 2), layers=short)
+    with pytest.raises(ValueError, match="1 layers of parents for 2 widths"):
+        nw.ConnectivityMap(seed=0, input_dim=3, widths=(4, 2), layers=(s,))
+    for bad in (4, -1):  # layer 1 reads the 4 neurons of layer 0
+        wide = (s, (np.array([0, bad]), t[1]))
+        with pytest.raises(ValueError, match=r"layer 1: parent indices must lie in \[0, 4\)"):
+            nw.ConnectivityMap(seed=0, input_dim=3, widths=(4, 2), layers=wide)
+
+
+def test_network_refuses_params_that_do_not_fit_its_shape():
+    conn = nw.sample_connectivity((4, 2), 3, 0)
+    for params in ([np.zeros((4, 9))], [np.zeros((4, 9)), np.zeros((3, 9))],
+                   [np.zeros((4, 9)), np.zeros((2, 16))]):
+        with pytest.raises(ValueError, match="params shapes .* do not fit widths"):
+            nw.Network(arch="ternary", conn=conn, groupsum=GS, params=params)
+    nw.Network(arch="binary", conn=conn, groupsum=GS,
+               params=[np.zeros((4, 16)), np.zeros((2, 16))])
+
+
 def test_connectivity_is_deterministic():
     a = nw.sample_connectivity((16, 8), 12, seed=9)
     b = nw.sample_connectivity((16, 8), 12, seed=9)
@@ -97,6 +120,14 @@ def test_forward_rejects_out_of_range_inputs():
     ok = np.zeros(5)
     ok[0] = 1.0 + 1e-10
     nw.forward_soft(net, ok)
+
+
+@pytest.mark.parametrize("x", [0.5, np.zeros((2, 3, 5))], ids=["0-d", "3-d"])
+def test_forward_rejects_inputs_that_are_not_a_vector_or_a_batch(x):
+    net = tiny_net()
+    for forward in (nw.forward_soft, nw.soft_scores):
+        with pytest.raises(ValueError, match="expected one input vector or a 2-D batch"):
+            forward(net, x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,6 +1,7 @@
 """The training kernels against the code they replaced: the ternary
 kernels against einsum/Horner code, the binary layer against the blend
-that recomputed every relaxation in the backward pass.
+that recomputed every relaxation in the backward pass, and the batch sums
+of both local gradients against a loop that adds the rows in order.
 
 The kernels compute the same expressions in the same order, only with
 fewer temporaries or fewer calls, so every comparison here is exact.
@@ -131,6 +132,51 @@ def test_full_backward_matches_einsum_kernels(monkeypatch):
         assert np.array_equal(g, e)
 
 
+def row_loop_batch_sums(g, factors):
+    """`network._batch_sums` as a loop over the batch rows, in order."""
+    out = np.zeros((len(factors), g.shape[1]))
+    for row, f in zip(out, factors):
+        for r in range(g.shape[0]):
+            row += g[r] if f is None else g[r] * f[r]
+    return out
+
+
+def spread(rng, shape, order):
+    """Values over 16 decades, so that any other summation order (pairwise,
+    unrolled accumulators, reversed) rounds differently."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    return np.asarray(x, order=order)
+
+
+def batch_sum_factors(kind, a, b):
+    """The factor lists the two local gradients pass to `_batch_sums`."""
+    if kind == "monomials":
+        return [None, a, b, a * b, a * a, b * b, a * a * b, a * b * b, a * a * b * b]
+    return [nw.binary_gate_relaxation(k, a, b) for k in range(16)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("width", [1, 2, 3, 512])
+@pytest.mark.parametrize("batch", [1, 9, 100, 2000])
+@pytest.mark.parametrize("kind", ["monomials", "relaxations"])
+def test_batch_sums_add_rows_in_order(kind, batch, width, order):
+    rng = np.random.default_rng(batch * 1000 + width)
+    g = spread(rng, (batch, width), order)
+    if kind == "monomials":
+        a, b = spread(rng, (batch, width), order), spread(rng, (batch, width), order)
+    else:
+        a, b = (np.asarray(rng.uniform(0.0, 1.0, (batch, width)), order=order)
+                for _ in range(2))
+    factors = batch_sum_factors(kind, a, b)
+    got = nw._batch_sums(g, factors)
+    want = row_loop_batch_sums(g, factors)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if batch >= 100:  # the values tell the batch orders apart
+        reversed_rows = row_loop_batch_sums(g[::-1], [f if f is None else f[::-1]
+                                                      for f in factors])
+        assert not np.array_equal(got, reversed_rows)
+
+
 def strided_blend_layer(logit, a, b):
     """The binary layer weighting each relaxation by a strided column of p."""
     p = nw.softmax(logit)
@@ -141,10 +187,12 @@ def strided_blend_layer(logit, a, b):
 
 
 def recomputed_blend_grads(logit, a, b, ctx, gh, parents):
-    """`_blend_grads` calling `binary_gate_relaxation` again inside the batch
-    sums, instead of reading the relaxations the forward pass kept."""
+    """`_blend_grads` calling `binary_gate_relaxation` again inside
+    row-by-row batch sums, instead of reading the relaxations the forward
+    pass kept."""
     p, _ = ctx
-    gp = nw._batch_sums(gh, 16, lambda k: nw.binary_gate_relaxation(k, a, b), 4).T.copy()
+    relaxations = [nw.binary_gate_relaxation(k, a, b) for k in range(16)]
+    gp = row_loop_batch_sums(gh, relaxations).T.copy()
     inner = (gp * p).sum(axis=1, keepdims=True)
     gw = p * (gp - inner)
     if not parents:
