@@ -31,7 +31,8 @@ from .circuit import Circuit, eval_circuit
 from .network import ARCHS
 from .training import NumericalFailure
 
-DEFAULT_RETENTION_GRID = tuple(round(0.05 * i, 2) for i in range(20, 0, -1))
+#: Retention fractions of a coverage curve: 1.0 down to 0.05 in steps of 0.05.
+RETENTION_GRID = tuple(round(0.05 * i, 2) for i in range(20, 0, -1))
 
 
 @dataclass
@@ -49,32 +50,24 @@ class CoverageCurve:
         raise KeyError(f"coverage {coverage} not on the retention grid")
 
 
-def selective_curve(circuit: Circuit, x_enc, y,
-                    retention_grid=DEFAULT_RETENTION_GRID) -> CoverageCurve:
+def selective_curve(circuit: Circuit, x_enc, y) -> CoverageCurve:
     """Margin-ordered selective accuracy of a circuit on encoded inputs.
 
     Runs the circuit once and hands its predictions and margins to
     `coverage_curve`.
     """
     _, _, preds, margins = eval_circuit(circuit, np.atleast_2d(np.asarray(x_enc)))
-    return coverage_curve(preds, margins, y, retention_grid)
+    return coverage_curve(preds, margins, y)
 
 
-def coverage_curve(preds, margins, y,
-                   retention_grid=DEFAULT_RETENTION_GRID) -> CoverageCurve:
+def coverage_curve(preds, margins, y) -> CoverageCurve:
     """Selective accuracy from a circuit's predictions and margins.
 
     Samples are sorted by margin, descending, with ties kept in stable
     input order; at each retention fraction c the accuracy over the
-    ceil(c * n) most confident samples is reported.
+    ceil(c * n) most confident samples is reported, for each c of
+    RETENTION_GRID.
     """
-    grid = tuple(float(c) for c in retention_grid)
-    if not grid:
-        raise ValueError("retention grid must not be empty")
-    if any(not 0.0 < c <= 1.0 for c in grid):
-        raise ValueError(f"retention fractions must lie in (0, 1]: {grid}")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("retention grid must be strictly decreasing")
     preds = np.atleast_1d(preds)
     y = np.atleast_1d(np.asarray(y))
     n = preds.shape[0]
@@ -84,7 +77,7 @@ def coverage_curve(preds, margins, y,
     correct = (preds == y)[order]
     cum = np.cumsum(correct)
     points = []
-    for c in grid:
+    for c in RETENTION_GRID:
         kept = max(1, math.ceil(c * n))
         points.append((c, float(cum[kept - 1]) / kept))
     auc = float(np.mean([acc for _, acc in points]))
@@ -105,14 +98,13 @@ class DiversityReport:
     singletons: int
 
 
-def diversity_report(circuit: Circuit, vocab_size: int | None = None) -> DiversityReport:
+def diversity_report(circuit: Circuit) -> DiversityReport:
     """Usage statistics of the distinct gates in a circuit.
 
-    The vocabulary defaults to the circuit's architecture's (`ArchSpec.vocab`):
+    The vocabulary is the circuit's architecture's (`ArchSpec.vocab`):
     3^9 gates, or 16 for circuits hardened from the binary baseline.
     """
-    if vocab_size is None:
-        vocab_size = len(ARCHS[circuit.arch].vocab)
+    vocab_size = len(ARCHS[circuit.arch].vocab)
     ids = circuit.all_gate_ids()
     n = ids.size
     _, counts = np.unique(ids, return_counts=True)
@@ -163,7 +155,7 @@ def is_binary_equivalent(table: np.ndarray):
     return (t[..., list(algebra.CORNER_INDICES)] != 0).all(axis=-1)
 
 
-def spectral_profile(circuit: Circuit, tol: float = 1e-9) -> SpectralProfile:
+def spectral_profile(circuit: Circuit) -> SpectralProfile:
     """Spectral classes and degree-band energies over distinct gates.
 
     Band shares are the mean of the per-gate normalized band vectors;
@@ -173,7 +165,7 @@ def spectral_profile(circuit: Circuit, tol: float = 1e-9) -> SpectralProfile:
     ids = np.unique(circuit.all_gate_ids())
     tables = algebra.decode_tables(ids)
     fhat = fourier.fourier_transform(tables)
-    classes = fourier.spectral_class(fhat, tol)
+    classes = fourier.spectral_class(fhat)
     n_ternary = int((~is_binary_equivalent(tables)).sum())
     bands = fourier.spectral_energy_bands(fhat)
     live = bands["total"] != 0.0

@@ -77,7 +77,7 @@ class Circuit(Model):
         return np.concatenate([np.asarray(g) for g in self.gate_ids])
 
 
-def harden_network(net: Network, source_hash: str | None = None) -> Circuit:
+def harden_network(net: Network) -> Circuit:
     """Replace every neuron by its hardened gate (see the module doc)."""
     harden = ARCHS[net.arch].harden
     return Circuit(
@@ -86,7 +86,7 @@ def harden_network(net: Network, source_hash: str | None = None) -> Circuit:
         groupsum=net.groupsum,
         gate_ids=[algebra.encode_tables(harden(w)) for w in net.params],
         provenance={
-            "source_sha256": source_hash or "",
+            "source_sha256": "",
             "hardened_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         },
     )

@@ -77,11 +77,9 @@ def _parse_widths(text: str) -> tuple[int, ...]:
 
 
 def _load_any_dataset(path, k: int, d: int | None = None) -> dt.Dataset:
-    """Read either the native dataset format or a plain CSV, whose labels
-    must name one of the k classes and, if d is given, with d features."""
-    with open(path, "rb") as fh:
-        native = fh.readline().startswith(sz.DATASET_MAGIC.encode())
-    ds = sz.load_dataset(path) if native else dt.load_csv(path)
+    """Read a native or CSV dataset file (`serialize.load_dataset`) whose
+    labels must name one of the k classes and, if d is given, with d features."""
+    ds = sz.load_dataset(path)
     if d is not None and ds.d != d:
         raise dt.DataFormatError(f"{path}: {ds.d} feature columns, expected {d}")
     if ds.labels.max() >= k:
@@ -223,8 +221,8 @@ def cmd_harden(args) -> int:
     net, encoder = sz.load_checkpoint(args.checkpoint)
     _check_encoder(args.checkpoint, encoder, net)
     name = args.name or os.path.splitext(os.path.basename(args.checkpoint))[0]
-    src_hash = cc.file_sha256(args.checkpoint)
-    circuit = cc.harden_network(net, source_hash=src_hash)
+    circuit = cc.harden_network(net)
+    circuit.provenance["source_sha256"] = cc.file_sha256(args.checkpoint)
     herr = cc.hardening_error(net)
     paths = {"circuit": os.path.join(out, f"{name}.circuit.txt")}
     sz.save_circuit(circuit, paths["circuit"], encoder)

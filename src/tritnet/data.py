@@ -20,15 +20,13 @@ UNKNOWN; the binary encoder is a plain thermometer code. K thresholds
 cut a feature range into K + 1 bins, so logs describe the setting as
 resolution K + 1.
 
-Dataset files, native and CSV, go through one table parser: numpy's C
-reader, then array checks; a failed check names its line and column.
+This module does no file I/O: `serialize` reads and writes dataset
+files, native and CSV, and raises this module's `DataFormatError`.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,113 +248,3 @@ def encode(x, cfg: EncoderConfig) -> np.ndarray:
 def encoder_unknown_share(x, cfg: EncoderConfig) -> float:
     """Share of UNKNOWN trits the ternary encoder emits on x."""
     return algebra.unknown_share(encode(x, cfg))
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """How to read a labeled CSV: which column holds the class label.
-
-    label_col may be an integer position (negatives count from the
-    end) or a header name. header=None sniffs the first row: if any
-    cell fails to parse as a number it is taken as a header.
-    """
-
-    label_col: int | str = -1
-    delimiter: str = ","
-    header: bool | None = None
-
-
-def load_csv(path, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read a feature/label table whose header row is optional.
-
-    The rows get the checks of `_parse_table`; malformed content raises
-    DataFormatError naming the line and column.
-    """
-    lines = _read_lines(path)
-    start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
-    first = _split(lines[start], schema.delimiter) if start < len(lines) else []
-    header = (not all(_cell_ok(cell, label=None) for cell in first)
-              if schema.header is None else schema.header)
-    label_col = schema.label_col
-    if isinstance(label_col, str):
-        names = [cell.strip() for cell in first] if header else []
-        if label_col not in names:
-            raise DataFormatError(f"{path}: label column {label_col!r} not in header")
-        label_col = names.index(label_col)
-    return Dataset(*_parse_table(path, lines, start + bool(header), label_col,
-                                 schema.delimiter), {"source": str(path)})
-
-
-def _read_lines(path) -> list[str]:
-    """The lines of a text file; undecodable bytes are a DataFormatError."""
-    try:
-        with open(path) as fh:
-            return fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not a text file ({exc.reason} at byte "
-                              f"{exc.start})") from None
-
-
-def _split(line: str, delimiter: str) -> list[str]:
-    """The cells of a row, cut at every delimiter if csv refuses it."""
-    try:
-        return next(csv.reader([line], delimiter=delimiter, quotechar='"'), [])
-    except csv.Error:
-        return line.split(delimiter)
-
-
-def _cell_ok(cell: str, label: bool | None) -> bool:
-    """Whether a cell is a number to Python (label None), or one numpy's
-    reader takes (no '_') that is a finite feature or an int64 label >= 0."""
-    try:
-        value = int(cell) if label else float(cell)
-    except ValueError:
-        return False
-    return label is None or "_" not in cell and (
-        0 <= value < 2**63 if label else math.isfinite(value))
-
-
-def _parse_table(path, lines: list[str], start: int, label_col: int,
-                 delimiter: str = ",") -> tuple[np.ndarray, np.ndarray]:
-    """C-ordered (n, d) float64 features and (n,) int64 labels of the
-    non-blank lines of `lines[start:]`, parsed by numpy's C reader.
-
-    Every row must have the same field count, at least one feature,
-    finite features and a label >= 0. Only if an array check fails does
-    a scan name the first bad line (counted from the top of the file)
-    and column, in a DataFormatError.
-    """
-    body = [line for line in lines[start:] if line.strip()]
-    if not body:
-        raise DataFormatError(f"{path}: no data rows from line {start + 1} on")
-    width = len(_split(body[0], delimiter))
-    if width < 2:
-        raise DataFormatError(f"{path}: line {lines.index(body[0], start) + 1}: "
-                              "a label but no feature column")
-    label_idx = label_col % width
-    try:
-        with warnings.catch_warnings():  # older numpy truncates a float label
-            warnings.simplefilter("error", DeprecationWarning)  # and only warns
-            table = np.loadtxt(body, delimiter=delimiter, comments=None, quotechar='"',
-                               ndmin=1, dtype=[(f"c{j}", np.int64 if j == label_idx
-                                                else np.float64) for j in range(width)])
-        features = np.stack([table[f"c{j}"] for j in range(width) if j != label_idx],
-                            axis=1)
-        labels = np.ascontiguousarray(table[f"c{label_idx}"])
-        # A quoted cell may run over a line end and join two lines.
-        if (len(table) != len(body) or not np.isfinite(features).all()
-                or labels.min() < 0):
-            raise ValueError("a row failed the table checks")
-    except (ValueError, DeprecationWarning) as exc:
-        for line_no, line in enumerate(lines[start:], start + 1):
-            row = _split(line, delimiter) if line.strip() else []
-            if row and len(row) != width:
-                raise DataFormatError(f"{path}: line {line_no}: {len(row)} fields, "
-                                      f"expected {width}") from None
-            for j, cell in enumerate(row):
-                if not _cell_ok(cell, label=j == label_idx):
-                    what = "an integer label >= 0" if j == label_idx else "a finite number"
-                    raise DataFormatError(f"{path}: line {line_no}, column {j + 1}: "
-                                          f"{cell.strip()!r} is not {what}") from None
-        raise DataFormatError(f"{path}: {exc}") from None
-    return features, labels

@@ -93,14 +93,12 @@ class RunRecipe:
 class RunResult:
     """Everything produced by one end-to-end run."""
 
-    recipe: RunRecipe
     net: object
     circuit: circ_mod.Circuit
     encoder: data_mod.EncoderConfig
     history: list[dict]
     gap: circ_mod.GapReport
     x_test_enc: object
-    y_test: object
     timings: dict = field(default_factory=dict)
 
 
@@ -135,9 +133,8 @@ def run_pipeline(train_ds: data_mod.Dataset, test_ds: data_mod.Dataset,
         "steps_per_second": recipe.steps / (t1 - t0) if t1 > t0 else 0.0,
         "harden_eval_seconds": t2 - t1,
     }
-    return RunResult(recipe=recipe, net=net, circuit=circuit, encoder=enc,
-                     history=history, gap=gap, x_test_enc=x_test,
-                     y_test=test_ds.labels, timings=timings)
+    return RunResult(net=net, circuit=circuit, encoder=enc, history=history,
+                     gap=gap, x_test_enc=x_test, timings=timings)
 
 
 def vary(recipe: RunRecipe, **changes) -> RunRecipe:

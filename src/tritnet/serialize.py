@@ -3,7 +3,11 @@
 Everything is human-readable text so that runs can be diffed:
 
 * datasets: one `# tritnet-dataset v1 {json}` header line, then CSV
-  rows of features and the integer label, read as `data` reads CSV;
+  rows of features and the integer label last. `load_dataset` is the
+  only dataset reader: a file without that header line is read as a
+  plain CSV with an optional header row and the label last. Both go
+  through one table parser, numpy's C reader then array checks, and a
+  failed check names its line and column;
 * checkpoints and circuits: lines in one fixed order, written by one
   writer and walked by one reader. The magic line and version; `arch`,
   `input_dim`, `widths`, `seed`, `k`, `tau`, then `source_sha256` and
@@ -30,14 +34,16 @@ reports with exit code 2.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 
 from .circuit import Circuit
-from .data import DataFormatError, Dataset, EncoderConfig, _parse_table, _read_lines
+from .data import DataFormatError, Dataset, EncoderConfig
 from .network import ARCHS, ConnectivityMap, GroupSumConfig, Network
 
 DATASET_MAGIC = "# tritnet-dataset"
@@ -91,11 +97,19 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a native dataset file; its rows get `data._parse_table`'s checks."""
+    """Read a dataset file, native or CSV; its rows get `_parse_table`'s checks.
+
+    A file whose first line does not start with DATASET_MAGIC is a CSV:
+    its first non-blank row is a header if any cell of it is not a
+    number, and its meta is {"source": path}.
+    """
     lines = _read_lines(path)
     first = lines[0] if lines else ""
     if not first.startswith(DATASET_MAGIC):
-        raise FormatError(f"{path}: not a dataset file")
+        start = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+        header = start < len(lines) and not all(
+            _cell_ok(cell, label=None) for cell in _split(lines[start]))
+        return Dataset(*_parse_table(path, lines, start + header), {"source": str(path)})
     parts = first[len(DATASET_MAGIC):].split(None, 1) or [""]
     _check_version(parts[0], path)
     try:
@@ -104,7 +118,80 @@ def load_dataset(path) -> Dataset:
             raise ValueError("not a JSON object")
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: line 1: bad metadata: {exc}") from None
-    return Dataset(*_parse_table(path, lines, 1, -1), meta)
+    return Dataset(*_parse_table(path, lines, 1), meta)
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of a text file; undecodable bytes are a DataFormatError."""
+    try:
+        with open(path) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file ({exc.reason} at byte "
+                              f"{exc.start})") from None
+
+
+def _split(line: str) -> list[str]:
+    """The cells of a row, cut at every comma if csv refuses it."""
+    try:
+        return next(csv.reader([line], quotechar='"'), [])
+    except csv.Error:
+        return line.split(",")
+
+
+def _cell_ok(cell: str, label: bool | None) -> bool:
+    """Whether a cell is a number to Python (label None), or one numpy's
+    reader takes (no '_') that is a finite feature or an int64 label >= 0."""
+    try:
+        value = int(cell) if label else float(cell)
+    except ValueError:
+        return False
+    return label is None or "_" not in cell and (
+        0 <= value < 2**63 if label else math.isfinite(value))
+
+
+def _parse_table(path, lines: list[str], start: int) -> tuple[np.ndarray, np.ndarray]:
+    """C-ordered (n, d) float64 features and (n,) int64 labels, the last
+    column, of the non-blank lines of `lines[start:]`, parsed by numpy's
+    C reader.
+
+    Every row must have the same field count, at least one feature,
+    finite features and a label >= 0. Only if an array check fails does
+    a scan name the first bad line (counted from the top of the file)
+    and column, in a DataFormatError.
+    """
+    body = [line for line in lines[start:] if line.strip()]
+    if not body:
+        raise DataFormatError(f"{path}: no data rows from line {start + 1} on")
+    width = len(_split(body[0]))
+    if width < 2:
+        raise DataFormatError(f"{path}: line {lines.index(body[0], start) + 1}: "
+                              "a label but no feature column")
+    try:
+        with warnings.catch_warnings():  # older numpy truncates a float label
+            warnings.simplefilter("error", DeprecationWarning)  # and only warns
+            table = np.loadtxt(body, delimiter=",", comments=None, quotechar='"',
+                               ndmin=1, dtype=[("x", np.float64, (width - 1,)),
+                                               ("y", np.int64)])
+        features = np.ascontiguousarray(table["x"])
+        labels = np.ascontiguousarray(table["y"])
+        # A quoted cell may run over a line end and join two lines.
+        if (len(table) != len(body) or not np.isfinite(features).all()
+                or labels.min() < 0):
+            raise ValueError("a row failed the table checks")
+    except (ValueError, DeprecationWarning) as exc:
+        for line_no, line in enumerate(lines[start:], start + 1):
+            row = _split(line) if line.strip() else []
+            if row and len(row) != width:
+                raise DataFormatError(f"{path}: line {line_no}: {len(row)} fields, "
+                                      f"expected {width}") from None
+            for j, cell in enumerate(row):
+                if not _cell_ok(cell, label=j == width - 1):
+                    what = "an integer label >= 0" if j == width - 1 else "a finite number"
+                    raise DataFormatError(f"{path}: line {line_no}, column {j + 1}: "
+                                          f"{cell.strip()!r} is not {what}") from None
+        raise DataFormatError(f"{path}: {exc}") from None
+    return features, labels
 
 
 # ------------------------------------------------ checkpoints + circuits

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, fourier
-from .network import ARCHS, Network, _layers, group_sum, soft_scores, softmax
+from .network import (ARCHS, Network, _checked_inputs, _layers, group_sum, soft_scores,
+                      softmax)
 
 #: Rows of the training set that eval-point history rows score
 #: train_acc on: the first TRAIN_ACC_ROWS, so the cost of an eval point
@@ -299,7 +300,9 @@ def train(net, data, cfg: TrainConfig, eval_data=None):
 
     `data` is an (x, y) pair of encoded inputs and integer labels;
     `eval_data`, if given, is a held-out pair scored every
-    cfg.eval_every steps. `net` is updated in place and also returned.
+    cfg.eval_every steps. Both inputs get the soft passes' checks
+    (width, shape, finite values in the arch's domain) before step 0.
+    `net` is updated in place and also returned.
     History is a list of per-step dicts; rows that carry evaluation
     metrics gain train_acc/eval_acc keys. train_acc is scored on the
     first TRAIN_ACC_ROWS training rows only, eval_acc on all of
@@ -310,10 +313,10 @@ def train(net, data, cfg: TrainConfig, eval_data=None):
     Any non-finite loss or parameter aborts with NumericalFailure.
     """
     x, y = data
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x, _ = _checked_inputs(net, x)
     y = np.atleast_1d(np.asarray(y))
     if eval_data is not None:
-        eval_data = (np.atleast_2d(np.asarray(eval_data[0], dtype=float)),
+        eval_data = (_checked_inputs(net, eval_data[0])[0],
                      np.atleast_1d(np.asarray(eval_data[1])))
     if x.shape[0] == 0:
         raise ValueError("cannot train on an empty dataset")

@@ -18,6 +18,7 @@ import tritnet.data as dt
 import tritnet.fourier as fr
 import tritnet.network as nw
 import tritnet.pipeline as pl
+import tritnet.serialize as sz
 import tritnet.training as tr
 
 # Moons at this noise level has a Bayes ceiling near 91%, the regime
@@ -310,7 +311,7 @@ def test_criterion_11_csv_ingestion_smoke(tmp_path):
     rows = [header] + [",".join(f"{v:.6f}" for v in row) + f",{lab}"
                        for row, lab in zip(x, y)]
     path.write_text("\n".join(rows) + "\n")
-    ds = dt.load_csv(path)
+    ds = sz.load_dataset(path)
     rec = pl.vary(pl.RunRecipe(), body_widths=(16,), output_neurons=8,
                   steps=30, batch_size=16, eval_every=30, thresholds=2)
     res = pl.run_pipeline(ds, ds, rec)

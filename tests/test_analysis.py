@@ -51,7 +51,7 @@ def test_selective_curve_matches_reference():
     curve = an.selective_curve(circ, x, y)
     _, _, preds, margins = cc.eval_circuit(circ, x)
     want = reference_selective(list(preds), list(margins), list(y),
-                               an.DEFAULT_RETENTION_GRID)
+                               an.RETENTION_GRID)
     assert curve.n_samples == 80
     for (c1, a1), (c2, a2) in zip(curve.points, want):
         assert c1 == c2
@@ -65,9 +65,9 @@ def test_coverage_curve_from_predictions_and_margins():
     preds = rng.integers(0, 3, size=41)
     margins = rng.integers(0, 4, size=41) / 2.0  # many ties
     y = rng.integers(0, 3, size=41)
-    grid = (1.0, 0.7, 0.3, 0.01)
-    curve = an.coverage_curve(preds, margins, y, retention_grid=grid)
-    assert curve.points == tuple(reference_selective(preds, margins, y, grid))
+    curve = an.coverage_curve(preds, margins, y)
+    assert curve.points == tuple(reference_selective(preds, margins, y,
+                                                     an.RETENTION_GRID))
     with pytest.raises(ValueError):
         an.coverage_curve(preds[:0], margins[:0], y[:0])
 
@@ -84,16 +84,10 @@ def test_selective_curve_full_coverage_is_plain_accuracy():
         curve.accuracy_at(0.33)
 
 
-def test_selective_curve_validates_grid():
+def test_selective_curve_rejects_empty_data():
     circ = random_circuit(seed=5)
     x = np.zeros((4, 5), dtype=int)
     y = np.zeros(4, dtype=int)
-    with pytest.raises(ValueError):
-        an.selective_curve(circ, x, y, retention_grid=())
-    with pytest.raises(ValueError):
-        an.selective_curve(circ, x, y, retention_grid=(0.5, 1.0))
-    with pytest.raises(ValueError):
-        an.selective_curve(circ, x, y, retention_grid=(1.0, 0.0))
     with pytest.raises(ValueError):
         an.selective_curve(circ, x[:0], y[:0])
 
@@ -102,8 +96,9 @@ def test_selective_curve_keeps_at_least_one_sample():
     circ = random_circuit(seed=6)
     x = np.zeros((3, 5), dtype=int)
     y = np.array([0, 0, 1])
-    curve = an.selective_curve(circ, x, y, retention_grid=(1.0, 0.01))
-    assert 0.0 <= curve.accuracy_at(0.01) <= 1.0
+    curve = an.selective_curve(circ, x, y)
+    assert an.RETENTION_GRID[-1] * 3 < 1
+    assert curve.accuracy_at(an.RETENTION_GRID[-1]) in (0.0, 1.0)
 
 
 # ----------------------------------------------------------- diversity
@@ -135,16 +130,16 @@ def test_diversity_report_small_example():
 
 
 def test_diversity_uniform_over_vocab_has_zero_gini():
-    # four distinct gates in a vocabulary of four is perfect equality
-    net = nw.init_network((4,), 3, 7, GS, arch="binary")
+    # each of the 16 Boolean gates once is perfect equality
+    net = nw.init_network((16,), 3, 7, GS, arch="binary")
     net.params[0][:] = 0.0
-    for j, g in enumerate((1, 6, 7, 14)):
-        net.params[0][j, g] = 9.0
+    for g in range(16):
+        net.params[0][g, g] = 9.0
     circ = cc.harden_binary(net)
-    rep = an.diversity_report(circ, vocab_size=4)
-    assert rep.unique_gates == 4
+    rep = an.diversity_report(circ)
+    assert rep.vocab_size == rep.unique_gates == 16
     assert rep.gini == pytest.approx(0.0, abs=1e-12)
-    assert rep.effective_diversity == pytest.approx(4.0)
+    assert rep.effective_diversity == pytest.approx(16.0)
 
 
 def test_diversity_single_gate_everywhere():

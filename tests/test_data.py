@@ -1,4 +1,5 @@
-"""Synthetic generators, threshold encoders and CSV loading."""
+"""Synthetic generators, threshold encoders, and CSV files read by
+`serialize.load_dataset`."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import tritnet.data as dt
+import tritnet.serialize as sz
 
 
 def test_kinds_and_validation():
@@ -279,53 +281,44 @@ def write(tmp_path, text, name="data.csv"):
 
 def test_load_csv_numeric_no_header(tmp_path):
     p = write(tmp_path, "1.5,2.0,0\n-0.5,3.25,1\n")
-    ds = dt.load_csv(p)
+    ds = sz.load_dataset(p)
     assert ds.features.tolist() == [[1.5, 2.0], [-0.5, 3.25]]
     assert ds.labels.tolist() == [0, 1]
 
 
 def test_load_csv_sniffs_header(tmp_path):
     p = write(tmp_path, "x,y,label\n1,2,0\n3,4,1\n")
-    ds = dt.load_csv(p)
+    ds = sz.load_dataset(p)
     assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert ds.labels.tolist() == [0, 1]
-
-
-def test_load_csv_label_column_by_name(tmp_path):
-    p = write(tmp_path, "label,x,y\n1,9,8\n0,7,6\n")
-    ds = dt.load_csv(p, dt.CsvSchema(label_col="label"))
-    assert ds.labels.tolist() == [1, 0]
-    assert ds.features.tolist() == [[9.0, 8.0], [7.0, 6.0]]
-    with pytest.raises(dt.DataFormatError):
-        dt.load_csv(p, dt.CsvSchema(label_col="missing"))
 
 
 def test_load_csv_reports_line_and_column(tmp_path):
     p = write(tmp_path, "1,2,0\n3,oops,1\n")
     with pytest.raises(dt.DataFormatError) as info:
-        dt.load_csv(p)
+        sz.load_dataset(p)
     assert "line 2" in str(info.value)
     assert "column 2" in str(info.value)
 
 
 def test_load_csv_rejects_bad_labels(tmp_path):
     with pytest.raises(dt.DataFormatError):
-        dt.load_csv(write(tmp_path, "1,2,0.5\n"))
+        sz.load_dataset(write(tmp_path, "1,2,0.5\n"))
     with pytest.raises(dt.DataFormatError):
-        dt.load_csv(write(tmp_path, "1,2,-1\n", "neg.csv"))
+        sz.load_dataset(write(tmp_path, "1,2,-1\n", "neg.csv"))
 
 
 def test_load_csv_rejects_ragged_rows(tmp_path):
     p = write(tmp_path, "1,2,0\n1,2\n")
     with pytest.raises(dt.DataFormatError) as info:
-        dt.load_csv(p)
+        sz.load_dataset(p)
     assert "line 2" in str(info.value)
 
 
 def test_load_csv_rejects_empty_and_nonfinite(tmp_path):
     with pytest.raises(dt.DataFormatError):
-        dt.load_csv(write(tmp_path, ""))
+        sz.load_dataset(write(tmp_path, ""))
     with pytest.raises(dt.DataFormatError):
-        dt.load_csv(write(tmp_path, "x,y,label\n", "hdr.csv"))
+        sz.load_dataset(write(tmp_path, "x,y,label\n", "hdr.csv"))
     with pytest.raises(dt.DataFormatError):
-        dt.load_csv(write(tmp_path, "1,inf,0\n", "inf.csv"))
+        sz.load_dataset(write(tmp_path, "1,inf,0\n", "inf.csv"))

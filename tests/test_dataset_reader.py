@@ -1,6 +1,6 @@
-"""The one dataset table reader behind `serialize.load_dataset` and
-`data.load_csv`: fidelity to the per-row loaders it replaced, and a
-typed error with the line number for every malformed file."""
+"""`serialize.load_dataset`, the one reader of native and CSV dataset
+files: fidelity to the per-row loaders it replaced, and a typed error
+with the line number for every malformed file."""
 
 import csv
 import json
@@ -43,12 +43,12 @@ def oracle_load_dataset(path):
                       np.array(labels, dtype=np.int64), meta)
 
 
-def oracle_load_csv(path, schema=dt.CsvSchema()):
-    """The per-cell CSV loader the shared reader replaced."""
+def oracle_load_csv(path, header=None, label_col=-1):
+    """The per-cell CSV loader the shared reader replaced. header=None
+    sniffs the first row; label_col is a position or a header name."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=schema.delimiter))
+        rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(c.strip() for c in r)]
-    header = schema.header
     if header is None:
         try:
             [float(c) for c in rows[0]]
@@ -57,10 +57,10 @@ def oracle_load_csv(path, schema=dt.CsvSchema()):
             header = True
     names = [c.strip() for c in rows[0]] if header else None
     rows = rows[1:] if header else rows
-    if isinstance(schema.label_col, str):
-        label_idx = names.index(schema.label_col)
+    if isinstance(label_col, str):
+        label_idx = names.index(label_col)
     else:
-        label_idx = schema.label_col % len(rows[0])
+        label_idx = label_col % len(rows[0])
     features = [[float(c) for j, c in enumerate(r) if j != label_idx] for r in rows]
     labels = [int(r[label_idx]) for r in rows]
     return dt.Dataset(np.array(features, dtype=float),
@@ -118,30 +118,60 @@ def test_native_rows_with_blank_lines_and_line_endings(tmp_path, newline, blank)
     assert_same(sz.load_dataset(p), oracle_load_dataset(p))
 
 
+# The reader sniffs the header and takes the label last. On these
+# label-last files that is what each setting of the old loader read.
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("header, schema", [
-    ("f0,f1,label", dt.CsvSchema()),
-    (None, dt.CsvSchema()),
-    ("f0,f1,label", dt.CsvSchema(header=True)),
-    (None, dt.CsvSchema(header=False)),
-    ("f0,f1,label", dt.CsvSchema(label_col="label")),
-    ("f0,f1,label", dt.CsvSchema(label_col=2)),
+    ("f0,f1,label", {}),
+    (None, {}),
+    ("f0,f1,label", {"header": True}),
+    (None, {"header": False}),
+    ("f0,f1,label", {"label_col": "label"}),
+    ("f0,f1,label", {"label_col": 2}),
 ])
 def test_csv_files_read_as_before(tmp_path, newline, header, schema):
     lines = ([header] if header else []) + odd_rows(seed=1)
     lines[2:2] = ["", "  "]
     p = tmp_path / "d.csv"
     p.write_bytes((newline.join(lines) + newline).encode())
-    assert_same(dt.load_csv(p, schema), oracle_load_csv(p, schema))
+    assert_same(sz.load_dataset(p), oracle_load_csv(p, **schema))
 
 
-def test_csv_label_column_by_name_and_quotes(tmp_path):
+def test_csv_quoted_cells(tmp_path):
     p = tmp_path / "d.csv"
-    p.write_text('label,"x",y\n1,"9.5",8\n0, 7 ,"-6e-3"\n')
-    schema = dt.CsvSchema(label_col="label")
-    ds = dt.load_csv(p, schema)
-    assert_same(ds, oracle_load_csv(p, schema))
+    p.write_text('"x",y,label\n"9.5",8,1\n 7 ,"-6e-3",0\n')
+    ds = sz.load_dataset(p)
+    assert_same(ds, oracle_load_csv(p))
     assert ds.features.tolist() == [[9.5, 8.0], [7.0, -6e-3]]
+
+
+@pytest.mark.parametrize("header", ["f0,f1,label", None])
+def test_native_and_csv_files_of_the_same_rows_load_alike(tmp_path, header):
+    rows = odd_rows(seed=2)
+    native, plain = tmp_path / "d.txt", tmp_path / "d.csv"
+    native.write_text("\n".join([f"{sz.DATASET_MAGIC} v1 {{}}", *rows]) + "\n")
+    plain.write_text("\n".join(([header] if header else []) + rows) + "\n")
+    a, b = sz.load_dataset(native), sz.load_dataset(plain)
+    assert (a.meta, b.meta) == ({}, {"source": str(plain)})
+    assert_same(a, dt.Dataset(b.features, b.labels, a.meta))
+
+
+def test_eval_reads_its_data_file_once(small_circuit, monkeypatch, capsys):
+    data = str(small_circuit["dir"] / "once.txt")
+    with open(data, "w") as fh:
+        fh.write(small_circuit["text"])
+    real_open, opened = open, []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    rc = cli.main(["eval", "--circuit", small_circuit["circuit"], "--data", data,
+                   "--out", str(small_circuit["dir"] / "out")])
+    monkeypatch.undo()
+    assert rc == cli.EXIT_OK, capsys.readouterr().err
+    assert opened.count(data) == 1
 
 
 def test_underscored_numbers_are_refused(tmp_path):
@@ -151,14 +181,14 @@ def test_underscored_numbers_are_refused(tmp_path):
     for text in ("0.5,2,0\n1_0,2,0\n", "0.5,2,0\n1,2,1_0\n"):
         p.write_text(text)
         with pytest.raises(dt.DataFormatError, match="line 2, column"):
-            dt.load_csv(p)
+            sz.load_dataset(p)
 
 
 def test_a_quoted_cell_cannot_join_two_lines(tmp_path):
     p = tmp_path / "q.csv"
     p.write_text('"1.5\n",2,0\n3,4,1\n')
     with pytest.raises(dt.DataFormatError, match="line 1"):
-        dt.load_csv(p)
+        sz.load_dataset(p)
 
 
 # ----------------------------------------------- malformed input, CLI
@@ -241,9 +271,8 @@ def test_float_label_is_refused_where_numpy_only_warns(tmp_path, monkeypatch, fm
     monkeypatch.setattr(np, "loadtxt", truncating)
     p = tmp_path / f"bad.{fmt}"
     (write_native if fmt == "native" else write_csv)(p, ["0.1,0.2,0", "0.3,0.4,1.7"])
-    load = sz.load_dataset if fmt == "native" else dt.load_csv
     with pytest.raises(dt.DataFormatError, match="line 3, column 3"):
-        load(p)
+        sz.load_dataset(p)
 
 
 # ------------------------------------------------- mutation fuzzing
@@ -301,8 +330,8 @@ def test_mutated_dataset_files_fail_cleanly(small_circuit, capsys, ops):
     path = small_circuit["dir"] / "mutated.txt"
     path.write_text(_mutate(small_circuit["text"], ops))
     native = path.read_bytes().startswith(sz.DATASET_MAGIC.encode())
-    try:  # the CLI reads a file without the magic line as a CSV
-        ds = (sz.load_dataset if native else dt.load_csv)(path)
+    try:  # a file without the magic line reads as a CSV
+        ds = sz.load_dataset(path)
     except dt.DataFormatError:
         ds = None
     if ds is not None and native:

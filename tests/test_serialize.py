@@ -29,11 +29,12 @@ def test_dataset_round_trip_is_bit_exact(tmp_path):
     assert back.meta == ds.meta
 
 
-def test_dataset_rejects_wrong_magic(tmp_path):
-    p = tmp_path / "bad.txt"
+def test_dataset_without_magic_reads_as_csv(tmp_path):
+    p = tmp_path / "plain.txt"
     p.write_text("not a dataset\n1,2,0\n")
-    with pytest.raises(sz.FormatError):
-        sz.load_dataset(p)
+    ds = sz.load_dataset(p)
+    assert ds.features.tolist() == [[1.0, 2.0]] and ds.labels.tolist() == [0]
+    assert ds.meta == {"source": str(p)}
 
 
 def test_dataset_rejects_newer_version(tmp_path):
@@ -169,7 +170,8 @@ def test_loaded_checkpoint_runs_identically(tmp_path):
 
 def test_circuit_round_trip(tmp_path):
     net = nw.init_network((5, 4), 4, 2, GS)
-    circ = cc.harden_network(net, source_hash="ab12" * 16)
+    circ = cc.harden_network(net)
+    circ.provenance["source_sha256"] = "ab12" * 16
     enc = sample_encoder()
     p = tmp_path / "c.txt"
     sz.save_circuit(circ, p, enc)
@@ -252,7 +254,9 @@ def model_files(tmp_path):
         paths.append((tmp_path / f"{arch}.ckpt", sz.load_checkpoint))
         sz.save_checkpoint(net, paths[-1][0], enc)
         paths.append((tmp_path / f"{arch}.circuit.txt", sz.load_circuit))
-        sz.save_circuit(cc.harden_network(net, source_hash="ab" * 32), paths[-1][0], enc)
+        circ = cc.harden_network(net)
+        circ.provenance["source_sha256"] = "ab" * 32
+        sz.save_circuit(circ, paths[-1][0], enc)
     return paths
 
 

@@ -401,3 +401,16 @@ def test_train_rejects_bad_data():
         tr.train(net, (x[:0], y[:0]), tr.TrainConfig(steps=1))
     with pytest.raises(ValueError):
         tr.train(net, (x, y[:-1]), tr.TrainConfig(steps=1))
+    # Inputs that do not fit the net are refused before step 0 runs.
+    before = [p.copy() for p in net.params]
+    far = x.copy()
+    far[3, 1] = 7.0
+    for bad, match in [((x[:, :3], y), "expected 5 inputs, got 3"),
+                       ((x[:, None, :], y), "2-D batch"),
+                       ((far, y), "must be finite and lie in")]:
+        with pytest.raises(ValueError, match=match):
+            tr.train(net, bad, tr.TrainConfig(steps=3, eval_every=3))
+    with pytest.raises(ValueError, match="must be finite and lie in"):
+        tr.train(net, (x, y), tr.TrainConfig(steps=3, eval_every=3),
+                 eval_data=(far, y))
+    assert all(np.array_equal(a, b) for a, b in zip(net.params, before))
