@@ -5,14 +5,17 @@ UNKNOWN, TRUE. A two-input gate is a function T x T -> T, so there are
 3**9 = 19,683 of them, one per 9-entry truth table. Every such table is
 reproduced exactly by a degree-(2, 2) polynomial
 
-    p_w(a, b) = w . m(a, b),
-    m(a, b)   = [1, a, b, ab, a^2, b^2, a^2 b, a b^2, a^2 b^2],
+    p_w(a, b) = w . m(a, b),    m_k(a, b) = a^p b^q,  (p, q) = MONOMIAL_POWERS[k],
 
 because the 9 x 9 matrix V that evaluates the monomials on the 3 x 3
-input grid is invertible. This module owns that correspondence: the
-canonical grid order, V and its exact inverse, truth-table encoding,
-Kleene gate constructors, and the rounding step that turns a trained
-polynomial back into a discrete gate.
+input grid is invertible. V is the Kronecker square of the 3 x 3
+univariate Vandermonde matrix P[x, p] = x**p, its columns put in the
+coefficient order `MONOMIAL_POWERS`; so its inverse is the Kronecker
+square of P's inverse, whose entries are 0, +-1/2 and +-1, and is exact
+in floating point by construction. This module owns that
+correspondence: the canonical grid order, V and its inverse,
+truth-table encoding, Kleene gate constructors, and the rounding step
+that turns a trained polynomial back into a discrete gate.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,7 +40,6 @@ FALSE = -1
 UNKNOWN = 0
 TRUE = 1
 
-N_MONOMIALS = 9
 N_GATES = 3**9
 
 # Grid points in canonical order: index 3*(a+1) + (b+1).
@@ -82,51 +83,46 @@ def monomials(a: float, b: float) -> np.ndarray:
     )
 
 
-def _build_vandermonde() -> np.ndarray:
-    rows = [monomials(a, b) for a, b in GRID_POINTS]
-    return np.array(rows)
+#: Coefficient k of a degree-(2, 2) polynomial multiplies a**p * b**q,
+#: where (p, q) = MONOMIAL_POWERS[k]; `monomials` lists the same order.
+MONOMIAL_POWERS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2))
 
+#: Position 3*p + q of coefficient k in the (p outer, q) order of the
+#: rows or columns of a Kronecker square kron(M, M).
+KRON_INDEX = np.array([3 * p + q for p, q in MONOMIAL_POWERS])
+_COEFF_AT = np.argsort(KRON_INDEX)  # the coefficient at each such position
 
-def _exact_inverse(mat: np.ndarray) -> np.ndarray:
-    """Invert an integer matrix by Gauss-Jordan elimination over Q.
+# The univariate Vandermonde matrix P[x, p] = x**p at x = -1, 0, +1, and
+# its inverse, whose entries are dyadic and so exact in float64.
+_P = np.vander(np.array(TRIT_VALUES, dtype=float), 3, increasing=True)
+_P_INV = np.array([[0.0, 1.0, 0.0], [-0.5, 0.0, 0.5], [0.5, -1.0, 0.5]])
 
-    The result is converted to float64 at the end. For the Vandermonde
-    matrix below every entry of the inverse is a dyadic rational with
-    denominator at most 4, so the conversion is exact.
-    """
-    n = mat.shape[0]
-    work = [
-        [Fraction(int(mat[i, j])) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_p = 1 / work[col][col]
-        work[col] = [v * inv_p for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
-    return np.array([[float(v) for v in row[n:]] for row in work])
+# `+ 0.0` makes +0.0 of the -0.0 a Kronecker product leaves where a
+# negative entry meets a zero. The tests freeze both matrices' bytes,
+# and both are C-ordered, the layout the products reading them expect.
 
-
-#: V[g, i] = i-th monomial evaluated at the g-th grid point, so that a
+#: V[g, k] = monomial k evaluated at the g-th grid point, so that a
 #: coefficient vector w has truth-table values V @ w.
-VANDERMONDE = _build_vandermonde()
+VANDERMONDE = np.ascontiguousarray(np.kron(_P, _P)[:, KRON_INDEX]) + 0.0
 
-#: Exact inverse of V, computed once over the rationals.
-VANDERMONDE_INV = _exact_inverse(VANDERMONDE)
+#: Inverse of V: the Kronecker square of P's inverse, exact by construction.
+VANDERMONDE_INV = np.kron(_P_INV, _P_INV)[KRON_INDEX] + 0.0
 
 
-def _horner2(hi, mid, lo, x):
-    """(hi * x + mid) * x + lo, computed in one new array."""
-    t = hi * x
-    t += mid
+def _horner2(c, x):
+    """c[0] + c[1] x + c[2] x^2 as (c[2] * x + c[1]) * x + c[0], computed
+    in one new array."""
+    t = c[2] * x
+    t += c[1]
     t *= x
-    t += lo
+    t += c[0]
     return t
+
+
+def _power_grid(coeffs):
+    """Per-neuron coefficients (n, 9) as w[p, q], a C-ordered (3, 3, n)
+    array whose [p, q] row holds every neuron's a**p b**q coefficient."""
+    return np.ascontiguousarray(coeffs.T[_COEFF_AT]).reshape(3, 3, -1)
 
 
 def eval_poly_many(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -135,37 +131,35 @@ def eval_poly_many(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     `coeffs` has shape (n, 9); `a` and `b` have the same shape (..., n)
     and hold the two parent values of each neuron. Returns an array of
     shape (..., n). Nested Horner form, 8 multiplications and 8
-    additions done in place: the coefficients are grouped by the power
-    of `a`, each group is a quadratic in `b`,
+    additions done in place: the coefficients w[p, q] are grouped by the
+    power p of `a`, each group is a quadratic in `b`,
 
-        p = c0 + a * (c1 + a * c2),   c_i = (w_hi * b + w_mid) * b + w_lo.
+        p_w = c_0 + a (c_1 + a c_2),   c_p = (w[p, 2] b + w[p, 1]) b + w[p, 0].
     """
-    w = np.ascontiguousarray(coeffs.T)
-    c0 = _horner2(w[5], w[2], w[0], b)
-    c1 = _horner2(w[7], w[3], w[1], b)
-    c2 = _horner2(w[8], w[6], w[4], b)
-    c2 *= a
-    c2 += c1
-    c2 *= a
-    c2 += c0
-    return c2
+    w = _power_grid(coeffs)
+    out = _horner2(w[2], b)
+    out *= a
+    out += _horner2(w[1], b)
+    out *= a
+    out += _horner2(w[0], b)
+    return out
 
 
 def poly_input_grads(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Partial derivatives of p_w with respect to its two inputs.
 
-    Shapes follow `eval_poly_many`. Returns (dp/da, dp/db), where
+    Shapes follow `eval_poly_many`. Returns (dp/da, dp/db), where with
+    c_p(b) = sum_q w[p, q] b^q and r_q(a) = sum_p w[p, q] a^p
 
-        dp/da = ((w7 b + w3) b + w1) + 2a ((w8 b + w6) b + w4),
-        dp/db = ((w6 a + w3) a + w2) + 2b ((w8 a + w7) a + w5).
+        dp/da = c_1(b) + 2a c_2(b),    dp/db = r_1(a) + 2b r_2(a).
     """
-    w = np.ascontiguousarray(coeffs.T)
-    da = _horner2(w[8], w[6], w[4], b)
+    w = _power_grid(coeffs)
+    da = _horner2(w[2], b)
     da *= 2.0 * a
-    da += _horner2(w[7], w[3], w[1], b)
-    db = _horner2(w[8], w[7], w[5], a)
+    da += _horner2(w[1], b)
+    db = _horner2(w[:, 2], a)
     db *= 2.0 * b
-    db += _horner2(w[6], w[3], w[2], a)
+    db += _horner2(w[:, 1], a)
     return da, db
 
 

@@ -53,10 +53,13 @@ class CoverageCurve:
 def selective_curve(circuit: Circuit, x_enc, y) -> CoverageCurve:
     """Margin-ordered selective accuracy of a circuit on encoded inputs.
 
-    Runs the circuit once and hands its predictions and margins to
-    `coverage_curve`.
+    `x_enc` is in the architecture's own domain, bits for the binary
+    baseline, and goes through its `trit_inputs` map, as in
+    `circuit.gap_report`. Runs the circuit once and hands its
+    predictions and margins to `coverage_curve`.
     """
-    _, _, preds, margins = eval_circuit(circuit, np.atleast_2d(np.asarray(x_enc)))
+    trits = ARCHS[circuit.arch].trit_inputs(np.atleast_2d(np.asarray(x_enc)))
+    _, _, preds, margins = eval_circuit(circuit, trits)
     return coverage_curve(preds, margins, y)
 
 
@@ -78,7 +81,7 @@ def coverage_curve(preds, margins, y) -> CoverageCurve:
     cum = np.cumsum(correct)
     points = []
     for c in RETENTION_GRID:
-        kept = max(1, math.ceil(c * n))
+        kept = math.ceil(c * n)
         points.append((c, float(cum[kept - 1]) / kept))
     auc = float(np.mean([acc for _, acc in points]))
     return CoverageCurve(points=tuple(points), auc=auc, n_samples=n)

@@ -193,15 +193,7 @@ def eval_circuit(circuit: Circuit, x):
     trits, GroupSum scores, argmax class (lowest index on ties) and the
     top-minus-second score margin. Accepts one vector or a batch.
     """
-    x = np.asarray(x)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise ValueError(f"expected one input vector or a 2-D batch, "
-                         f"got shape {x.shape}")
-    if x.shape[1] != circuit.input_dim:
-        raise ValueError(f"expected {circuit.input_dim} inputs, got {x.shape[1]}")
+    x, single = circuit.input_batch(np.asarray(x))
     n = x.shape[0]
     k, tau = circuit.groupsum.k, circuit.groupsum.tau
     group = circuit.widths[-1] // k

@@ -17,6 +17,12 @@ and the coefficient vector fhat exposes the structure of a gate: which
 inputs it reads, whether it gates one input by the other, and whether
 it uses the squared (UNKNOWN-detecting) terms. Coefficients are stored
 as 9-vectors ordered by (i, j) with i outer, index 3*i + j.
+
+That is a Kronecker product's order, and each two-input matrix here is
+the Kronecker square of its univariate one: PHI2 of PHI_VALUES,
+SQ_NORMS of PHI_SQ_NORMS, and the map from monomial coefficients of the
+expansions of 1, x and x^2 in phi_0..phi_2, with its columns put in
+the coefficient order `algebra.MONOMIAL_POWERS`.
 """
 
 from __future__ import annotations
@@ -40,61 +46,28 @@ PHI_SQ_NORMS = np.array([1.0, 2.0 / 3.0, 2.0 / 9.0])
 #: Index pairs in storage order: position 3*i + j holds (i, j).
 INDEX_PAIRS = tuple((i, j) for i in range(3) for j in range(3))
 
-
-def _build_bivariate() -> np.ndarray:
-    rows = []
-    for i, j in INDEX_PAIRS:
-        row = [
-            PHI_VALUES[i, a + 1] * PHI_VALUES[j, b + 1]
-            for a, b in algebra.GRID_POINTS
-        ]
-        rows.append(row)
-    return np.array(rows)
-
-
 #: PHI2[3*i + j, g] = Phi_ij evaluated at the g-th grid point.
-PHI2 = _build_bivariate()
+PHI2 = np.kron(PHI_VALUES, PHI_VALUES)
 
 #: Squared norms of the bivariate family, products of univariate norms.
-SQ_NORMS = np.array([PHI_SQ_NORMS[i] * PHI_SQ_NORMS[j] for i, j in INDEX_PAIRS])
+SQ_NORMS = np.kron(PHI_SQ_NORMS, PHI_SQ_NORMS)
 
 #: Matrix of the forward transform: fhat = TRANSFORM @ table.
 TRANSFORM = PHI2 / (9.0 * SQ_NORMS[:, None])
 
 #: Total degree of Phi_ij, used to assign coefficients to energy bands.
-TOTAL_DEGREE = np.array([i + j for i, j in INDEX_PAIRS])
+TOTAL_DEGREE = np.add.outer(np.arange(3), np.arange(3)).ravel()
 
 BAND_NAMES = ("const", "linear", "quad", "cubic", "quartic")
 
+#: U[i, p] = coefficient of phi_i in x**p: 1 = phi_0, x = phi_1 and
+#: x^2 = phi_2 + (2/3) phi_0.
+_U = np.array([[1.0, 0.0, 2.0 / 3.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
-def _build_monomial_map() -> np.ndarray:
-    """Change of basis from monomial coefficients to fhat.
-
-    Uses the exact expansions 1 = Phi_00, x = Phi_10, x^2 = Phi_20 +
-    (2/3) Phi_00 together with separability, rather than going through
-    truth-table values. Columns follow the monomial order of
-    `algebra.monomials`.
-    """
-    # univariate expansion of 1, x, x^2 in phi_0, phi_1, phi_2
-    u = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [2.0 / 3.0, 0.0, 1.0],
-        ]
-    )
-    # monomial order: a^p b^q with (p, q) as below
-    powers = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
-    m = np.zeros((9, 9))
-    for col, (p, q) in enumerate(powers):
-        for i in range(3):
-            for j in range(3):
-                m[3 * i + j, col] = u[p, i] * u[q, j]
-    return m
-
-
-#: MONOMIAL_TO_FOURIER @ w gives the fhat vector of p_w directly.
-MONOMIAL_TO_FOURIER = _build_monomial_map()
+#: MONOMIAL_TO_FOURIER @ w gives the fhat vector of p_w directly: the
+#: exact expansion of each monomial a**p b**q, kron(U, U)'s column
+#: 3*p + q, by separability rather than through truth-table values.
+MONOMIAL_TO_FOURIER = np.ascontiguousarray(np.kron(_U, _U)[:, algebra.KRON_INDEX])
 
 
 def inner_product(f, g) -> float:
@@ -146,22 +119,24 @@ _HIGHER_MIXED = [_IJ["21"], _IJ["12"], _IJ["22"]]
 
 SPECTRAL_CLASSES = ("LINEAR", "BILINEAR", "QUADRATIC", "FULL")
 
+#: Coefficients of absolute value at most this count as zero in
+#: `spectral_class`, far above the rounding error of a table's transform.
+SUPPORT_TOL = 1e-9
 
-def spectral_class(fhat, tol: float = 1e-9) -> np.ndarray:
+
+def spectral_class(fhat) -> np.ndarray:
     """Coarse shape of a spectrum: LINEAR, BILINEAR, QUADRATIC or FULL.
 
     LINEAR spectra live on {00, 10, 01}; BILINEAR ones additionally use
     the 11 term; QUADRATIC ones bring in 20 or 02 but none of the mixed
     terms above degree 2; everything else is FULL. Coefficients with
-    absolute value at most `tol` count as zero, so for learned (not
-    exactly discrete) polynomials pass a tolerance that matches the
-    noise floor of the training run. A (..., 9) stack of spectra gives
-    a (...)-shaped array of class names.
+    absolute value at most SUPPORT_TOL count as zero. A (..., 9) stack
+    of spectra gives a (...)-shaped array of class names.
     """
     f = np.asarray(fhat, dtype=float)
     if f.shape[-1:] != (9,):
         raise ValueError(f"expected 9 coefficients, got shape {f.shape}")
-    support = np.abs(f) > tol
+    support = np.abs(f) > SUPPORT_TOL
     bilinear = support[..., _IJ["11"]]
     quad = support[..., _PURE_QUAD].any(axis=-1)
     mixed = support[..., _HIGHER_MIXED].any(axis=-1)

@@ -22,7 +22,8 @@ the four corners; their ternary embeddings follow from those tables.
 A network and its hardened circuit are one frozen `Model`: the arch
 (checked by `arch_spec`), the wiring and the GroupSum head. Only the
 wiring holds the shape and seed; `Model.input_dim`, `widths` and `seed`
-read them from it. A `Network` adds its parameters, a `circuit.Circuit`
+read them from it, and `Model.input_batch` checks the shape of an input
+batch against it. A `Network` adds its parameters, a `circuit.Circuit`
 its gate ids.
 
 Class scores come from a GroupSum head: the output layer is cut into k
@@ -184,6 +185,20 @@ class Model:
             raise ValueError(f"{name} shapes {shapes} do not fit widths "
                              f"{self.widths}: expected {want}")
 
+    def input_batch(self, x: np.ndarray):
+        """The array `x` as a 2-D batch of input rows, in its own dtype,
+        and whether it was one input vector; a ValueError unless it has
+        1 or 2 dimensions and `input_dim` columns."""
+        single = x.ndim == 1
+        if single:
+            x = x[None, :]
+        if x.ndim != 2:
+            raise ValueError(f"expected one input vector or a 2-D batch, "
+                             f"got shape {x.shape}")
+        if x.shape[1] != self.input_dim:
+            raise ValueError(f"expected {self.input_dim} inputs, got {x.shape[1]}")
+        return x, single
+
 
 @dataclass(frozen=True)
 class Network(Model):
@@ -249,15 +264,7 @@ def _layers(net: Network, x: np.ndarray, wiring=None):
 def _checked_inputs(net: Network, x):
     """`x` as a float batch and whether it was one input vector, after
     checking that it is finite and inside the architecture's domain."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise ValueError(f"expected one input vector or a 2-D batch, "
-                         f"got shape {x.shape}")
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"expected {net.input_dim} inputs, got {x.shape[1]}")
+    x, single = net.input_batch(np.asarray(x, dtype=float))
     lo, hi = ARCHS[net.arch].domain
     # NaN fails this check too: every comparison with NaN is false.
     if x.size and not (x.min() >= lo - INPUT_SLACK and x.max() <= hi + INPUT_SLACK):

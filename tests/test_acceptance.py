@@ -21,6 +21,8 @@ import tritnet.pipeline as pl
 import tritnet.serialize as sz
 import tritnet.training as tr
 
+pytestmark = pytest.mark.acceptance
+
 # Moons at this noise level has a Bayes ceiling near 91%, the regime
 # the accuracy targets below assume. Higher noise (0.5) caps every
 # classifier near 82% and would make the binary target unreachable.

@@ -1,5 +1,6 @@
 """Trit grid, polynomial evaluation and exact gate interpolation."""
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import tritnet.algebra as al
+import tritnet.fourier as fr
 
 # Values below were computed independently (base-3 arithmetic by hand,
 # Fraction-based linear solves) and frozen here on purpose: the tests
@@ -121,6 +123,26 @@ def test_vandermonde_inverse_is_exact():
     # so 4 * V^-1 must be exactly integral
     scaled = 4.0 * al.VANDERMONDE_INV
     assert np.array_equal(scaled, np.round(scaled))
+
+
+# sha256 of `.tobytes()` of each basis constant, frozen: unlike an
+# equality test it also pins the dtype and the sign of every zero.
+BASIS_SHA256 = {
+    (al, "VANDERMONDE"): "24b3ecd922d70d737ba294497e0487bba0af37d8141df9058b2669690de3ab19",
+    (al, "VANDERMONDE_INV"): "0b68bac092f3ad9b4861a285b9250d6b13a74b5c70a9340accd2001205008e09",
+    (fr, "PHI2"): "fad85ac30b906f83eb3f37da3840b59bb50de5dcf3403420de676614675c58aa",
+    (fr, "SQ_NORMS"): "49f8b0befbbc35a412a2e130da20866290e7039325fb37a24f01a5e6145bc9f1",
+    (fr, "TRANSFORM"): "ee7e0c0e20dcc8cb8baa732eda36005419f56aec2de9f7a678f9e5bd34d07bbe",
+    (fr, "MONOMIAL_TO_FOURIER"): "3ea09db176003430ef357677b31e7a253b11c48abffed4e434260891e374179a",
+    (fr, "TOTAL_DEGREE"): "79a116ae5a1e0402daa5bf81eaecbd009876c9b3e32e02a83b452a957fcdf38d",
+}
+
+
+@pytest.mark.parametrize("module, name", BASIS_SHA256, ids=[n for _, n in BASIS_SHA256])
+def test_basis_constants_keep_their_bytes(module, name):
+    value = getattr(module, name)
+    assert value.flags.c_contiguous
+    assert hashlib.sha256(value.tobytes()).hexdigest() == BASIS_SHA256[module, name]
 
 
 def test_horner_equals_naive_evaluation():

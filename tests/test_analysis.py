@@ -60,6 +60,17 @@ def test_selective_curve_matches_reference():
         np.mean([a for _, a in curve.points]), abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_selective_curve_maps_binary_bits_to_trits(seed):
+    # bit 0 is FALSE on the circuit's grid, never UNKNOWN
+    circ = cc.harden_network(nw.init_network((16, 16, 8), 6, seed, arch="binary"))
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 2, size=(400, 6))
+    y = rng.integers(0, 2, size=400)
+    _, _, preds, margins = cc.eval_circuit(circ, nw.ARCHS["binary"].trit_inputs(x))
+    assert an.selective_curve(circ, x, y) == an.coverage_curve(preds, margins, y)
+
+
 def test_coverage_curve_from_predictions_and_margins():
     rng = np.random.default_rng(7)
     preds = rng.integers(0, 3, size=41)
@@ -194,7 +205,7 @@ def test_spectral_profile_constructed_circuit():
     assert sum(prof.band_shares.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-def loop_spectral_profile(circuit, tol=1e-9):
+def loop_spectral_profile(circuit):
     """The per-gate loop spectral_profile replaced, kept as its oracle."""
     import tritnet.fourier as fr
 
@@ -207,7 +218,7 @@ def loop_spectral_profile(circuit, tol=1e-9):
     for gid in ids:
         table = np.array(al.decode_table(int(gid)), dtype=float)
         fhat = fr.TRANSFORM @ table
-        classes[fr.spectral_class(fhat, tol)] += 1
+        classes[fr.spectral_class(fhat)] += 1
         if not (table[list(al.CORNER_INDICES)] != 0).all():
             n_ternary += 1
         energy = fhat * fhat
