@@ -14,7 +14,7 @@ coefficient order `MONOMIAL_POWERS`; so its inverse is the Kronecker
 square of P's inverse, whose entries are 0, +-1/2 and +-1, and is exact
 in floating point by construction. This module owns that
 correspondence: the canonical grid order, V and its inverse,
-truth-table encoding, Kleene gate constructors, and the rounding step
+truth-table encoding, the curated Kleene gates, and the rounding step
 that turns a trained polynomial back into a discrete gate.
 
 Conventions fixed here and relied on everywhere else:
@@ -30,7 +30,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,14 +162,6 @@ def poly_input_grads(coeffs: np.ndarray, a: np.ndarray, b: np.ndarray):
     return da, db
 
 
-def coeffs_of_table(table) -> np.ndarray:
-    """Coefficients of the unique degree-(2, 2) interpolant of a table."""
-    t = np.asarray(table, dtype=float)
-    if t.shape != (9,):
-        raise ValueError(f"expected 9 table entries, got shape {t.shape}")
-    return VANDERMONDE_INV @ t
-
-
 def round_table(values: np.ndarray) -> np.ndarray:
     """Round each value to the nearest trit, ties at +-0.5 away from zero.
 
@@ -225,97 +216,30 @@ def encode_tables(tables: np.ndarray) -> np.ndarray:
     return ((t + 1) * 3 ** np.arange(9)).sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class TruthTable9:
-    """A two-input ternary truth table in canonical grid order."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != 9 or any(e not in TRIT_VALUES for e in self.entries):
-            raise ValueError(f"not a valid 9-trit table: {self.entries!r}")
-
-    @property
-    def gate_id(self) -> int:
-        return encode_table(self.entries)
-
-    @classmethod
-    def from_gate_id(cls, gate_id: int) -> "TruthTable9":
-        return cls(decode_table(gate_id))
-
-    def value(self, a: int, b: int) -> int:
-        return self.entries[grid_index(a, b)]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int8)
+def _table(fn) -> np.ndarray:
+    """Read-only int8 table of fn(a, b) over the grid, in grid order."""
+    t = np.array([fn(a, b) for a, b in GRID_POINTS], dtype=np.int8)
+    t.flags.writeable = False
+    return t
 
 
-def _kleene_and(a: int, b: int) -> int:
-    return min(a, b)
-
-
-def _kleene_or(a: int, b: int) -> int:
-    return max(a, b)
-
-
-def _kleene_xor(a: int, b: int) -> int:
-    return max(min(a, -b), min(-a, b))
-
-
-_KLEENE_KINDS = {
-    "min": _kleene_and,
-    "max": _kleene_or,
-    "neg_a": lambda a, b: -a,
-    "neg_b": lambda a, b: -b,
-    "pass_a": lambda a, b: a,
-    "pass_b": lambda a, b: b,
-}
-
-
-def kleene_gate(kind: str, value: int | None = None) -> TruthTable9:
-    """Truth table of a named Kleene gate.
-
-    kind is one of min, max, neg_a, neg_b, pass_a, pass_b, const; the
-    const kind requires `value`, a trit emitted for every input.
-    """
-    kind = kind.lower()
-    if kind == "const":
-        if value not in TRIT_VALUES:
-            raise ValueError(f"const gate needs a trit value, got {value!r}")
-        return TruthTable9(tuple(value for _ in GRID_POINTS))
-    if kind not in _KLEENE_KINDS:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    fn = _KLEENE_KINDS[kind]
-    return TruthTable9(tuple(fn(a, b) for a, b in GRID_POINTS))
-
-
-def _table_from(fn) -> TruthTable9:
-    return TruthTable9(tuple(fn(a, b) for a, b in GRID_POINTS))
-
-
-#: Curated gates by name. AND/OR are Kleene min/max; the derived gates
-#: are built from min, max and negation in the usual strong-Kleene way.
-NAMED_GATES: dict[str, TruthTable9] = {
-    "false": kleene_gate("const", FALSE),
-    "unknown": kleene_gate("const", UNKNOWN),
-    "true": kleene_gate("const", TRUE),
-    "a": kleene_gate("pass_a"),
-    "b": kleene_gate("pass_b"),
-    "not_a": kleene_gate("neg_a"),
-    "not_b": kleene_gate("neg_b"),
-    "and": kleene_gate("min"),
-    "or": kleene_gate("max"),
-    "nand": _table_from(lambda a, b: -_kleene_and(a, b)),
-    "nor": _table_from(lambda a, b: -_kleene_or(a, b)),
-    "xor": _table_from(_kleene_xor),
-    "xnor": _table_from(lambda a, b: -_kleene_xor(a, b)),
-    "implies": _table_from(lambda a, b: max(-a, b)),
-    "implied_by": _table_from(lambda a, b: max(a, -b)),
-}
-
-_GATE_NAMES = {t.gate_id: name for name, t in NAMED_GATES.items()}
-
-
-def gate_name(gate_id: int) -> str | None:
-    """Name of a curated gate, or None if the id is not curated."""
-    return _GATE_NAMES.get(int(gate_id))
+#: Curated gates by name, as read-only int8 (9,) tables in grid order.
+#: AND/OR are Kleene min/max; the derived gates are built from min, max
+#: and negation in the usual strong-Kleene way.
+NAMED_GATES: dict[str, np.ndarray] = {name: _table(fn) for name, fn in {
+    "false": lambda a, b: FALSE,
+    "unknown": lambda a, b: UNKNOWN,
+    "true": lambda a, b: TRUE,
+    "a": lambda a, b: a,
+    "b": lambda a, b: b,
+    "not_a": lambda a, b: -a,
+    "not_b": lambda a, b: -b,
+    "and": min,
+    "or": max,
+    "nand": lambda a, b: -min(a, b),
+    "nor": lambda a, b: -max(a, b),
+    "xor": lambda a, b: max(min(a, -b), min(-a, b)),
+    "xnor": lambda a, b: -max(min(a, -b), min(-a, b)),
+    "implies": lambda a, b: max(-a, b),
+    "implied_by": lambda a, b: max(a, -b),
+}.items()}

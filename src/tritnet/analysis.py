@@ -76,6 +76,8 @@ def coverage_curve(preds, margins, y) -> CoverageCurve:
     n = preds.shape[0]
     if n == 0:
         raise ValueError("cannot build a coverage curve on an empty dataset")
+    if len(y) != n:
+        raise ValueError(f"{len(y)} labels for {n} rows")
     order = np.argsort(-np.atleast_1d(margins), kind="stable")
     correct = (preds == y)[order]
     cum = np.cumsum(correct)

@@ -259,6 +259,8 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
     y = np.atleast_1d(np.asarray(y))
     if x_enc.shape[0] == 0:
         raise ValueError("cannot report on an empty dataset")
+    if len(y) != x_enc.shape[0]:
+        raise ValueError(f"{len(y)} labels for {x_enc.shape[0]} rows")
     soft_pred = soft_scores(net, x_enc).argmax(axis=1)
     outputs, _, circ_pred, _ = eval_circuit(circuit, ARCHS[circuit.arch].trit_inputs(x_enc))
     soft_acc = float((soft_pred == y).mean())

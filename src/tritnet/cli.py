@@ -251,8 +251,8 @@ def cmd_harden(args) -> int:
 def cmd_eval(args) -> int:
     out = _out_dir(args)
     circuit, encoder = sz.load_circuit(args.circuit)
-    name = args.name or os.path.splitext(os.path.basename(args.circuit))[0].replace(
-        ".circuit", "")
+    name = args.name or os.path.splitext(os.path.basename(args.circuit))[0].removesuffix(
+        ".circuit")
     ds, x_enc = _encoded_data(args.data, args.circuit, encoder, circuit)
     x_enc = nw.ARCHS[circuit.arch].trit_inputs(x_enc)
     outputs, scores, preds, margins = cc.eval_circuit(circuit, x_enc)

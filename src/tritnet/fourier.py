@@ -70,15 +70,6 @@ _U = np.array([[1.0, 0.0, 2.0 / 3.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 MONOMIAL_TO_FOURIER = np.ascontiguousarray(np.kron(_U, _U)[:, algebra.KRON_INDEX])
 
 
-def inner_product(f, g) -> float:
-    """Uniform inner product of two grid functions, (1/9) sum f g."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (9,) or g.shape != (9,):
-        raise ValueError("inner_product expects two 9-vectors")
-    return float(f @ g) / 9.0
-
-
 def fourier_transform(table) -> np.ndarray:
     """Coefficients fhat of a real-valued table, in (i outer, j) order;
     a (..., 9) stack of tables gives, bit for bit, each table's fhat."""
@@ -86,30 +77,6 @@ def fourier_transform(table) -> np.ndarray:
     if t.shape[-1:] != (9,):
         raise ValueError(f"expected 9-entry tables, got shape {t.shape}")
     return np.matmul(TRANSFORM, t[..., None])[..., 0]
-
-
-def inverse_transform(fhat) -> np.ndarray:
-    """Table values of a coefficient vector, inverse of the transform."""
-    f = np.asarray(fhat, dtype=float)
-    if f.shape != (9,):
-        raise ValueError(f"expected 9 coefficients, got shape {f.shape}")
-    return PHI2.T @ f
-
-
-def monomial_to_fourier(w) -> np.ndarray:
-    """fhat of the polynomial with monomial coefficients w."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (9,):
-        raise ValueError(f"expected 9 coefficients, got shape {w.shape}")
-    return MONOMIAL_TO_FOURIER @ w
-
-
-def fourier_l1(fhat) -> float:
-    """Sum of absolute coefficients, the sparsity surrogate."""
-    f = np.asarray(fhat, dtype=float)
-    if f.shape != (9,):
-        raise ValueError(f"expected 9 coefficients, got shape {f.shape}")
-    return float(np.abs(f).sum())
 
 
 # Index positions by name, for readability below.

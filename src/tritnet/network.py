@@ -372,18 +372,8 @@ GATE_BILINEAR = np.array(
 
 #: (16, 4) truth tables of the Boolean gates: GATE_BILINEAR times the
 #: monomials (1, a, b, ab) at the corners ((0,0), (0,1), (1,0), (1,1)).
-_BOOLEAN_TABLES = (GATE_BILINEAR @ np.array(
+BOOLEAN_TABLES = (GATE_BILINEAR @ np.array(
     [[1, 1, 1, 1], [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 1]])).astype(np.int64)
-
-
-def boolean_gate_table(k: int) -> tuple[int, ...]:
-    """Boolean truth table of gate k on the four corner inputs.
-
-    Entries are bits ordered by (a, b) in ((0,0), (0,1), (1,0), (1,1)).
-    """
-    if not 0 <= k < 16:
-        raise ValueError(f"gate index {k} out of range [0, 15]")
-    return tuple(int(v) for v in _BOOLEAN_TABLES[k])
 
 
 def _boolean_embeddings() -> np.ndarray:
@@ -394,8 +384,8 @@ def _boolean_embeddings() -> np.ndarray:
     # completes[2 * i + j, g]: corner (i, j) completes grid point g
     completes = (np.stack([a <= 0, a >= 0])[:, None]
                  & np.stack([b <= 0, b >= 0])[None, :]).reshape(4, 9)
-    low = np.where(completes, _BOOLEAN_TABLES[:, :, None], 1).min(axis=1)
-    high = np.where(completes, _BOOLEAN_TABLES[:, :, None], 0).max(axis=1)
+    low = np.where(completes, BOOLEAN_TABLES[:, :, None], 1).min(axis=1)
+    high = np.where(completes, BOOLEAN_TABLES[:, :, None], 0).max(axis=1)
     return (low + high - 1).astype(np.int8)
 
 

@@ -53,6 +53,8 @@ class RunRecipe:
         net_mod.arch_spec(self.arch)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if any(w < 1 for w in self.body_widths):
+            raise ValueError(f"body widths must be >= 1, got {tuple(self.body_widths)}")
         net_mod.GroupSumConfig(k=self.k, tau=self.tau)
         if self.output_neurons < 1 or self.output_neurons % self.k:
             raise ValueError(f"output neurons must be a positive multiple of "

@@ -200,12 +200,6 @@ def _forward(net: Network, x: np.ndarray):
     return cache, group_sum(cache[-1][3], net.groupsum)
 
 
-def total_loss(net: Network, x, y, lam: float, cfg: TrainConfig) -> float:
-    """Task loss plus, for an architecture with a lattice, the weighted
-    commitment and sparsity terms."""
-    return backward(net, x, y, lam, cfg)[0]
-
-
 def _scatter_to_parents(gh_shape, s, t, ga, gb):
     """Accumulate parent-value gradients back onto the previous layer."""
     n, prev = gh_shape

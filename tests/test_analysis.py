@@ -19,7 +19,7 @@ def circuit_with_gates(gate_names, input_dim=3, seed=0, groupsum=GS):
     """One-layer circuit whose neurons are the named Kleene gates."""
     width = len(gate_names)
     conn = nw.sample_connectivity((width,), input_dim, seed)
-    ids = [np.array([al.NAMED_GATES[g].gate_id for g in gate_names],
+    ids = [np.array([al.encode_table(al.NAMED_GATES[g]) for g in gate_names],
                     dtype=np.int64)]
     return cc.Circuit(arch="ternary", conn=conn,
                       gate_ids=ids, groupsum=groupsum)
@@ -81,6 +81,19 @@ def test_coverage_curve_from_predictions_and_margins():
                                                      an.RETENTION_GRID))
     with pytest.raises(ValueError):
         an.coverage_curve(preds[:0], margins[:0], y[:0])
+
+
+@pytest.mark.parametrize("n_labels", [1, 9, 11])
+def test_curves_refuse_a_label_count_unlike_the_rows(n_labels):
+    circ = random_circuit(seed=3)
+    x = np.random.default_rng(4).integers(-1, 2, size=(10, 5))
+    y = np.zeros(n_labels, dtype=int)
+    _, _, preds, margins = cc.eval_circuit(circ, x)
+    message = f"^{n_labels} labels for 10 rows$"
+    with pytest.raises(ValueError, match=message):
+        an.coverage_curve(preds, margins, y)
+    with pytest.raises(ValueError, match=message):
+        an.selective_curve(circ, x, y)
 
 
 def test_selective_curve_full_coverage_is_plain_accuracy():
@@ -171,11 +184,11 @@ def test_diversity_binary_vocab_dispatch():
 # ------------------------------------------------------------ spectrum
 
 def test_binary_equivalence_by_corner_rule():
-    assert an.is_binary_equivalent(al.NAMED_GATES["and"].as_array())
-    assert an.is_binary_equivalent(al.NAMED_GATES["true"].as_array())
-    assert not an.is_binary_equivalent(al.NAMED_GATES["unknown"].as_array())
+    assert an.is_binary_equivalent(al.NAMED_GATES["and"])
+    assert an.is_binary_equivalent(al.NAMED_GATES["true"])
+    assert not an.is_binary_equivalent(al.NAMED_GATES["unknown"])
     # a gate that only fails off the corners still counts as binary
-    tbl = al.NAMED_GATES["and"].as_array().copy()
+    tbl = al.NAMED_GATES["and"].copy()
     tbl[al.grid_index(0, 0)] = 0
     assert an.is_binary_equivalent(tbl)
     tbl[al.grid_index(1, 1)] = 0
@@ -196,7 +209,7 @@ def test_spectral_profile_constructed_circuit():
     names = ("const", "linear", "quad", "cubic", "quartic")
     sums = dict.fromkeys(names, 0.0)
     for g in ("and", "true", "a"):
-        fhat = fr.fourier_transform(al.NAMED_GATES[g].as_array().astype(float))
+        fhat = fr.fourier_transform(al.NAMED_GATES[g].astype(float))
         bands = fr.spectral_energy_bands(fhat)
         for nm in names:
             sums[nm] += bands[nm]

@@ -39,7 +39,7 @@ def exact_gate_net(seed, widths=(6, 4), input_dim=5):
     rng = np.random.default_rng(seed + 100)
     for w in net.params:
         for j in range(w.shape[0]):
-            w[j] = al.coeffs_of_table(rng.integers(-1, 2, size=9))
+            w[j] = al.VANDERMONDE_INV @ rng.integers(-1, 2, size=9)
     return net
 
 
@@ -168,7 +168,7 @@ def test_small_perturbations_round_to_the_same_gates():
     rng = np.random.default_rng(10)
     for _ in range(100):
         tbl = rng.integers(-1, 2, size=9)
-        w = al.coeffs_of_table(tbl)
+        w = al.VANDERMONDE_INV @ tbl
         noise = rng.uniform(-1, 1, size=9)
         noise *= 0.49 / np.abs(al.VANDERMONDE @ noise).max()
         assert np.array_equal(al.round_table(al.VANDERMONDE @ (w + noise)), tbl)
@@ -178,19 +178,15 @@ def test_small_perturbations_round_to_the_same_gates():
 
 def test_boolean_embeddings_extend_kleene_gates():
     # AND embeds to min, OR to max, XOR to the Kleene xor
-    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[1]) == al.NAMED_GATES["and"].gate_id
-    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[7]) == al.NAMED_GATES["or"].gate_id
-    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[6]) == al.NAMED_GATES["xor"].gate_id
-    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[14]) == al.NAMED_GATES["nand"].gate_id
-    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[3]) == al.NAMED_GATES["a"].gate_id
-    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[0]) == al.NAMED_GATES["false"].gate_id
-    assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[15]) == al.NAMED_GATES["true"].gate_id
+    for k, name in [(1, "and"), (7, "or"), (6, "xor"), (14, "nand"), (3, "a"),
+                    (0, "false"), (15, "true")]:
+        assert al.encode_table(nw.BOOLEAN_EMBEDDINGS[k]) == al.encode_table(al.NAMED_GATES[name])
 
 
 def test_boolean_embeddings_restrict_to_boolean_tables():
     # on the four +-1 corners each embedding reproduces its gate bits
     for k in range(16):
-        bits = nw.boolean_gate_table(k)
+        bits = tuple(nw.BOOLEAN_TABLES[k])
         emb = nw.BOOLEAN_EMBEDDINGS[k]
         for (a, b), want in zip(((0, 0), (0, 1), (1, 0), (1, 1)), bits):
             g = 3 * (2 * a - 1 + 1) + (2 * b - 1 + 1)
@@ -217,7 +213,7 @@ def test_harden_binary_argmax_and_tie_break():
     net.params[0][1, 3] = 2.0
     net.params[0][1, 5] = 2.0          # tie between gates 3 and 5
     circ = cc.harden_binary(net)
-    assert circ.gate_ids[0][0] == al.NAMED_GATES["xor"].gate_id
+    assert circ.gate_ids[0][0] == al.encode_table(al.NAMED_GATES["xor"])
     assert circ.gate_ids[0][1] == al.encode_table(nw.BOOLEAN_EMBEDDINGS[3])
     assert circ.gate_ids[0][2] == al.encode_table(nw.BOOLEAN_EMBEDDINGS[0])
     assert circ.arch == "binary"
@@ -262,6 +258,14 @@ def test_gap_report_fields():
     outputs, _, _, _ = cc.eval_circuit(circ, x)
     assert rep.unknown_fraction == pytest.approx((outputs == 0).mean())
 
+
+
+@pytest.mark.parametrize("n_labels", [1, 9, 11])
+def test_gap_report_refuses_a_label_count_unlike_the_rows(n_labels):
+    net = exact_gate_net(seed=12, widths=(4,), input_dim=4)
+    x = np.random.default_rng(13).integers(-1, 2, size=(10, 4))
+    with pytest.raises(ValueError, match=f"^{n_labels} labels for 10 rows$"):
+        cc.gap_report(net, cc.harden_network(net), x, np.zeros(n_labels, dtype=int))
 
 
 def test_gap_report_unknown_fraction_is_the_mean_bit_for_bit():

@@ -5,6 +5,7 @@ import filecmp
 import json
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ def test_eval_writes_requested_reports(trained, tmp_path):
 
 
 
+@pytest.mark.parametrize("file,name", [("run.circuit.txt", "run"),
+                                       ("my.circuitry.circuit.txt", "my.circuitry")])
+def test_eval_names_outputs_without_a_trailing_circuit(trained, tmp_path, file, name):
+    circuit = tmp_path / file
+    circuit.write_bytes(open(trained["circuit"], "rb").read())
+    rc = run(["eval", "--circuit", circuit, "--data", trained["test"], "--out", tmp_path])
+    assert rc == cli.EXIT_OK
+    assert os.path.exists(tmp_path / f"{name}.metrics.tsv")
+    assert os.path.exists(tmp_path / f"{name}.manifest.json")
+
+
 def test_eval_unknown_fraction_is_the_mean_bit_for_bit(trained, tmp_path):
     from fractions import Fraction
 
@@ -262,6 +274,12 @@ def test_config_file_missing_is_usage_error(tmp_path, capsys):
               "--train", "x", "--test", "y"])
     assert rc == cli.EXIT_USAGE
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widths", [(0,), (-3,), (8, 0)])
+def test_recipe_refuses_non_positive_body_widths(widths):
+    with pytest.raises(ValueError, match=re.escape(f"body widths must be >= 1, got {widths}")):
+        pl.RunRecipe(body_widths=widths)
 
 
 def test_every_recipe_field_has_one_flag():

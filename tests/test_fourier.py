@@ -44,16 +44,8 @@ def test_index_pairs_order():
     assert list(fr.TOTAL_DEGREE) == [i + j for i, j in fr.INDEX_PAIRS]
 
 
-def test_inner_product_matches_explicit_sum():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        f, g = rng.normal(size=(2, 9))
-        explicit = sum(f[k] * g[k] for k in range(9)) / 9
-        assert fr.inner_product(f, g) == pytest.approx(explicit, rel=1e-12)
-
-
 def test_transform_of_kleene_and_frozen():
-    tbl = al.NAMED_GATES["and"].as_array().astype(float)
+    tbl = al.NAMED_GATES["and"].astype(float)
     fhat = fr.fourier_transform(tbl)
     assert np.allclose(fhat, AND_FHAT, atol=1e-12)
 
@@ -63,7 +55,7 @@ def test_transform_inverse_round_trip():
     for _ in range(50):
         tbl = rng.normal(size=9)
         fhat = fr.fourier_transform(tbl)
-        back = fr.inverse_transform(fhat)
+        back = fr.PHI2.T @ fhat
         assert np.allclose(back, tbl, atol=1e-12)
 
 
@@ -111,7 +103,7 @@ def test_monomial_to_fourier_map():
     for _ in range(20):
         w = rng.normal(size=9)
         tbl = w @ monos
-        assert np.allclose(fr.monomial_to_fourier(w),
+        assert np.allclose(fr.MONOMIAL_TO_FOURIER @ w,
                            fr.fourier_transform(tbl), atol=1e-10)
 
 
@@ -119,19 +111,6 @@ def test_monomial_a2b_expansion_frozen():
     fhat = fr.MONOMIAL_TO_FOURIER[:, 6]  # the a^2 b monomial
     nonzero = {fr.INDEX_PAIRS[r]: fhat[r] for r in range(9) if fhat[r] != 0}
     assert nonzero == {(0, 1): pytest.approx(2 / 3), (2, 1): pytest.approx(1.0)}
-
-
-def test_fourier_l1():
-    fhat = np.zeros(9)
-    fhat[fr.INDEX_PAIRS.index((1, 0))] = 2.0
-    assert fr.fourier_l1(fhat) == pytest.approx(2.0)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        f = rng.normal(size=9)
-        assert fr.fourier_l1(f) == pytest.approx(float(np.abs(f).sum()),
-                                                 rel=1e-12)
-    with pytest.raises(ValueError):
-        fr.fourier_l1(np.zeros(8))
 
 
 def test_spectral_class_boundaries():

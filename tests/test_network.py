@@ -170,38 +170,38 @@ def test_exact_gate_network_computes_its_tables():
     net = nw.init_network((4,), 2, 7, nw.GroupSumConfig(2, 1.0))
     names = ["and", "or", "xor", "implies"]
     for j, name in enumerate(names):
-        net.params[0][j] = al.coeffs_of_table(al.NAMED_GATES[name].as_array())
+        net.params[0][j] = al.VANDERMONDE_INV @ al.NAMED_GATES[name]
     s, t = net.conn.layers[0]
     for point in al.GRID_POINTS:
         acts, _ = nw.forward_soft(net, np.array(point, dtype=float))
         for j, name in enumerate(names):
-            want = al.NAMED_GATES[name].value(point[s[j]], point[t[j]])
+            want = al.NAMED_GATES[name][al.grid_index(point[s[j]], point[t[j]])]
             assert acts[0][j] == want
 
 
 def test_boolean_relaxations_match_tables_on_corners():
     corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
     for k in range(16):
-        table = nw.boolean_gate_table(k)
+        table = tuple(nw.BOOLEAN_TABLES[k])
         for (a, b), want in zip(corners, table):
             got = nw.binary_gate_relaxation(k, np.array(a), np.array(b))
             assert float(got) == pytest.approx(float(want), abs=1e-15)
 
 
 def test_boolean_gate_tables_frozen():
-    assert nw.boolean_gate_table(0) == (0, 0, 0, 0)
-    assert nw.boolean_gate_table(1) == (0, 0, 0, 1)   # AND
-    assert nw.boolean_gate_table(6) == (0, 1, 1, 0)   # XOR
-    assert nw.boolean_gate_table(7) == (0, 1, 1, 1)   # OR
-    assert nw.boolean_gate_table(14) == (1, 1, 1, 0)  # NAND
-    assert nw.boolean_gate_table(15) == (1, 1, 1, 1)
+    assert tuple(nw.BOOLEAN_TABLES[0]) == (0, 0, 0, 0)
+    assert tuple(nw.BOOLEAN_TABLES[1]) == (0, 0, 0, 1)   # AND
+    assert tuple(nw.BOOLEAN_TABLES[6]) == (0, 1, 1, 0)   # XOR
+    assert tuple(nw.BOOLEAN_TABLES[7]) == (0, 1, 1, 1)   # OR
+    assert tuple(nw.BOOLEAN_TABLES[14]) == (1, 1, 1, 0)  # NAND
+    assert tuple(nw.BOOLEAN_TABLES[15]) == (1, 1, 1, 1)
     with pytest.raises(ValueError):
         nw.binary_gate_relaxation(16, 0.0, 0.0)
 
 
 def corner_sampled_gate_table(k):
-    """The former `boolean_gate_table`: the relaxation chain sampled at the
-    four corners, rounded to bits."""
+    """The relaxation chain sampled at the four corners, rounded to bits:
+    the oracle of `BOOLEAN_TABLES`."""
     out = []
     for a, b in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)):
         v = float(nw.binary_gate_relaxation(k, np.float64(a), np.float64(b)))
@@ -224,7 +224,7 @@ def consensus_embedding(gate):
 
 @pytest.mark.parametrize("k", range(16))
 def test_gate_table_and_embedding_equal_the_chain_oracles(k):
-    assert nw.boolean_gate_table(k) == corner_sampled_gate_table(k)
+    assert tuple(nw.BOOLEAN_TABLES[k]) == corner_sampled_gate_table(k)
     assert nw.BOOLEAN_EMBEDDINGS.dtype == np.int8
     assert np.array_equal(nw.BOOLEAN_EMBEDDINGS[k], consensus_embedding(k))
 
@@ -247,8 +247,6 @@ def test_relaxation_chain_is_the_bilinear_table(k):
 def test_gate_index_out_of_range(k):
     with pytest.raises(ValueError, match="out of range"):
         nw.binary_gate_relaxation(k, 0.5, 0.5)
-    with pytest.raises(ValueError, match="out of range"):
-        nw.boolean_gate_table(k)
 
 
 def test_relaxations_stay_in_unit_interval():
