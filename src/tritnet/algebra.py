@@ -68,6 +68,14 @@ def exact_ints(x: np.ndarray, lo: int, hi: int, message: str) -> np.ndarray:
     return xi
 
 
+def exact_int(value, name: str) -> int:
+    """`value` as an int if it is a Python or numpy integer, else a
+    ValueError naming `name`; no other number is truncated."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def grid_index(a: int, b: int) -> int:
     """Canonical position of input pair (a, b) in a 9-entry table."""
     if a not in TRIT_VALUES or b not in TRIT_VALUES:

@@ -21,7 +21,7 @@ to 1 and uniform usage of the whole vocabulary scores 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def diversity_report(circuit: Circuit) -> DiversityReport:
     3^9 gates, or 16 for circuits hardened from the binary baseline.
     """
     vocab_size = len(ARCHS[circuit.arch].vocab)
-    ids = circuit.all_gate_ids()
+    ids = np.concatenate(circuit.gate_ids)
     n = ids.size
     _, counts = np.unique(ids, return_counts=True)
     u = counts.size
@@ -167,7 +167,7 @@ def spectral_profile(circuit: Circuit) -> SpectralProfile:
     gates with zero spectral energy (the all-UNKNOWN gate) are counted
     separately and excluded from that mean.
     """
-    ids = np.unique(circuit.all_gate_ids())
+    ids = np.unique(np.concatenate(circuit.gate_ids))
     tables = algebra.decode_tables(ids)
     fhat = fourier.fourier_transform(tables)
     classes = fourier.spectral_class(fhat)
@@ -240,8 +240,7 @@ def separation_sweep(seps, recipe, n_train: int = 2000, n_test: int = 500,
         errors = []
         for arch in ARCHS:
             try:
-                res = pipeline.run_pipeline(train_ds, test_ds,
-                                            pipeline.vary(recipe, arch=arch))
+                res = pipeline.run_pipeline(train_ds, test_ds, replace(recipe, arch=arch))
             except NumericalFailure as exc:
                 errors.append(f"{arch}: {exc}")
                 continue
@@ -258,10 +257,10 @@ def delta_sweep(deltas, recipe, train_ds, test_ds) -> list[dict]:
     """Ternary runs across dead-zone widths on a fixed dataset."""
     rows = []
     for delta in deltas:
-        r = pipeline.vary(recipe, arch="ternary", delta=float(delta))
+        r = replace(recipe, arch="ternary", delta=float(delta))
         enc = data_mod.fit_encoder(train_ds.features, r.thresholds, r.delta, mode=r.arch)
-        rows.append(_run_row({"delta": r.delta, "encoder_unknown_share":
-                              data_mod.encoder_unknown_share(train_ds.features, enc)},
+        share = algebra.unknown_share(data_mod.encode(train_ds.features, enc))
+        rows.append(_run_row({"delta": r.delta, "encoder_unknown_share": share},
                              r, train_ds, test_ds))
     return rows
 
@@ -277,8 +276,7 @@ def resolution_sweep(threshold_counts, body_widths_per_row, recipe,
         raise ValueError("need one width tuple per threshold count")
     rows = []
     for K, widths in zip(threshold_counts, body_widths_per_row):
-        r = pipeline.vary(recipe, arch="ternary", thresholds=int(K),
-                          body_widths=tuple(widths))
+        r = replace(recipe, arch="ternary", thresholds=K, body_widths=tuple(widths))
         rows.append(_run_row({"thresholds": r.thresholds, "resolution": r.thresholds + 1,
                               "body_widths": list(r.body_widths),
                               "input_dim": train_ds.d * r.thresholds},

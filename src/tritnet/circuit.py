@@ -27,9 +27,10 @@ evaluates a gate on 64 samples at once. A parent's F, U and T
 indicators are exclusive, so a gate's 9 grid minterms [a] & [b] may be
 combined by XOR, and [U] = 1 ^ [T] ^ [F]. Each output plane is then
 the XOR over x in (1, aT, aF) and y in (1, bT, bF) of C[x, y] & x & y,
-with GF(2) coefficient masks C built once per circuit: 4 gathers and 9
-bitwise calls per layer. Only the neurons with a path to the output
-run (`ConnectivityMap.live`). Rows run in blocks of `BLOCK_ROWS`, so
+with GF(2) coefficient masks C built once per circuit from its gate
+ids, its one copy of the gates: 4 gathers and 9 bitwise calls per layer.
+Only the neurons with a path to the output run, and have masks
+(`ConnectivityMap.live`). Rows run in blocks of `BLOCK_ROWS`, so
 the working memory is set by that constant and the widest layer,
 never by the batch size. Integer inputs are range-checked and packed
 in their own dtype; others must convert to int64 unchanged. Only the
@@ -54,27 +55,22 @@ from .network import ARCHS, Model, Network, soft_scores
 @dataclass(frozen=True)
 class Circuit(Model):
     """A `Model` of ternary gates hardened from an `arch` network; frozen,
-    its gate ids read-only, as the engine's masks derive from them."""
+    its gate ids read-only and in range, as the engine's masks derive from them."""
 
     gate_ids: tuple[np.ndarray, ...]  # per layer, read-only int64
     provenance: dict = field(default_factory=dict)
-    tables: tuple[np.ndarray, ...] = field(init=False)  # decoded gate_ids, (w, 9)
     coeffs: tuple[np.ndarray, ...] = field(init=False)  # `_coefficients`, live neurons
 
     def __post_init__(self):
         super().__post_init__()
         ids = tuple(np.array(g, dtype=np.int64) for g in self.gate_ids)
         self._check_layers("gate_ids", ids)
-        tables = tuple(algebra.decode_tables(g) for g in ids)
-        for array in ids + tables:
+        for array in ids:
             array.flags.writeable = False
         object.__setattr__(self, "gate_ids", ids)
-        object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "coeffs", tuple(
-            _coefficients(tbl[keep]) for (keep, _, _), tbl in zip(self.conn.live, tables)))
-
-    def all_gate_ids(self) -> np.ndarray:
-        return np.concatenate([np.asarray(g) for g in self.gate_ids])
+            _coefficients(algebra.decode_tables(g)[keep])
+            for (keep, _, _), g in zip(self.conn.live, ids)))
 
 
 def harden_network(net: Network) -> Circuit:

@@ -96,6 +96,13 @@ def _check_encoder(source, encoder, model) -> None:
             f"inputs, the {model.arch} model takes {model.input_dim}")
 
 
+def _check_encoded_width(thresholds: int, features: int) -> None:
+    """Refuse K thresholds per feature that give a network under 2 inputs."""
+    if thresholds * features < 2:
+        raise UsageError(f"K={thresholds} thresholds per feature on {features} feature(s) "
+                         f"give {thresholds * features} input; a network needs at least 2")
+
+
 def _encoded_data(data, source, encoder, model):
     """The dataset at `data` and its codes for `model`, a network or
     circuit read from `source` with an encoder that must fit it."""
@@ -189,6 +196,7 @@ def cmd_train(args) -> int:
     name = args.name or f"{args.arch}-run"
     recipe = _recipe_from_args(args)
     train_ds = _load_any_dataset(args.train, recipe.k)
+    _check_encoded_width(recipe.thresholds, train_ds.d)
     test_ds = _load_any_dataset(args.test, recipe.k, train_ds.d)
     print(f"encoder: K={recipe.thresholds} thresholds per feature "
           f"(resolution = {recipe.thresholds + 1}), delta={recipe.delta}, "
@@ -325,13 +333,14 @@ def cmd_sweep(args) -> int:
         elif args.kind == "delta":
             deltas = _parse_list(args.deltas)
             for delta in deltas:
-                pl.vary(recipe, arch="ternary", delta=delta)
+                dataclasses.replace(recipe, arch="ternary", delta=delta)
         else:
             counts = _parse_list(args.thresholds_list, int)
             widths_rows = [tuple(w * 2**i for w in recipe.body_widths)
                            for i in range(len(counts))]
             for count, widths in zip(counts, widths_rows):
-                pl.vary(recipe, arch="ternary", thresholds=count, body_widths=widths)
+                dataclasses.replace(recipe, arch="ternary", thresholds=count,
+                                    body_widths=widths)
     if args.kind == "separation":
         rows = an.separation_sweep(seps, recipe, n_train=args.n_train,
                                    n_test=args.n_test, data_seed=args.data_seed)
@@ -341,6 +350,8 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"{args.kind} sweep needs --train and --test datasets")
     else:
         train_ds = _load_any_dataset(args.train, recipe.k)
+        for count in [recipe.thresholds] if args.kind == "delta" else counts:
+            _check_encoded_width(count, train_ds.d)
         test_ds = _load_any_dataset(args.test, recipe.k, train_ds.d)
         if args.kind == "delta":
             rows = an.delta_sweep(deltas, recipe, train_ds, test_ds)

@@ -172,7 +172,7 @@ class EncoderConfig:
     def __post_init__(self):
         if self.mode not in ARCHS:
             raise ValueError(f"mode must be one of {sorted(ARCHS)}, got {self.mode!r}")
-        if self.thresholds_per_feature < 1:
+        if algebra.exact_int(self.thresholds_per_feature, "thresholds_per_feature") < 1:
             raise ValueError("need at least 1 threshold per feature")
         if not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be >= 0 and finite, got {self.delta}")
@@ -180,11 +180,6 @@ class EncoderConfig:
             raise ValueError("lo and hi must have equal length")
         if not all(-math.inf < lo <= hi < math.inf for lo, hi in zip(self.lo, self.hi)):
             raise ValueError(f"lo {self.lo} and hi {self.hi} must be finite, lo <= hi")
-
-    @property
-    def resolution(self) -> int:
-        """Number of bins the thresholds cut each feature into."""
-        return self.thresholds_per_feature + 1
 
     @property
     def encoded_dim(self) -> int:
@@ -225,26 +220,23 @@ def encode(x, cfg: EncoderConfig) -> np.ndarray:
     Returns int8 codes of shape (n, d * K), features blocked together
     in order. Ternary mode emits +1 above threshold + halfband, -1
     below threshold - halfband, 0 inside the dead zone; binary mode
-    emits the thermometer bit (x > threshold). Values outside the
-    fitted range saturate like any other value.
+    emits the thermometer bit (x > threshold). Features must be finite,
+    as in `fit_encoder`; values outside the fitted range saturate.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d, k = len(cfg.lo), cfg.thresholds_per_feature
     if x.shape[1] != d:
         raise ValueError(f"encoder fitted on {d} features, got {x.shape[1]}")
+    if not np.isfinite(x).all():
+        raise ValueError("features contain non-finite values")
     theta = np.array([cfg.feature_thresholds(j) for j in range(d)]).reshape(d, k)
     v = x[:, :, None]
     codes = np.empty((x.shape[0], d, k), dtype=np.int8)
     if cfg.mode == "ternary":
-        # beta >= 0 keeps the two bands disjoint; NaN is in neither
+        # beta >= 0 keeps the two bands disjoint
         beta = np.array([cfg.feature_halfband(j) for j in range(d)])[:, None]
         np.subtract((v > theta + beta).view(np.int8), (v < theta - beta).view(np.int8),
                     out=codes)
     else:
         np.greater(v, theta, out=codes)
     return codes.reshape(x.shape[0], d * k)
-
-
-def encoder_unknown_share(x, cfg: EncoderConfig) -> float:
-    """Share of UNKNOWN trits the ternary encoder emits on x."""
-    return algebra.unknown_share(encode(x, cfg))

@@ -12,12 +12,13 @@ discrete circuit it will be hardened into. The binary baseline gives
 every neuron 16 logits and blends the standard real-valued relaxations
 of the 16 two-input Boolean gates with softmax weights; its inputs and
 activations live in [0, 1]. `ARCHS` holds, per architecture, all that
-differs (`ArchSpec`), so no other module names one: the parameter count,
+differs in a network and its circuit (`ArchSpec`): the parameter count,
 init scale, input domain, layer op and its local gradient, hardening
 rule, whether the lattice terms apply, default loss, the gate vocabulary
-of its circuits and the map from encoded inputs to circuit trits. The
-truth tables of the 16 Boolean gates are `GATE_BILINEAR`'s values at
-the four corners; their ternary embeddings follow from those tables.
+of its circuits and the map from encoded inputs to circuit trits; only
+the encoder (`data.encode`) and the sweeps of `analysis` name one too.
+Boolean gate k's truth table is the 4 bits of k; `GATE_BILINEAR` and the
+gates' ternary embeddings follow from those tables.
 
 A network and its hardened circuit are one frozen `Model`: the arch
 (checked by `arch_spec`), the wiring and the GroupSum head. Only the
@@ -77,7 +78,7 @@ class GroupSumConfig:
     tau: float
 
     def __post_init__(self):
-        if self.k < 2:
+        if algebra.exact_int(self.k, "k") < 2:
             raise ValueError(f"GroupSum needs k >= 2 classes, got k={self.k}")
         if not 0 < self.tau < np.inf:
             raise ValueError(f"GroupSum needs tau > 0 and finite, got tau={self.tau}")
@@ -135,7 +136,7 @@ class ConnectivityMap:
 def _draw_connectivity(widths, input_dim: int, seed: int):
     """The wiring of a checked shape, drawn from a stream seeded with
     `seed`, and that stream, positioned for any draw that follows."""
-    widths = tuple(int(w) for w in widths)
+    widths = tuple(algebra.exact_int(w, f"widths[{i}]") for i, w in enumerate(widths))
     if len(widths) == 0:
         raise ValueError("network needs at least one layer")
     if any(w < 1 for w in widths):
@@ -358,39 +359,23 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-#: Bilinear coefficients (c0, c1, c2, c3) of each relaxed Boolean gate,
-#: g_k(a, b) = c0 + c1 a + c2 b + c3 ab, in `binary_gate_relaxation`'s order.
-GATE_BILINEAR = np.array(
-    [
-        [0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, -1], [0, 1, 0, 0],
-        [0, 0, 1, -1], [0, 0, 1, 0], [0, 1, 1, -2], [0, 1, 1, -1],
-        [1, -1, -1, 1], [1, -1, -1, 2], [1, 0, -1, 0], [1, 0, -1, 1],
-        [1, -1, 0, 0], [1, -1, 0, 1], [1, 0, 0, -1], [1, 0, 0, 0],
-    ],
-    dtype=float,
-)
+#: (16, 4) truth tables of the Boolean gates: gate k's table is the 4 bits
+#: of k, high bit first, at the corners (a, b) = (0,0), (0,1), (1,0), (1,1).
+BOOLEAN_TABLES = np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1
 
-#: (16, 4) truth tables of the Boolean gates: GATE_BILINEAR times the
-#: monomials (1, a, b, ab) at the corners ((0,0), (0,1), (1,0), (1,1)).
-BOOLEAN_TABLES = (GATE_BILINEAR @ np.array(
-    [[1, 1, 1, 1], [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 1]])).astype(np.int64)
+#: Bilinear coefficients of each relaxed Boolean gate, g_k(a, b) = c0 + c1 a
+#: + c2 b + c3 ab in `binary_gate_relaxation`'s order, by inclusion-exclusion:
+#: c0 = t00, c1 = t10 - t00, c2 = t01 - t00, c3 = t11 - t10 - t01 + t00.
+GATE_BILINEAR = (BOOLEAN_TABLES @ np.array(
+    [[1, -1, -1, 1], [0, 0, 1, -1], [0, 1, 0, -1], [0, 0, 0, 1]])).astype(float)
 
-
-def _boolean_embeddings() -> np.ndarray:
-    """(16, 9) int8: each Boolean gate on the ternary grid. An entry is the
-    consensus of the gate's outputs over the Boolean completions of its
-    grid point (UNKNOWN stands for 0 and 1), or UNKNOWN if they disagree."""
-    a, b = np.array(algebra.GRID_POINTS).T
-    # completes[2 * i + j, g]: corner (i, j) completes grid point g
-    completes = (np.stack([a <= 0, a >= 0])[:, None]
-                 & np.stack([b <= 0, b >= 0])[None, :]).reshape(4, 9)
-    low = np.where(completes, BOOLEAN_TABLES[:, :, None], 1).min(axis=1)
-    high = np.where(completes, BOOLEAN_TABLES[:, :, None], 0).max(axis=1)
-    return (low + high - 1).astype(np.int8)
-
-
-#: Ternary embeddings of the 16 Boolean gates, indexed by gate number.
-BOOLEAN_EMBEDDINGS = _boolean_embeddings()
+#: Ternary embeddings of the Boolean gates, int8 tables in grid order: a
+#: grid point takes the consensus of the gate's outputs over its Boolean
+#: completions (UNKNOWN stands for 0 and 1), or UNKNOWN if they disagree.
+#: Row (a, b) of kron(W, W) is the mean over those completions, and the
+#: mean of the outputs as +-1 is +-1 exactly when they agree.
+_W = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])  # trits -1, 0, +1 over bits 0, 1
+BOOLEAN_EMBEDDINGS = np.trunc((2 * BOOLEAN_TABLES - 1) @ np.kron(_W, _W).T).astype(np.int8)
 
 
 def _batch_sums(g, factors):

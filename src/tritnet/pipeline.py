@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import time
 import timeit
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import algebra
 from . import circuit as circ_mod
 from . import data as data_mod
 from . import network as net_mod
@@ -51,11 +52,13 @@ class RunRecipe:
         # Check every knob now, mostly through the configs a run builds
         # from the recipe, so a bad value fails before any data is read.
         net_mod.arch_spec(self.arch)
-        if self.seed < 0:
+        if algebra.exact_int(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if any(w < 1 for w in self.body_widths):
+        if any(algebra.exact_int(w, f"body_widths[{i}]") < 1
+               for i, w in enumerate(self.body_widths)):
             raise ValueError(f"body widths must be >= 1, got {tuple(self.body_widths)}")
         net_mod.GroupSumConfig(k=self.k, tau=self.tau)
+        algebra.exact_int(self.output_neurons, "output_neurons")
         if self.output_neurons < 1 or self.output_neurons % self.k:
             raise ValueError(f"output neurons must be a positive multiple of "
                              f"k={self.k}, got {self.output_neurons}")
@@ -104,19 +107,14 @@ class RunResult:
     timings: dict = field(default_factory=dict)
 
 
-def encode_for(recipe: RunRecipe, train_ds: data_mod.Dataset,
-               test_ds: data_mod.Dataset):
-    """Fit the encoder on the train split and encode both splits."""
-    enc = data_mod.fit_encoder(train_ds.features, recipe.thresholds,
-                               recipe.delta, mode=recipe.arch)
-    return enc, data_mod.encode(train_ds.features, enc), \
-        data_mod.encode(test_ds.features, enc)
-
-
 def run_pipeline(train_ds: data_mod.Dataset, test_ds: data_mod.Dataset,
                  recipe: RunRecipe) -> RunResult:
-    """Encode, train, harden and report one run."""
-    enc, x_train, x_test = encode_for(recipe, train_ds, test_ds)
+    """Encode, train, harden and report one run. The encoder is fitted
+    on the train split."""
+    enc = data_mod.fit_encoder(train_ds.features, recipe.thresholds,
+                               recipe.delta, mode=recipe.arch)
+    x_train = data_mod.encode(train_ds.features, enc)
+    x_test = data_mod.encode(test_ds.features, enc)
     net = net_mod.init_network(recipe.widths, enc.encoded_dim, recipe.seed,
                                net_mod.GroupSumConfig(k=recipe.k, tau=recipe.tau),
                                arch=recipe.arch)
@@ -137,11 +135,6 @@ def run_pipeline(train_ds: data_mod.Dataset, test_ds: data_mod.Dataset,
     }
     return RunResult(net=net, circuit=circuit, encoder=enc, history=history,
                      gap=gap, x_test_enc=x_test, timings=timings)
-
-
-def vary(recipe: RunRecipe, **changes) -> RunRecipe:
-    """A copy of the recipe with some fields replaced."""
-    return replace(recipe, **changes)
 
 
 def _bench_arch(arch: str, widths, input_dim: int, batch: int, steps: int,

@@ -77,13 +77,14 @@ class TrainConfig:
     eval_every: int = 500
 
     def __post_init__(self):
-        if self.steps < 0:
+        algebra.exact_int(self.seed, "seed")
+        if algebra.exact_int(self.steps, "steps") < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
+        if algebra.exact_int(self.batch_size, "batch_size") < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if self.eval_every < 1:
+        if algebra.exact_int(self.eval_every, "eval_every") < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
         if not 0 <= self.lambda_max < np.inf:
             raise ValueError(f"lambda_max must be >= 0 and finite, "
@@ -155,12 +156,13 @@ def commitment_loss(net: Network) -> float:
 
     Per neuron this is (1/9) * sum_g dist(t_g, {-1,0,+1})^2 with t the
     polynomial's values on the input grid; the result is averaged over
-    all neurons of the network.
+    all neurons of the network; dist is the residue `commitment_grads`
+    differentiates (at the ties +-0.5 either trit gives the same square).
     """
     total = 0.0
     for w in net.params:
         tbl = w @ algebra.VANDERMONDE.T
-        d = np.minimum(np.abs(tbl + 1.0), np.minimum(np.abs(tbl), np.abs(tbl - 1.0)))
+        d = tbl - _lattice_nearest_left(tbl)
         total += float((d * d).sum())
     return total / (9.0 * net.n_neurons)
 
@@ -294,8 +296,8 @@ def train(net, data, cfg: TrainConfig, eval_data=None):
 
     `data` is an (x, y) pair of encoded inputs and integer labels;
     `eval_data`, if given, is a held-out pair scored every
-    cfg.eval_every steps. Both inputs get the soft passes' checks
-    (width, shape, finite values in the arch's domain) before step 0.
+    cfg.eval_every steps. Both get the soft passes' checks (width, shape,
+    finite values in the arch's domain) and a label count check before step 0.
     `net` is updated in place and also returned.
     History is a list of per-step dicts; rows that carry evaluation
     metrics gain train_acc/eval_acc keys. train_acc is scored on the
@@ -312,6 +314,8 @@ def train(net, data, cfg: TrainConfig, eval_data=None):
     if eval_data is not None:
         eval_data = (_checked_inputs(net, eval_data[0])[0],
                      np.atleast_1d(np.asarray(eval_data[1])))
+        if len(eval_data[1]) != len(eval_data[0]):
+            raise ValueError(f"{len(eval_data[1])} labels for {len(eval_data[0])} rows")
     if x.shape[0] == 0:
         raise ValueError("cannot train on an empty dataset")
     if x.shape[0] != y.shape[0]:

@@ -7,6 +7,7 @@ config, to keep the whole gate under a few minutes on one CPU core.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ MOONS_NOISE = 0.3
 MOONS_N = 2500
 MOONS_TRAIN = 2000
 
-RECIPE = pl.vary(
+RECIPE = replace(
     pl.RunRecipe(),
     body_widths=(128, 128, 128),
     output_neurons=80,
@@ -183,7 +184,7 @@ def test_criterion_04_rounding_stability():
 
 def _moons_run(moons, arch, seed):
     train_ds, test_ds = moons
-    rec = pl.vary(RECIPE, arch=arch, seed=seed)
+    rec = replace(RECIPE, arch=arch, seed=seed)
     res = pl.run_pipeline(train_ds, test_ds, rec)
     out = {
         "acc": res.gap.circuit_accuracy,
@@ -228,7 +229,7 @@ def test_criterion_06_binary_moons_baseline(moons):
 
 
 def test_criterion_07_separation_trend():
-    rec = pl.vary(RECIPE, loss="ce")
+    rec = replace(RECIPE, loss="ce")
     rows = an.separation_sweep([0.5, 1.0, 1.5, 2.0, 2.5, 3.0], rec,
                                n_train=2000, n_test=1000, data_seed=0)
     unk = [r["unknown_fraction"] for r in rows]
@@ -249,7 +250,7 @@ def test_criterion_08_dead_zone_trend(moons):
     train_ds, test_ds = moons
     margins = []
     for seed in (0, 1, 2):
-        rows = an.delta_sweep([0.5, 1.0], pl.vary(RECIPE, seed=seed),
+        rows = an.delta_sweep([0.5, 1.0], replace(RECIPE, seed=seed),
                               train_ds, test_ds)
         by_delta = {r["delta"]: r["circuit_accuracy"] for r in rows}
         margins.append(by_delta[0.5] - by_delta[1.0])
@@ -274,7 +275,7 @@ def test_criterion_09_resolution_trend(moons):
     train_ds, test_ds = moons
     counts = [2, 4, 8, 16]
     widths_rows = [(64, 64), (128, 128), (256, 256), (512, 512)]
-    rec = pl.vary(RECIPE, steps=1500, eval_every=1500, loss="ce")
+    rec = replace(RECIPE, steps=1500, eval_every=1500, loss="ce")
     rows = an.resolution_sweep(counts, widths_rows, rec, train_ds, test_ds)
     acc = [r["circuit_accuracy"] for r in rows]
     unk = [r["unknown_fraction"] for r in rows]
@@ -314,7 +315,7 @@ def test_criterion_11_csv_ingestion_smoke(tmp_path):
                        for row, lab in zip(x, y)]
     path.write_text("\n".join(rows) + "\n")
     ds = sz.load_dataset(path)
-    rec = pl.vary(pl.RunRecipe(), body_widths=(16,), output_neurons=8,
+    rec = replace(pl.RunRecipe(), body_widths=(16,), output_neurons=8,
                   steps=30, batch_size=16, eval_every=30, thresholds=2)
     res = pl.run_pipeline(ds, ds, rec)
     ok = (ds.n == n and ds.d == d

@@ -9,6 +9,7 @@ import pytest
 
 import tritnet.algebra as al
 import tritnet.fourier as fr
+import tritnet.network as nw
 
 # Values below were computed independently (base-3 arithmetic by hand,
 # Fraction-based linear solves) and frozen here on purpose: the tests
@@ -135,6 +136,9 @@ BASIS_SHA256 = {
     (fr, "TRANSFORM"): "ee7e0c0e20dcc8cb8baa732eda36005419f56aec2de9f7a678f9e5bd34d07bbe",
     (fr, "MONOMIAL_TO_FOURIER"): "3ea09db176003430ef357677b31e7a253b11c48abffed4e434260891e374179a",
     (fr, "TOTAL_DEGREE"): "79a116ae5a1e0402daa5bf81eaecbd009876c9b3e32e02a83b452a957fcdf38d",
+    (nw, "GATE_BILINEAR"): "b427d88273c366ac9e1ed1cc5c7cec3b030984bb7aee4e6215805ba303307d99",
+    (nw, "BOOLEAN_TABLES"): "af0abc387f879b3a38a1b3c9f6970387e8cb9a0f3ebef2718e36e550900fdeb3",
+    (nw, "BOOLEAN_EMBEDDINGS"): "07ebd54514321487d787c299ef8c55abced0c1defdbf040a9206d392d39b97b8",
 }
 
 

@@ -1,6 +1,7 @@
 """Coverage curves, gate diversity, spectra and parameter sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def loop_spectral_profile(circuit):
     """The per-gate loop spectral_profile replaced, kept as its oracle."""
     import tritnet.fourier as fr
 
-    ids = np.unique(circuit.all_gate_ids())
+    ids = np.unique(np.concatenate(circuit.gate_ids))
     classes = {"LINEAR": 0, "BILINEAR": 0, "QUADRATIC": 0, "FULL": 0}
     band_names = ("const", "linear", "quad", "cubic", "quartic")
     band_sum = {name: 0.0 for name in band_names}
@@ -254,7 +255,7 @@ def loop_spectral_profile(circuit):
 
 def trained_circuit(arch):
     train_ds, test_ds = tiny_moons()
-    return pl.run_pipeline(train_ds, test_ds, pl.vary(TINY, arch=arch)).circuit
+    return pl.run_pipeline(train_ds, test_ds, replace(TINY, arch=arch)).circuit
 
 
 @pytest.mark.parametrize("make", [
@@ -355,7 +356,7 @@ def test_resolution_sweep_rows():
 
 def test_sweep_captures_numerical_failures_per_row():
     train_ds, test_ds = tiny_moons()
-    exploding = pl.vary(TINY, lr=1e308, lambda_max=0.5)
+    exploding = replace(TINY, lr=1e308, lambda_max=0.5)
     with np.errstate(all="ignore"):
         rows = an.delta_sweep([1.0], exploding, train_ds, test_ds)
     assert len(rows) == 1

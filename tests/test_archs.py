@@ -60,7 +60,7 @@ def test_every_spec_trains_hardens_saves_and_evaluates(arch, tmp_path):
     assert ("commit_loss" in history[-1]) == spec.lattice
     circuit = cc.harden_network(net)
     assert circuit.arch == arch
-    assert np.isin(circuit.all_gate_ids(), spec.vocab).all()
+    assert np.isin(np.concatenate(circuit.gate_ids), spec.vocab).all()
     assert cc.hardening_error(net) == (tr.commitment_loss(net) if spec.lattice else 0.0)
 
     sz.save_checkpoint(net, tmp_path / "net.ckpt")

@@ -46,7 +46,8 @@ def exact_gate_net(seed, widths=(6, 4), input_dim=5):
 def test_harden_rounds_each_table():
     net = nw.init_network((5, 4), 4, 0, GS)
     circ = cc.harden_network(net)
-    for w, ids, tbl in zip(net.params, circ.gate_ids, circ.tables):
+    for w, ids in zip(net.params, circ.gate_ids):
+        tbl = al.decode_tables(ids)
         want = al.round_table(w @ al.VANDERMONDE.T)
         assert np.array_equal(tbl, want)
         assert np.array_equal(ids, al.encode_tables(want))
@@ -60,8 +61,8 @@ def test_circuit_tables_derive_from_gate_ids():
         arch=circ.arch, conn=circ.conn,
         gate_ids=circ.gate_ids, groupsum=circ.groupsum,
         provenance=dict(circ.provenance))
-    for t1, t2 in zip(circ.tables, rebuilt.tables):
-        assert np.array_equal(t1, t2)
+    for c1, c2 in zip(circ.coeffs, rebuilt.coeffs):
+        assert np.array_equal(c1, c2)
 
 
 def test_circuit_tables_cannot_be_passed_in():
@@ -69,7 +70,7 @@ def test_circuit_tables_cannot_be_passed_in():
     with pytest.raises(TypeError):
         cc.Circuit(arch=circ.arch,
                    conn=circ.conn, gate_ids=circ.gate_ids, groupsum=circ.groupsum,
-                   tables=circ.tables)
+                   coeffs=circ.coeffs)
 
 
 def test_circuit_is_frozen_and_its_gate_ids_read_only():
@@ -78,10 +79,10 @@ def test_circuit_is_frozen_and_its_gate_ids_read_only():
                       conn=nw.sample_connectivity((4, 2), 3, 0), gate_ids=ids, groupsum=GS)
     ids[0][:] = 5  # the circuit holds copies
     assert np.array_equal(circ.gate_ids[0], np.arange(4))
-    for name in ("gate_ids", "tables", "coeffs", "conn", "widths", "provenance"):
+    for name in ("gate_ids", "coeffs", "conn", "widths", "provenance"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(circ, name, getattr(circ, name))
-    for array in (circ.gate_ids[0], circ.tables[1]):
+    for array in (circ.gate_ids[0], circ.gate_ids[1]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     with pytest.raises(TypeError):
@@ -95,6 +96,17 @@ def test_circuit_refuses_gate_ids_that_do_not_fit_its_shape():
     for ids in ([np.zeros(5), np.zeros(2)], [np.zeros(4)], [np.zeros(4), np.zeros((2, 1))]):
         with pytest.raises(ValueError, match="gate_ids shapes .* do not fit widths"):
             cc.Circuit(arch="ternary", conn=conn, gate_ids=ids, groupsum=GS)
+
+
+@pytest.mark.parametrize("bad", [-1, 3**9])
+def test_circuit_refuses_gate_ids_out_of_range_on_dead_neurons(bad):
+    conn = nw.sample_connectivity((4, 2), 3, 0)
+    dead = np.setdiff1d(np.arange(4), conn.live[0][0])
+    assert dead.size  # the masks never decode these neurons' ids
+    ids = [np.zeros(4, dtype=np.int64), np.zeros(2, dtype=np.int64)]
+    ids[0][dead] = bad
+    with pytest.raises(ValueError, match=r"gate ids must lie in \[0, 19682\]"):
+        cc.Circuit(arch="ternary", conn=conn, gate_ids=ids, groupsum=GS)
 
 
 def test_eval_circuit_matches_reference():

@@ -26,7 +26,7 @@ def lookup_eval(circuit, x):
     if x.size and (np.any(xi != x) or xi.min() < -1 or xi.max() > 1):
         raise ValueError("circuit inputs must be trits in {-1, 0, +1}")
     h = xi
-    for (s, t), tbl in zip(circuit.conn.layers, circuit.tables):
+    for (s, t), tbl in zip(circuit.conn.layers, map(al.decode_tables, circuit.gate_ids)):
         idx = 3 * (h[:, s] + 1) + (h[:, t] + 1)
         h = tbl[np.arange(tbl.shape[0])[None, :], idx]
     outputs = h

@@ -282,6 +282,17 @@ def test_recipe_refuses_non_positive_body_widths(widths):
         pl.RunRecipe(body_widths=widths)
 
 
+@pytest.mark.parametrize("field, bad, good", [
+    ("body_widths", (2.5,), (np.int64(8),)), ("output_neurons", 4.0, np.int32(4)),
+    ("k", 2.0, np.int64(2)), ("thresholds", 2.5, np.int16(3)),
+    ("steps", 2.5, np.int64(5)), ("batch_size", 2.5, np.uint8(10)),
+    ("eval_every", 1.5, np.int64(5)), ("seed", 0.5, np.int64(1))])
+def test_recipe_refuses_non_integer_knobs(field, bad, good):
+    pl.RunRecipe(**{field: good})
+    with pytest.raises(ValueError, match=rf"{field}\S* must be an integer, got"):
+        pl.RunRecipe(**{field: bad})
+
+
 def test_every_recipe_field_has_one_flag():
     parser = cli.build_parser()
     train = next(a.choices for a in parser._actions if a.dest == "command")["train"]
@@ -675,7 +686,7 @@ def test_mutated_model_files_fail_cleanly(trained, tmp_path, capsys, artifact, o
     if artifact.endswith("circuit"):
         circ, _ = sz.load_circuit(path)
         assert circ.arch in nw.ARCHS
-        ids = circ.all_gate_ids()
+        ids = np.concatenate(circ.gate_ids)
         assert ids.min() >= 0 and ids.max() < 3**9
     else:
         net, _ = sz.load_checkpoint(path)
@@ -748,6 +759,19 @@ def test_loading_dataset_or_csv_transparently(tmp_path):
     rc = run(["train", "--train", csv, "--test", csv, *TINY,
               "--out", str(tmp_path), "--name", "csvrun"])
     assert rc == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"], ["sweep", "--kind", "delta", "--deltas", "0.5"],
+    ["sweep", "--kind", "resolution", "--thresholds-list", "2,1"]])
+def test_encoded_width_below_two_is_usage_error(tmp_path, capsys, argv):
+    one = tmp_path / "one.csv"
+    one.write_text("x,label\n" + "".join(f"{i / 10},{i % 2}\n" for i in range(10)))
+    rc = run([*argv, "--train", one, "--test", one, *TINY, "-K", "1",
+              "--out", tmp_path, "--name", "w"])
+    assert rc == cli.EXIT_USAGE
+    assert "K=1 thresholds per feature on 1 feature" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["one.csv"]  # no row trained, nothing written
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "harden", "sweep"])

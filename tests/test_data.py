@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import tritnet.algebra as al
 import tritnet.data as dt
 import tritnet.serialize as sz
 
@@ -130,7 +131,6 @@ def test_encoder_threshold_placement():
     assert enc.lo == (0.0,) and enc.hi == (4.0,)
     assert np.allclose(enc.feature_thresholds(0), [1.0, 2.0, 3.0])
     assert enc.feature_halfband(0) == pytest.approx(0.5)
-    assert enc.resolution == 4
     assert enc.encoded_dim == 3
 
 
@@ -189,7 +189,7 @@ def test_unknown_share_grows_with_delta():
     shares = []
     for delta in (0.0, 0.25, 0.5, 1.0):
         enc = dt.fit_encoder(x, 3, delta)
-        shares.append(dt.encoder_unknown_share(x, enc))
+        shares.append(al.unknown_share(dt.encode(x, enc)))
     assert shares[0] == 0.0
     assert all(a < b for a, b in zip(shares, shares[1:]))
 
@@ -200,7 +200,7 @@ def test_unknown_share_falls_with_resolution():
     shares = []
     for K in (2, 4, 8, 16):
         enc = dt.fit_encoder(x, K, 1.0)
-        shares.append(dt.encoder_unknown_share(x, enc))
+        shares.append(al.unknown_share(dt.encode(x, enc)))
     assert all(a > b for a, b in zip(shares, shares[1:]))
 
 
@@ -227,14 +227,13 @@ def boolean_mask_encode(x, cfg):
 
 def edge_values(cfg, j):
     """Values of feature j on every threshold and dead-zone edge, at and
-    beyond the fitted range, and the non-finite ones."""
+    beyond the fitted range."""
     theta, beta = cfg.feature_thresholds(j), cfg.feature_halfband(j)
     lo, hi = cfg.lo[j], cfg.hi[j]
     return np.concatenate([theta, theta + beta, theta - beta,
                            np.nextafter(theta + beta, np.inf),
                            np.nextafter(theta - beta, -np.inf),
-                           [lo, hi, lo - 1.0, hi + 1.0, -1e300, 1e300,
-                            np.nan, np.inf, -np.inf]])
+                           [lo, hi, lo - 1.0, hi + 1.0, -1e300, 1e300]])
 
 
 @pytest.mark.parametrize("mode", ["ternary", "binary"])
@@ -255,21 +254,13 @@ def test_encode_equals_the_boolean_mask_encoder(mode, k, delta):
 
 
 def test_encode_edges_and_non_finite_values():
-    enc = dt.EncoderConfig("ternary", 1, 0.0, (0.0,), (2.0,))  # threshold 1
-    x = np.array([[1.0], [np.nextafter(1.0, 2.0)], [np.nan], [np.inf], [-np.inf]])
-    assert dt.encode(x, enc)[:, 0].tolist() == [0, 1, 0, 1, -1]
-    enc = dt.EncoderConfig("binary", 1, 0.0, (0.0,), (2.0,))
-    assert dt.encode(x, enc)[:, 0].tolist() == [0, 1, 0, 1, 0]
-
-
-def test_encoder_unknown_share_is_the_mean_bit_for_bit():
-    rng = np.random.default_rng(4)
-    x = rng.uniform(0, 1, size=(7, 1))
-    enc = dt.fit_encoder(x, 3, 2.0)  # 21 codes
-    share = dt.encoder_unknown_share(x, enc)
-    codes = dt.encode(x, enc)
-    assert codes.size == 21 and 0 < share < 1
-    assert share == float((codes == 0).mean())
+    x = np.array([[1.0], [np.nextafter(1.0, 2.0)], [-1e300]])
+    for mode, want in (("ternary", [0, 1, -1]), ("binary", [0, 1, 0])):
+        enc = dt.EncoderConfig(mode, 1, 0.0, (0.0,), (2.0,))  # threshold 1
+        assert dt.encode(x, enc)[:, 0].tolist() == want
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                dt.encode(np.vstack([x, [[bad]]]), enc)
 
 # ------------------------------------------------------------------ csv
 

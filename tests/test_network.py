@@ -84,6 +84,11 @@ def test_init_network_shapes_and_seed():
         assert np.array_equal(s1, s2) and np.array_equal(t1, t2)
 
 
+def test_init_network_refuses_fractional_widths():
+    with pytest.raises(ValueError, match=r"widths\[0\] must be an integer, got 2.5"):
+        nw.init_network((2.5, 4), 5, 0)
+
+
 def test_init_std_and_output_variance():
     net = nw.init_network((4000,), 10, 0, nw.GroupSumConfig(2, 10.0))
     w = net.params[0]

@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a reader.
+"""Every public function and class of the package, and every public
+method and property of its classes, has a reader.
 
 A public name that a `src/tritnet` module defines must be used somewhere
 in `src/` or `perfbench/` other than at its definition, be traced by the
@@ -59,12 +60,27 @@ def readme_api_names():
 
 
 def public_definitions():
-    """(module, name) of each public top-level function and class."""
+    """(qualified name, name) of each public top-level function and class
+    and of each public method and property of those classes, including a
+    property assigned as `name = property(...)`."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                yield path.stem, node.name
+                yield f"{path.stem}.{node.name}", node.name
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    names = [member.name]
+                elif (isinstance(member, ast.Assign) and isinstance(member.value, ast.Call)
+                      and getattr(member.value.func, "id", None) == "property"):
+                    names = [t.id for t in member.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    if not name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{name}", name
 
 
 def test_every_public_name_has_a_reader():
@@ -72,7 +88,7 @@ def test_every_public_name_has_a_reader():
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         used |= used_names(ast.parse(path.read_text()))
     readers = used | per_layer_functions() | readme_api_names() | set(ALLOWED)
-    unread = [f"{module}.{name}" for module, name in public_definitions()
+    unread = [qualified for qualified, name in public_definitions()
               if name not in readers]
     assert not unread
 

@@ -175,6 +175,20 @@ def test_commitment_grads_match_finite_differences():
             assert grads[l][j, c] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+def test_commitment_loss_squares_the_distance_to_the_nearest_trit():
+    # the min-of-three distance the loss used before it shared the
+    # gradient's residue, as the bit-for-bit oracle, ties included
+    net = small_net(seed=5, widths=(40,), input_dim=4)
+    rng = np.random.default_rng(6)
+    ties = np.array([0.5, -0.5, 1.5, -1.5, 0.0, 1.0, -1.0, 2.5, -2.5])
+    tables = np.concatenate([rng.normal(0.0, 1.5, size=(31, 9)), ties[None].repeat(9, 0)])
+    net.params[0][:] = tables @ al.VANDERMONDE_INV.T
+    tbl = net.params[0] @ al.VANDERMONDE.T
+    assert set(ties) <= set(tbl.ravel())
+    d = np.minimum(np.abs(tbl + 1.0), np.minimum(np.abs(tbl), np.abs(tbl - 1.0)))
+    assert tr.commitment_loss(net) == float((d * d).sum()) / (9.0 * net.n_neurons)
+
+
 def test_hardening_identity():
     # the rounding error of the hardened circuit equals the commitment
     # loss exactly, because both measure the same squared distances
@@ -413,4 +427,8 @@ def test_train_rejects_bad_data():
     with pytest.raises(ValueError, match="must be finite and lie in"):
         tr.train(net, (x, y), tr.TrainConfig(steps=3, eval_every=3),
                  eval_data=(far, y))
+    for labels in (1, 9, 11):
+        with pytest.raises(ValueError, match=f"^{labels} labels for 10 rows$"):
+            tr.train(net, (x, y), tr.TrainConfig(steps=3, eval_every=3),
+                     eval_data=(x, np.resize(y, labels)))
     assert all(np.array_equal(a, b) for a, b in zip(net.params, before))
