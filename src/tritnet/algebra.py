@@ -69,9 +69,9 @@ def exact_ints(x: np.ndarray, lo: int, hi: int, message: str) -> np.ndarray:
 
 
 def exact_int(value, name: str) -> int:
-    """`value` as an int if it is a Python or numpy integer, else a
-    ValueError naming `name`; no other number is truncated."""
-    if not isinstance(value, (int, np.integer)):
+    """`value` as an int if it is a Python or numpy integer other than a
+    bool, else a ValueError naming `name`; no other number is truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -221,8 +221,7 @@ def spearman(x, y) -> float:
 
 # --------------------------------------------------------------- sweeps
 
-def separation_sweep(seps, recipe, n_train: int = 2000, n_test: int = 500,
-                     data_seed: int = 0) -> list[dict]:
+def separation_sweep(seps, recipe, n_train: int, n_test: int, data_seed: int) -> list[dict]:
     """Train both architectures on gaussians of growing separation.
 
     Returns one row per separation with the hardened test accuracy of
@@ -253,11 +252,11 @@ def separation_sweep(seps, recipe, n_train: int = 2000, n_test: int = 500,
     return rows
 
 
-def delta_sweep(deltas, recipe, train_ds, test_ds) -> list[dict]:
-    """Ternary runs across dead-zone widths on a fixed dataset."""
+def delta_sweep(recipes, train_ds, test_ds) -> list[dict]:
+    """Runs of the given recipes, which differ in their dead-zone width
+    `delta`, on a fixed dataset, one row per recipe."""
     rows = []
-    for delta in deltas:
-        r = replace(recipe, arch="ternary", delta=float(delta))
+    for r in recipes:
         enc = data_mod.fit_encoder(train_ds.features, r.thresholds, r.delta, mode=r.arch)
         share = algebra.unknown_share(data_mod.encode(train_ds.features, enc))
         rows.append(_run_row({"delta": r.delta, "encoder_unknown_share": share},
@@ -265,23 +264,14 @@ def delta_sweep(deltas, recipe, train_ds, test_ds) -> list[dict]:
     return rows
 
 
-def resolution_sweep(threshold_counts, body_widths_per_row, recipe,
-                     train_ds, test_ds) -> list[dict]:
-    """Ternary runs across encoder resolutions with scaled widths.
-
-    `threshold_counts` gives K per row; `body_widths_per_row` the body
-    widths to use alongside each K (wider networks for finer inputs).
-    """
-    if len(threshold_counts) != len(body_widths_per_row):
-        raise ValueError("need one width tuple per threshold count")
-    rows = []
-    for K, widths in zip(threshold_counts, body_widths_per_row):
-        r = replace(recipe, arch="ternary", thresholds=K, body_widths=tuple(widths))
-        rows.append(_run_row({"thresholds": r.thresholds, "resolution": r.thresholds + 1,
-                              "body_widths": list(r.body_widths),
-                              "input_dim": train_ds.d * r.thresholds},
-                             r, train_ds, test_ds))
-    return rows
+def resolution_sweep(recipes, train_ds, test_ds) -> list[dict]:
+    """Runs of the given recipes, which differ in their encoder
+    resolution `thresholds` and body widths (wider networks for finer
+    inputs), on a fixed dataset, one row per recipe."""
+    return [_run_row({"thresholds": r.thresholds, "resolution": r.thresholds + 1,
+                      "body_widths": list(r.body_widths),
+                      "input_dim": train_ds.d * r.thresholds}, r, train_ds, test_ds)
+            for r in recipes]
 
 
 def _run_row(row: dict, recipe, train_ds, test_ds) -> dict:

@@ -331,16 +331,13 @@ def cmd_sweep(args) -> int:
             for sep in seps:
                 dt.bayes_accuracy_gaussians(sep)
         elif args.kind == "delta":
-            deltas = _parse_list(args.deltas)
-            for delta in deltas:
-                dataclasses.replace(recipe, arch="ternary", delta=delta)
-        else:
-            counts = _parse_list(args.thresholds_list, int)
-            widths_rows = [tuple(w * 2**i for w in recipe.body_widths)
-                           for i in range(len(counts))]
-            for count, widths in zip(counts, widths_rows):
-                dataclasses.replace(recipe, arch="ternary", thresholds=count,
-                                    body_widths=widths)
+            recipes = [dataclasses.replace(recipe, arch="ternary", delta=delta)
+                       for delta in _parse_list(args.deltas)]
+        else:  # each row doubles the body widths of the one before
+            recipes = [dataclasses.replace(
+                recipe, arch="ternary", thresholds=count,
+                body_widths=tuple(w * 2**i for w in recipe.body_widths))
+                for i, count in enumerate(_parse_list(args.thresholds_list, int))]
     if args.kind == "separation":
         rows = an.separation_sweep(seps, recipe, n_train=args.n_train,
                                    n_test=args.n_test, data_seed=args.data_seed)
@@ -350,15 +347,15 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"{args.kind} sweep needs --train and --test datasets")
     else:
         train_ds = _load_any_dataset(args.train, recipe.k)
-        for count in [recipe.thresholds] if args.kind == "delta" else counts:
-            _check_encoded_width(count, train_ds.d)
+        for r in recipes:
+            _check_encoded_width(r.thresholds, train_ds.d)
         test_ds = _load_any_dataset(args.test, recipe.k, train_ds.d)
         if args.kind == "delta":
-            rows = an.delta_sweep(deltas, recipe, train_ds, test_ds)
+            rows = an.delta_sweep(recipes, train_ds, test_ds)
             columns = ["delta", "encoder_unknown_share", "circuit_accuracy",
                        "unknown_fraction", "error"]
         else:
-            rows = an.resolution_sweep(counts, widths_rows, recipe, train_ds, test_ds)
+            rows = an.resolution_sweep(recipes, train_ds, test_ds)
             columns = ["thresholds", "resolution", "input_dim", "body_widths",
                        "circuit_accuracy", "unknown_fraction", "error"]
     paths = {"table": os.path.join(out, f"{name}.tsv")}
@@ -462,13 +459,13 @@ _RECIPE_FLAGS = {
 
 def _add_recipe_flags(p: argparse.ArgumentParser, dests=tuple(_RECIPE_FLAGS),
                       **defaults) -> None:
-    """Add the flags of the named recipe fields, with the recipe's
-    defaults unless overridden here."""
-    for f in dataclasses.fields(pl.RunRecipe):
-        if f.name in dests:
-            spellings, kw = _RECIPE_FLAGS[f.name]
-            p.add_argument(*spellings, dest=f.name,
-                           default=defaults.get(f.name, f.default), **kw)
+    """Add the flags of the named recipe fields, in `_RECIPE_FLAGS` order,
+    with the recipe's defaults unless overridden here."""
+    fields = {f.name: f.default for f in dataclasses.fields(pl.RunRecipe)}
+    for name, (spellings, kw) in _RECIPE_FLAGS.items():
+        if name in dests:
+            p.add_argument(*spellings, dest=name, default=defaults.get(name, fields[name]),
+                           **kw)
 
 
 def build_parser() -> _Parser:

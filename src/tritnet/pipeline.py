@@ -1,19 +1,20 @@
 """End-to-end run plumbing shared by the CLI, sweeps and tests.
 
-A RunRecipe bundles every knob of one training run: architecture,
-widths, encoder settings and optimizer hyperparameters. The defaults
-follow the desk-scale recipe used throughout the experiments: a three
-layer body of width 512, a 200-neuron output layer under GroupSum(k=2,
-tau=10), 3 thresholds per feature at full dead-zone width, and 5,000
-Adam steps on batches of 100. Mean squared error drives the ternary
-network, softmax cross-entropy the binary baseline.
+A RunRecipe is a `training.TrainConfig` that also holds the rest of one
+run's knobs: architecture, widths, GroupSum readout and encoder
+settings. The defaults follow the desk-scale recipe used throughout the
+experiments: a three layer body of width 512, a 200-neuron output layer
+under GroupSum(k=2, tau=10), 3 thresholds per feature at full dead-zone
+width, and 5,000 Adam steps on batches of 100 under the arch's own loss
+(mean squared error for the ternary network, softmax cross-entropy for
+the binary baseline).
 """
 
 from __future__ import annotations
 
 import time
 import timeit
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,8 +29,9 @@ DEFAULT_OUTPUT = 200
 
 
 @dataclass(frozen=True)
-class RunRecipe:
-    """All knobs of one training run."""
+class RunRecipe(train_mod.TrainConfig):
+    """All knobs of one training run: the training ones it inherits and
+    the model's and encoder's."""
 
     arch: str = "ternary"
     body_widths: tuple[int, ...] = DEFAULT_BODY
@@ -38,22 +40,11 @@ class RunRecipe:
     tau: float = 10.0
     thresholds: int = 3  # K, thresholds per feature (resolution K + 1)
     delta: float = 1.0
-    steps: int = 5000
-    batch_size: int = 100
-    lr: float = 0.01
-    lambda_max: float = 0.1
-    gamma: float = 2.0
-    beta: float = 0.0
-    loss: str | None = None  # None picks the arch's (`ArchSpec.loss`)
-    seed: int = 0
-    eval_every: int = 500
 
     def __post_init__(self):
         # Check every knob now, mostly through the configs a run builds
         # from the recipe, so a bad value fails before any data is read.
         net_mod.arch_spec(self.arch)
-        if algebra.exact_int(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if any(algebra.exact_int(w, f"body_widths[{i}]") < 1
                for i, w in enumerate(self.body_widths)):
             raise ValueError(f"body widths must be >= 1, got {tuple(self.body_widths)}")
@@ -64,33 +55,17 @@ class RunRecipe:
                              f"k={self.k}, got {self.output_neurons}")
         data_mod.EncoderConfig(mode=self.arch, thresholds_per_feature=self.thresholds,
                                delta=self.delta, lo=(), hi=())
-        self.train_config()
+        super().__post_init__()
 
     @property
     def widths(self) -> tuple[int, ...]:
         return tuple(self.body_widths) + (self.output_neurons,)
 
-    def effective_loss(self) -> str:
-        return net_mod.ARCHS[self.arch].loss if self.loss is None else self.loss
-
-    def train_config(self) -> train_mod.TrainConfig:
-        return train_mod.TrainConfig(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            lr=self.lr,
-            lambda_max=self.lambda_max,
-            gamma=self.gamma,
-            beta=self.beta,
-            loss=self.effective_loss(),
-            seed=self.seed + 1,  # distinct stream from the init draw
-            eval_every=self.eval_every,
-        )
-
     def describe(self) -> dict:
         d = asdict(self)
         d["body_widths"] = list(self.body_widths)
         d["resolution"] = self.thresholds + 1
-        d["loss"] = self.effective_loss()
+        d["loss"] = self.loss or net_mod.ARCHS[self.arch].loss
         return d
 
 
@@ -118,10 +93,9 @@ def run_pipeline(train_ds: data_mod.Dataset, test_ds: data_mod.Dataset,
     net = net_mod.init_network(recipe.widths, enc.encoded_dim, recipe.seed,
                                net_mod.GroupSumConfig(k=recipe.k, tau=recipe.tau),
                                arch=recipe.arch)
-    cfg = recipe.train_config()
     t0 = time.perf_counter()
-    net, history = train_mod.train(
-        net, (x_train, train_ds.labels), cfg,
+    net, history = train_mod.train(  # seed + 1: a stream apart from the init draw's
+        net, (x_train, train_ds.labels), replace(recipe, seed=recipe.seed + 1),
         eval_data=(x_test, test_ds.labels),
     )
     t1 = time.perf_counter()
@@ -150,15 +124,14 @@ def _bench_arch(arch: str, widths, input_dim: int, batch: int, steps: int,
                                net_mod.GroupSumConfig(recipe.k, recipe.tau), arch=arch)
     lo, hi = net_mod.ARCHS[arch].domain
     x = rng.integers(int(lo), int(hi) + 1, size=(n, input_dim)).astype(float)
-    cfg = recipe.train_config()
-    lam = cfg.lambda_max / 4.0
+    lam = recipe.lambda_max / 4.0
     state = train_mod.AdamState.init(net.params)
     times = []
     for i in range(warmup + steps):
         idx = rng.integers(0, n, size=batch)
         t0 = time.perf_counter()
-        _, grads = train_mod.backward(net, x[idx], y[idx], lam, cfg)
-        train_mod.adam_step(net.params, grads, state, cfg.lr)
+        _, grads = train_mod.backward(net, x[idx], y[idx], lam, recipe)
+        train_mod.adam_step(net.params, grads, state, recipe.lr)
         t1 = time.perf_counter()
         if i >= warmup:
             times.append(t1 - t0)

@@ -5,13 +5,13 @@ The total objective where the architecture has a lattice (ternary) is
     L = L_task + lambda(t) * R_commit + beta * R_sparse,
 
 where L_task is measured on GroupSum scores (mean squared error against
-a one-hot target by default, or softmax cross-entropy), R_commit is the
-mean squared distance of every neuron's truth-table values from the
-trit lattice, and R_sparse is the mean L1 norm of every neuron's
-orthogonal-basis spectrum. The commitment weight follows the ramp
-lambda(t) = lambda_max * (t / T)^gamma, evaluated at every step, so
-early training explores freely and late training is pushed onto the
-lattice.
+a one-hot target, or softmax cross-entropy; by default the network's
+`ArchSpec.loss`), R_commit is the mean squared distance of every
+neuron's truth-table values from the trit lattice, and R_sparse is the
+mean L1 norm of every neuron's orthogonal-basis spectrum. The
+commitment weight follows the ramp lambda(t) = lambda_max * (t / T)^gamma,
+evaluated at every step, so early training explores freely and late
+training is pushed onto the lattice.
 
 Gradients are computed in closed form (reverse mode through the layers)
 rather than by an autodiff framework. The conventions at the kinks:
@@ -66,18 +66,19 @@ class NumericalFailure(RuntimeError):
 class TrainConfig:
     """Hyperparameters of one training run."""
 
-    steps: int
+    steps: int = 5000
     batch_size: int = 100
     lr: float = 0.01
     lambda_max: float = 0.1
     gamma: float = 2.0
     beta: float = 0.0
-    loss: str = "mse"
+    loss: str | None = None  # None picks the network's (`ArchSpec.loss`)
     seed: int = 0
     eval_every: int = 500
 
     def __post_init__(self):
-        algebra.exact_int(self.seed, "seed")
+        if algebra.exact_int(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if algebra.exact_int(self.steps, "steps") < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if algebra.exact_int(self.batch_size, "batch_size") < 1:
@@ -93,7 +94,7 @@ class TrainConfig:
             raise ValueError(f"gamma must be > 0 and finite, got {self.gamma}")
         if not 0 <= self.beta < np.inf:
             raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
-        if self.loss not in ("mse", "ce"):
+        if self.loss not in (None, "mse", "ce"):
             raise ValueError(f"loss must be 'mse' or 'ce', got {self.loss!r}")
 
 
@@ -105,7 +106,7 @@ def lambda_schedule(t: float, cfg: TrainConfig) -> float:
     return cfg.lambda_max * frac**cfg.gamma
 
 
-def task_loss(scores: np.ndarray, targets: np.ndarray, kind: str = "mse") -> float:
+def task_loss(scores: np.ndarray, targets: np.ndarray, kind: str) -> float:
     """Classification loss on GroupSum scores.
 
     mse: mean over the batch of the mean over classes of the squared
@@ -214,21 +215,23 @@ def _scatter_to_parents(gh_shape, s, t, ga, gb):
 def backward(net: Network, x, y, lam: float, cfg: TrainConfig):
     """Analytic gradient of the total loss. Returns (loss, grads).
 
-    grads is a list of per-layer arrays shaped like net.params. The
+    grads is a list of per-layer arrays shaped like net.params. The task
+    loss is cfg.loss, or the architecture's own if that is None. The
     commitment and sparsity terms apply only where the architecture has
     a lattice, so `lam` and cfg.beta leave the binary baseline be.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y))
+    spec = ARCHS[net.arch]
+    kind = cfg.loss or spec.loss
     cache, scores = _forward(net, x)
-    loss = task_loss(scores, y, cfg.loss)
+    loss = task_loss(scores, y, kind)
 
     k, tau = net.groupsum.k, net.groupsum.tau
-    gscores = task_loss_grad(scores, y, cfg.loss)
+    gscores = task_loss_grad(scores, y, kind)
     group = net.widths[-1] // k
     gh = np.repeat(gscores, group, axis=1) / tau
 
-    spec = ARCHS[net.arch]
     grads = [np.zeros_like(w) for w in net.params]
     for l, (keep, s, t) in reversed(list(enumerate(net.conn.live))):
         w, a, b, _, ctx = cache[l]

@@ -250,7 +250,7 @@ def test_criterion_08_dead_zone_trend(moons):
     train_ds, test_ds = moons
     margins = []
     for seed in (0, 1, 2):
-        rows = an.delta_sweep([0.5, 1.0], replace(RECIPE, seed=seed),
+        rows = an.delta_sweep([replace(RECIPE, seed=seed, delta=d) for d in (0.5, 1.0)],
                               train_ds, test_ds)
         by_delta = {r["delta"]: r["circuit_accuracy"] for r in rows}
         margins.append(by_delta[0.5] - by_delta[1.0])
@@ -276,7 +276,8 @@ def test_criterion_09_resolution_trend(moons):
     counts = [2, 4, 8, 16]
     widths_rows = [(64, 64), (128, 128), (256, 256), (512, 512)]
     rec = replace(RECIPE, steps=1500, eval_every=1500, loss="ce")
-    rows = an.resolution_sweep(counts, widths_rows, rec, train_ds, test_ds)
+    rows = an.resolution_sweep([replace(rec, thresholds=K, body_widths=w)
+                                for K, w in zip(counts, widths_rows)], train_ds, test_ds)
     acc = [r["circuit_accuracy"] for r in rows]
     unk = [r["unknown_fraction"] for r in rows]
     acc_ok = all(b >= a - 0.02 for a, b in zip(acc, acc[1:]))

@@ -321,7 +321,7 @@ def tiny_moons():
 
 
 def test_separation_sweep_rows():
-    rows = an.separation_sweep([1.0, 3.0], TINY, n_train=60, n_test=30)
+    rows = an.separation_sweep([1.0, 3.0], TINY, n_train=60, n_test=30, data_seed=0)
     assert len(rows) == 2
     for row, sep in zip(rows, (1.0, 3.0)):
         assert row["sep"] == sep
@@ -335,7 +335,7 @@ def test_separation_sweep_rows():
 
 def test_delta_sweep_rows():
     train_ds, test_ds = tiny_moons()
-    rows = an.delta_sweep([0.0, 1.0], TINY, train_ds, test_ds)
+    rows = an.delta_sweep([replace(TINY, delta=0.0), TINY], train_ds, test_ds)
     assert [r["delta"] for r in rows] == [0.0, 1.0]
     assert rows[0]["encoder_unknown_share"] == 0.0
     assert rows[1]["encoder_unknown_share"] > 0.0
@@ -345,20 +345,20 @@ def test_delta_sweep_rows():
 
 def test_resolution_sweep_rows():
     train_ds, test_ds = tiny_moons()
-    rows = an.resolution_sweep([2, 4], [(8,), (16,)], TINY, train_ds, test_ds)
+    rows = an.resolution_sweep([replace(TINY, thresholds=2, body_widths=(8,)),
+                                replace(TINY, thresholds=4, body_widths=(16,))],
+                               train_ds, test_ds)
     assert [r["thresholds"] for r in rows] == [2, 4]
     assert [r["resolution"] for r in rows] == [3, 5]
     assert [r["input_dim"] for r in rows] == [4, 8]
     assert rows[1]["body_widths"] == [16]
-    with pytest.raises(ValueError):
-        an.resolution_sweep([2, 4], [(8,)], TINY, train_ds, test_ds)
 
 
 def test_sweep_captures_numerical_failures_per_row():
     train_ds, test_ds = tiny_moons()
     exploding = replace(TINY, lr=1e308, lambda_max=0.5)
     with np.errstate(all="ignore"):
-        rows = an.delta_sweep([1.0], exploding, train_ds, test_ds)
+        rows = an.delta_sweep([exploding], train_ds, test_ds)
     assert len(rows) == 1
     assert "error" in rows[0]
     assert "circuit_accuracy" not in rows[0]

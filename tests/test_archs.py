@@ -52,8 +52,8 @@ def test_every_spec_trains_hardens_saves_and_evaluates(arch, tmp_path):
     y = np.random.default_rng(2).integers(0, 2, size=60)
     net = nw.init_network((12, 8, 4), 6, 0, GS, arch=arch)
     assert all(p.shape[1] == spec.n_params for p in net.params)
-    cfg = pl.RunRecipe(arch=arch, steps=3, batch_size=10, eval_every=3).train_config()
-    assert cfg.loss == spec.loss
+    cfg = pl.RunRecipe(arch=arch, steps=3, batch_size=10, eval_every=3)
+    assert cfg.describe()["loss"] == spec.loss
     net, history = tr.train(net, (x, y), cfg)
     assert [row["step"] for row in history] == [0, 1, 2]
     assert all(np.isfinite(row["loss"]) for row in history)

@@ -286,7 +286,12 @@ def test_recipe_refuses_non_positive_body_widths(widths):
     ("body_widths", (2.5,), (np.int64(8),)), ("output_neurons", 4.0, np.int32(4)),
     ("k", 2.0, np.int64(2)), ("thresholds", 2.5, np.int16(3)),
     ("steps", 2.5, np.int64(5)), ("batch_size", 2.5, np.uint8(10)),
-    ("eval_every", 1.5, np.int64(5)), ("seed", 0.5, np.int64(1))])
+    ("eval_every", 1.5, np.int64(5)), ("seed", 0.5, np.int64(1)),
+    # a bool would reach the manifest as true/false, which no integer
+    # flag of --config reads back
+    ("body_widths", (True,), (8,)), ("output_neurons", True, 4), ("k", True, 2),
+    ("thresholds", True, 3), ("steps", True, 5), ("batch_size", True, 10),
+    ("eval_every", True, 5), ("seed", True, 1)])
 def test_recipe_refuses_non_integer_knobs(field, bad, good):
     pl.RunRecipe(**{field: good})
     with pytest.raises(ValueError, match=rf"{field}\S* must be an integer, got"):

@@ -6,7 +6,12 @@ in `src/` or `perfbench/` other than at its definition, be traced by the
 benchmark (a `PER_LAYER` entry of perfbench/run.py), appear in the
 README's "Python API" block, or sit in `ALLOWED` with its reason. A name
 that only the tests call is a wrapper to delete or an oracle to move
-into the tests. Files are parsed, not imported.
+into the tests.
+
+A field default is declared in one dataclass of the package: two
+dataclasses that both declare a defaulted field of one name hold two
+copies of a knob that can drift apart; a subclass inherits its base's
+fields instead. Files are parsed, not imported.
 """
 
 import ast
@@ -96,3 +101,23 @@ def test_every_public_name_has_a_reader():
 def test_allowlist_holds_only_defined_names():
     defined = {name for _, name in public_definitions()}
     assert set(ALLOWED) <= defined
+
+
+def defaulted_fields():
+    """(qualified class name, field name) of each field with a default
+    that a `src/tritnet` dataclass declares in its own body."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                for member in node.body:
+                    if isinstance(member, ast.AnnAssign) and member.value is not None:
+                        yield f"{path.stem}.{node.name}", member.target.id
+
+
+def test_each_field_default_is_declared_once():
+    owners = {}
+    for cls, name in defaulted_fields():
+        owners.setdefault(name, []).append(cls)
+    assert {name: cls for name, cls in owners.items() if len(cls) > 1} == {}

@@ -283,6 +283,19 @@ def test_backward_binary_matches_finite_differences():
             assert grads[l][j, k] == pytest.approx(fd, rel=1e-3, abs=1e-8)
 
 
+@pytest.mark.parametrize("arch, kind", [("ternary", "mse"), ("binary", "ce")])
+def test_default_loss_is_the_archs(arch, kind):
+    net = nw.init_network((5, 4), 6, 8, GS, arch=arch)
+    lo, hi = nw.ARCHS[arch].domain
+    rng = np.random.default_rng(4)
+    x = rng.integers(int(lo), int(hi) + 1, size=(8, 6)).astype(float)
+    y = rng.integers(0, 2, size=8)
+    losses = {kind: tr.backward(net, x, y, 0.0, tr.TrainConfig(steps=1, loss=kind))[0]
+              for kind in ("mse", "ce")}
+    assert losses["mse"] != losses["ce"]
+    assert tr.backward(net, x, y, 0.0, tr.TrainConfig(steps=1))[0] == losses[kind]
+
+
 def test_clip_subgradient_is_zero_outside_the_band():
     # saturate one neuron far above 1: its coefficient gradient from
     # the task loss must vanish
