@@ -55,11 +55,12 @@ def selective_curve(circuit: Circuit, x_enc, y) -> CoverageCurve:
 
     `x_enc` is in the architecture's own domain, bits for the binary
     baseline, and goes through its `trit_inputs` map, as in
-    `circuit.gap_report`. Runs the circuit once and hands its
-    predictions and margins to `coverage_curve`.
+    `circuit.gap_report`. Runs the circuit once, without keeping its
+    output trits, and hands its predictions and margins to
+    `coverage_curve`.
     """
     trits = ARCHS[circuit.arch].trit_inputs(np.atleast_2d(np.asarray(x_enc)))
-    _, _, preds, margins = eval_circuit(circuit, trits)
+    _, _, preds, margins = eval_circuit(circuit, trits, outputs=False)
     return coverage_curve(preds, margins, y)
 
 

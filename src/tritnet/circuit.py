@@ -30,20 +30,39 @@ the XOR over x in (1, aT, aF) and y in (1, bT, bF) of C[x, y] & x & y,
 with GF(2) coefficient masks C built once per circuit from its gate
 ids, its one copy of the gates: 4 gathers and 9 bitwise calls per layer.
 Only the neurons with a path to the output run, and have masks
-(`ConnectivityMap.live`). Rows run in blocks of `BLOCK_ROWS`, so
-the working memory is set by that constant and the widest layer,
-never by the batch size. Integer inputs are range-checked and packed
-in their own dtype; others must convert to int64 unchanged. Only the
-output layer is unpacked back to int8 trits, straight into the rows of
-the result. Class predictions take the argmax score with ties broken
-toward the lowest class index, and the margin is the gap between the
-top two scores; one pass over the k score columns yields both.
+(`ConnectivityMap.live`).
+
+Rows run in chunks of `_CHUNK_ROWS` on one worker thread per CPU this
+process may use (the calling thread and the threads of an executor
+joined before the call returns), up to the `BLOCK_ROWS // _CHUNK_ROWS`
+chunks of one block; numpy's bitwise ops and `take` release the
+interpreter lock. The chunks go round-robin, one to each worker, so at
+most `BLOCK_ROWS` rows are in flight, and a batch of one chunk runs
+inline. Each
+worker owns a workspace allocated once per call, which holds each
+array of a chunk that grows with a layer's width, so the working
+memory is set by that constant and the widest layer, never by the
+batch size or by how the workers interleave; results do not depend on
+the thread count. Integer
+inputs are range-checked and packed in their own dtype; others must
+convert to int64 unchanged. The output planes are spread to byte lanes,
+one sample a lane, whose sums over a class's neurons give the GroupSum
+counts. The engine takes an optional destination for the output trits:
+`eval_circuit` unpacks them into its result rows, and with
+`outputs=False` it returns the count of UNKNOWN trits instead, which is
+all `tritnet eval`, `gap_report` and `selective_curve` need. Class
+predictions take the argmax score with ties broken toward the lowest
+class index, and the margin is the gap between the top two scores; one
+pass over the k score columns yields both.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,21 +111,44 @@ def harden_network(net: Network) -> Circuit:
 harden_binary = harden_network
 
 
-#: Rows run through the circuit together. The engine's working memory
-#: grows with this constant and the widest layer, not with the batch.
-#: At 2048 rows a 512-wide layer's planes are 32 x 512 words, so the
-#: few live ones of a layer stay within a core's L2 cache.
-BLOCK_ROWS = 2048
+#: Rows in flight at once, at most. The engine's working memory grows
+#: with this constant and the widest layer, not with the batch.
+BLOCK_ROWS = 8192
+
+#: Rows one worker evaluates together. At 2048 rows a 512-wide layer's
+#: planes are 32 x 512 words, so the few live ones of a layer stay
+#: within a core's L2 cache, and a chunk's numpy work outweighs the
+#: Python between its calls, which holds the interpreter lock: at 1024
+#: rows a second thread gained nothing.
+_CHUNK_ROWS = 2048
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: Engine worker threads at most, one per CPU this process may run on.
+_WORKERS = _cpus()
 
 _ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                           bitorder="little").astype(np.int8)
+#: Entry b holds, as 8 uint8 packed in one uint64, the bits of byte b,
+#: lowest first: the 8 samples of one byte of a plane, one per lane.
+_BYTE_LANES = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                            bitorder="little").view(np.uint64)[:, 0]
 
-#: Entry (t << 8) | f holds, as 8 int8 packed in one uint64, the trits
-#: of the 8 samples in TRUE-plane byte t and FALSE-plane byte f.
-_BYTE_PAIR_TRITS = (_BYTE_BITS[:, None, :] - _BYTE_BITS[None, :, :]
-                    ).reshape(-1).view(np.uint64)
+#: Most neurons whose lanes one uint64 sum adds up before a lane overflows.
+_LANE_MAX = 255
+
+#: numpy's ufunc buffer size, in elements, while a worker runs. A ufunc
+#: allocates a buffer for each operand it broadcasts, as a layer's masks
+#: are; at numpy's default of 8192 that is up to 64 kB a call, which
+#: would make the peak memory depend on how the workers' calls overlap.
+#: These loops measured no slower with the smaller buffer.
+_UFUNC_BUFSIZE = 64
 
 
 def _coefficients(table: np.ndarray) -> np.ndarray:
@@ -123,93 +165,237 @@ def _coefficients(table: np.ndarray) -> np.ndarray:
     return np.where(terms[:, :, :, None, :] == 1, _ALL_ONES, np.uint64(0))
 
 
-def _pack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(m, d) trit rows -> TRUE and FALSE planes, each (ceil(m/64), d).
+def _workers() -> int:
+    """Worker threads of a call: one per CPU this process may run on, up
+    to the chunks of one block."""
+    return max(1, min(_WORKERS, BLOCK_ROWS // _CHUNK_ROWS))
+
+
+class _Workspace:
+    """One worker's buffers for chunks of up to `rows` rows, allocated
+    once per call, so that a chunk itself allocates only arrays of a
+    few bytes a row (its packed inputs and per-class sums): the input
+    bits, the gathered parent planes, the terms `h` and their temporary,
+    two ping-pong sets of layer planes (each sized for the widest live
+    layer), the output planes spread to byte lanes, the per-row class
+    tallies and the ranking's running top score and temporary."""
+
+    def __init__(self, circuit: Circuit, rows: int):
+        words = -(-rows // 64)
+        self.widths = [len(keep) for keep, _, _ in circuit.conn.live]
+        self.d, self.k = circuit.input_dim, circuit.groupsum.k
+        plane = words * max(self.widths)
+        lanes = words * 8 * self.widths[-1]
+        self.bits = np.empty(2 * 64 * words * self.d, dtype=bool)
+        self.gathers = np.empty((2, plane), dtype=np.uint64)
+        self.terms = np.empty((2, 6 * plane), dtype=np.uint64)
+        self.planes = np.empty((2, 2 * plane), dtype=np.uint64)
+        self.bytes = np.empty(lanes, dtype=np.intp)
+        self.lanes = np.empty((2, lanes), dtype=np.uint64)
+        self.tally = np.empty((3, 64 * words * self.k))
+        self.ranks = np.empty((2, 64 * words))
+        self._views = {}
+
+    def views(self, words: int):
+        """The buffers shaped for a chunk of `words` words: the input bits,
+        per live layer (its two parent gathers, h, h's temporary, its own
+        planes), the byte indices and the TRUE and FALSE lanes of the
+        output layer, the tallies and the ranking's two rows. Built once
+        per chunk size, of which a call has at most two."""
+        if words not in self._views:
+            d, k = self.d, self.k
+            layers = []
+            for layer, width in enumerate(self.widths):
+                n = words * width
+                layers.append((*self.gathers[:, :n].reshape(2, words, width),
+                               *self.terms[:, :6 * n].reshape(2, 2, 3, words, width),
+                               self.planes[layer % 2, :2 * n].reshape(2, words, width)))
+            n = words * 8 * self.widths[-1]
+            self._views[words] = (
+                self.bits[:2 * 64 * words * d].reshape(2, d, 64 * words), layers,
+                self.bytes[:n].reshape(words, 8, -1), self.lanes[:, :n].reshape(2, words, 8, -1),
+                self.tally[:, :64 * words * k].reshape(3, words, 8, 8, k),
+                self.ranks[:, :64 * words])
+        return self._views[words]
+
+
+def _pack(x: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, d) trit rows -> TRUE and FALSE planes, each (ceil(m/64), d),
+    through the (2, d, 64 ceil(m/64)) bool buffer `bits`.
 
     Word r of a plane's column holds rows 64 r to 64 r + 63.
     """
-    m, d = x.shape
-    words = -(-m // 64)
-    planes = []
-    for value in (algebra.TRUE, algebra.FALSE):
-        packed = np.zeros((words * 8, d), dtype=np.uint8)
-        packed[:-(-m // 8)] = np.packbits(x == value, axis=0, bitorder="little")
-        word_major = packed.reshape(words, 8, d).transpose(0, 2, 1)
-        planes.append(np.ascontiguousarray(word_major).view(np.uint64)[..., 0])
+    m = x.shape[0]
+    np.equal(x.T, algebra.TRUE, out=bits[0, :, :m])
+    np.equal(x.T, algebra.FALSE, out=bits[1, :, :m])
+    bits[:, :, m:] = False
+    words = np.packbits(bits, axis=2, bitorder="little").view(np.uint64)  # (2, d, words)
+    planes = np.ascontiguousarray(words.transpose(0, 2, 1))
     return planes[0], planes[1]
 
 
-def _gate_layer(true, false, s, t, coeffs):
-    """Planes of one layer from its parents' planes (see module doc).
+def _gate_layer(true, false, s, t, coeffs, buffers):
+    """Planes of one layer from its parents' planes (see module doc),
+    written into the layer's workspace `buffers`.
 
     The planes are word-major, (words, neurons), so each neuron's masks
     broadcast along the contiguous axis. h[p, y] collects the terms of
     plane p that carry basis element y of parent b.
     """
+    g_true, g_false, h, tmp, out = buffers
     one, c_true, c_false = coeffs
-    h = np.bitwise_and(true.take(s, axis=1), c_true)  # (2, 3, words, w)
-    h ^= np.bitwise_and(false.take(s, axis=1), c_false)
+    true.take(s, axis=1, out=g_true, mode="clip")
+    false.take(s, axis=1, out=g_false, mode="clip")
+    np.bitwise_and(g_true, c_true, out=h)
+    h ^= np.bitwise_and(g_false, c_false, out=tmp)
     h ^= one
-    out = np.bitwise_and(true.take(t, axis=1), h[:, 1])  # (2, words, w)
-    out ^= np.bitwise_and(false.take(t, axis=1), h[:, 2], out=h[:, 2])
+    true.take(t, axis=1, out=g_true, mode="clip")
+    false.take(t, axis=1, out=g_false, mode="clip")
+    np.bitwise_and(g_true, h[:, 1], out=out)
+    out ^= np.bitwise_and(g_false, h[:, 2], out=h[:, 2])
     out ^= h[:, 0]
     return out[0], out[1]
 
 
-def _unpack(true: np.ndarray, false: np.ndarray, out: np.ndarray) -> None:
-    """Inverse of `_pack` on a layer's planes, written into the (m, w)
-    int8 rows `out`: whole words straight through, then the last part."""
+def _spread(true: np.ndarray, false: np.ndarray, index, lanes):
+    """A layer's (words, w) TRUE and FALSE planes as (words, 8, w) uint64,
+    written into `lanes` through the byte indices `index`: lane i of
+    [r, b, j] is neuron j's bit for row 64 r + 8 b + i, so a sum over
+    up to 255 neurons counts their set bits per row."""
     words, w = true.shape
-    whole = out.shape[0] // 64
-    pairs = (true.view(np.uint8).astype(np.uint16) << 8) | false.view(np.uint8)
-    trits = _BYTE_PAIR_TRITS[pairs].view(np.int8).reshape(words, w, 64).transpose(0, 2, 1)
-    out[:64 * whole].reshape(whole, 64, w)[...] = trits[:whole]
-    out[64 * whole:] = trits[whole:].reshape(-1, w)[:out.shape[0] - 64 * whole]
+    for plane, out in zip((true, false), lanes):
+        np.copyto(index, plane.view(np.uint8).reshape(words, w, 8).transpose(0, 2, 1))
+        _BYTE_LANES.take(index, out=out, mode="clip")
+    return lanes
 
 
-def _rank(scores: np.ndarray, preds: np.ndarray, margins: np.ndarray) -> None:
+def _tally(t_lanes: np.ndarray, f_lanes: np.ndarray, k: int, tally: np.ndarray):
+    """Per row and class, the TRUE minus the FALSE and the TRUE plus the
+    FALSE output trits, as exact float64 integers, returned as two
+    (64 words, k) row arrays of the (3, words, 8, 8, k) buffer `tally`,
+    whose third part is scratch. The lane sums of a class's neurons run
+    in parts that cannot overflow; every cast is a copy, as a ufunc that
+    casts allocates buffers of its own."""
+    words, _, w = t_lanes.shape
+    diff, total, part = tally
+    diff[...] = 0
+    total[...] = 0
+    for lo in range(0, w // k, _LANE_MAX):
+        for lanes, into_diff in ((t_lanes, np.add), (f_lanes, np.subtract)):
+            counts = lanes.reshape(words, 8, k, w // k)[..., lo:lo + _LANE_MAX].sum(axis=-1)
+            np.copyto(part, counts.view(np.uint8).reshape(words, 8, k, 8).transpose(0, 1, 3, 2))
+            total += part
+            into_diff(diff, part, out=diff)
+    return diff.reshape(-1, k), total.reshape(-1, k)
+
+
+def _rank(scores, preds, margins, top, low) -> None:
     """Argmax (lowest index on ties) and top-minus-second score of each
     row, in one pass over the k score columns; `margins` holds the
-    running second score."""
-    top = scores[:, 0].copy()
+    running second score, `top` the first and `low` their minimum."""
+    np.copyto(top, scores[:, 0])
     preds[...] = 0
     margins[...] = -np.inf
     for c in range(1, scores.shape[1]):
         col = scores[:, c]
         np.copyto(preds, c, where=col > top)
-        np.maximum(margins, np.minimum(top, col), out=margins)
+        np.maximum(margins, np.minimum(top, col, out=low), out=margins)
         np.maximum(top, col, out=top)
     np.subtract(top, margins, out=margins)
 
 
-def eval_circuit(circuit: Circuit, x):
-    """Run trit inputs through the circuit, bit-sliced in row blocks.
+def _run_chunk(circuit: Circuit, x, ws: _Workspace, outputs, scores, preds, margins):
+    """Evaluate one chunk of rows in `ws`: write their scores, predictions
+    and margins, and their output trits into `outputs` unless it is None,
+    in which case returns the count of UNKNOWN output trits (else 0)."""
+    m, k = x.shape[0], circuit.groupsum.k
+    bits, layers, index, lanes, tally, (top, low) = ws.views(-(-m // 64))
+    true, false = _pack(algebra.exact_ints(
+        x, -1, 1, "circuit inputs must be trits in {-1, 0, +1}"), bits)
+    for (_, s, t), coeffs, buffers in zip(circuit.conn.live, circuit.coeffs, layers):
+        true, false = _gate_layer(true, false, s, t, coeffs, buffers)
+    t_lanes, f_lanes = _spread(true, false, index, lanes)  # rows past m are padding
+    sums, known = _tally(t_lanes, f_lanes, k, tally)
+    np.divide(sums[:m], circuit.groupsum.tau, out=scores)
+    _rank(scores, preds, margins, top[:m], low[:m])
+    words, _, w = t_lanes.shape
+    if outputs is None:
+        return m * w - int(known[:m].sum())
+    trits = np.subtract(t_lanes.view(np.int8), f_lanes.view(np.int8),
+                        out=index.view(np.int8).reshape(words, 8, 8 * w))
+    by_row = trits.reshape(words, 8, w, 8).transpose(0, 1, 3, 2)  # (words, 8, 8, w)
+    whole = m // 64
+    outputs[:64 * whole].reshape(whole, 8, 8, w)[...] = by_row[:whole]
+    outputs[64 * whole:] = by_row[whole:].reshape(-1, w)[:m - 64 * whole]
+    return 0
+
+
+def _evaluate(circuit: Circuit, x: np.ndarray, outputs):
+    """The engine behind `eval_circuit`: (UNKNOWN count, scores,
+    predictions, margins) of a 2-D batch, with the output trits written
+    into `outputs` when it is an array (the count is then 0).
+
+    Chunks of rows go round-robin to up to `_workers()` workers: the
+    calling thread and the threads of an executor that is joined before
+    this returns. A batch of one chunk runs inline. Each worker has its
+    own `_Workspace`, and all share only the read-only circuit and
+    inputs and the disjoint rows of the results they write.
+    """
+    n = x.shape[0]
+    scores = np.empty((n, circuit.groupsum.k))
+    preds = np.empty(n, dtype=np.intp)
+    margins = np.empty(n)
+    workers, chunk = _workers(), _CHUNK_ROWS
+    firsts = range(0, min(n, workers * chunk), chunk)  # each worker's first row
+    # allocated before any worker starts and kept until all are done, so
+    # the working memory does not depend on how the workers interleave
+    spaces = [_Workspace(circuit, min(chunk, n)) for _ in firsts]
+    stop = threading.Event()
+
+    def work(first: int, ws: _Workspace) -> int:
+        count = 0
+        bufsize = np.setbufsize(_UFUNC_BUFSIZE)  # this thread's, restored below
+        try:
+            for lo in range(first, n, workers * chunk):
+                if stop.is_set():
+                    break
+                rows = slice(lo, lo + chunk)
+                count += _run_chunk(circuit, x[rows], ws,
+                                    None if outputs is None else outputs[rows],
+                                    scores[rows], preds[rows], margins[rows])
+        except BaseException:
+            stop.set()  # the other workers end after their current chunk
+            raise
+        finally:
+            np.setbufsize(bufsize)
+        return count
+
+    if len(firsts) <= 1:
+        return (work(0, spaces[0]) if n else 0), scores, preds, margins
+    with ThreadPoolExecutor(len(firsts) - 1) as pool:
+        futures = [pool.submit(work, first, ws) for first, ws in zip(firsts[1:], spaces[1:])]
+        count = work(0, spaces[0])
+    return count + sum(f.result() for f in futures), scores, preds, margins
+
+
+def eval_circuit(circuit: Circuit, x, *, outputs: bool = True):
+    """Run trit inputs through the circuit, bit-sliced in row chunks.
 
     Returns (outputs, scores, predictions, margins): the output-layer
     trits, GroupSum scores, argmax class (lowest index on ties) and the
-    top-minus-second score margin. Accepts one vector or a batch.
+    top-minus-second score margin. Accepts one vector or a batch. With
+    `outputs=False` the trits are counted, not kept: the first result
+    is the number of UNKNOWN output trits, an int, and no array of the
+    outputs' size is built.
     """
     x, single = circuit.input_batch(np.asarray(x))
-    n = x.shape[0]
-    k, tau = circuit.groupsum.k, circuit.groupsum.tau
-    group = circuit.widths[-1] // k
-    outputs = np.empty((n, circuit.widths[-1]), dtype=np.int8)
-    scores = np.empty((n, k))
-    preds = np.empty(n, dtype=np.intp)
-    margins = np.empty(n)
-    for lo in range(0, n, BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        true, false = _pack(algebra.exact_ints(
-            x[rows], -1, 1, "circuit inputs must be trits in {-1, 0, +1}"))
-        for (_, s, t), coeffs in zip(circuit.conn.live, circuit.coeffs):
-            true, false = _gate_layer(true, false, s, t, coeffs)
-        _unpack(true, false, outputs[rows])
-        sums = outputs[rows].reshape(-1, k, group).sum(axis=2, dtype=np.int32)
-        scores[rows] = sums / tau
-        _rank(scores[rows], preds[rows], margins[rows])
+    dest = np.empty((x.shape[0], circuit.widths[-1]), dtype=np.int8) if outputs else None
+    first, scores, preds, margins = _evaluate(circuit, x, dest)  # the UNKNOWN count
+    if dest is not None:
+        first = dest[0] if single else dest
     if single:
-        return outputs[0], scores[0], int(preds[0]), float(margins[0])
-    return outputs, scores, preds, margins
+        return first, scores[0], int(preds[0]), float(margins[0])
+    return first, scores, preds, margins
 
 
 def hardening_error(net: Network) -> float:
@@ -258,7 +444,8 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
     if len(y) != x_enc.shape[0]:
         raise ValueError(f"{len(y)} labels for {x_enc.shape[0]} rows")
     soft_pred = soft_scores(net, x_enc).argmax(axis=1)
-    outputs, _, circ_pred, _ = eval_circuit(circuit, ARCHS[circuit.arch].trit_inputs(x_enc))
+    unknown, _, circ_pred, _ = eval_circuit(
+        circuit, ARCHS[circuit.arch].trit_inputs(x_enc), outputs=False)
     soft_acc = float((soft_pred == y).mean())
     circ_acc = float((circ_pred == y).mean())
     return GapReport(
@@ -266,7 +453,7 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
         circuit_accuracy=circ_acc,
         gap_pp=100.0 * (soft_acc - circ_acc),
         hardening_error=hardening_error(net),
-        unknown_fraction=algebra.unknown_share(outputs),
+        unknown_fraction=unknown / (len(y) * circuit.widths[-1]),
         n_samples=int(x_enc.shape[0]),
     )
 

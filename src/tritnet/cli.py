@@ -7,7 +7,7 @@ decision flags, artifact hashes and timings, so any run can be
 reproduced by feeding the manifest back through --config.
 
 Exit codes: 0 success, 1 usage error, 2 data or file format error,
-3 numerical failure during training.
+3 numerical failure during training, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import time
 
 import numpy as np
 
-from . import algebra as al
 from . import analysis as an
 from . import circuit as cc
 from . import data as dt
@@ -36,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+EXIT_MEMORY = 4
 
 # Flags that do not change what a command computes: manifests leave them
 # out and --config does not set them.
@@ -263,9 +263,9 @@ def cmd_eval(args) -> int:
         ".circuit")
     ds, x_enc = _encoded_data(args.data, args.circuit, encoder, circuit)
     x_enc = nw.ARCHS[circuit.arch].trit_inputs(x_enc)
-    outputs, scores, preds, margins = cc.eval_circuit(circuit, x_enc)
+    unknown, _, preds, margins = cc.eval_circuit(circuit, x_enc, outputs=False)
     acc = float((preds == ds.labels).mean())
-    unk = al.unknown_share(outputs)
+    unk = unknown / (ds.n * circuit.widths[-1])
     paths = {"metrics": os.path.join(out, f"{name}.metrics.tsv")}
     sz.save_report(
         [[f"{100 * acc:.2f}", f"{100 * unk:.2f}", ds.n]],
@@ -405,6 +405,8 @@ def cmd_bench(args) -> int:
     # what the timings depend on besides the code; None where unset
     environment = {"python": platform.python_version(), "numpy": np.__version__,
                    "cpu_count": os.cpu_count(),
+                   "cpus_available": cc._cpus(),
+                   "circuit_workers": cc._workers(),
                    **{var: os.environ.get(var) for var in _THREAD_VARS}}
     paths = {"table": os.path.join(out, f"{name}.tsv")}
     sz.save_report(
@@ -593,6 +595,9 @@ def main(argv: list[str] | None = None) -> int:
     except tr.NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

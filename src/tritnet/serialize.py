@@ -64,7 +64,8 @@ DECISION_FLAGS = {
     "lambda_update": "per step",
     "argmax_ties": "lowest index",
     "mse_targets": "one-hot in raw score space",
-    "execution": "serial",
+    "execution": "training serial; circuit row chunks on one thread per "
+                 "available CPU, results independent of the thread count",
 }
 
 

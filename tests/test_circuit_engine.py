@@ -1,5 +1,7 @@
 """The bit-sliced circuit engine against the table-lookup evaluator it replaced."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -67,6 +69,16 @@ def assert_same(circuit, x):
             assert g == w
 
 
+def assert_counted(circuit, x):
+    """The streamed results equal `eval_circuit`'s, with the UNKNOWN
+    output trits counted instead of kept."""
+    outputs, *want = cc.eval_circuit(circuit, x)
+    unknown, *got = cc.eval_circuit(circuit, x, outputs=False)
+    assert type(unknown) is int and unknown == np.size(outputs) - np.count_nonzero(outputs)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.array_equal(g, w)
+
+
 def all_trit_rows(d):
     grids = np.meshgrid(*[np.array([-1, 0, 1])] * d, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -87,7 +99,8 @@ def test_random_trits_across_layer_widths(width):
     assert_same(circ, x)
 
 
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, cc.BLOCK_ROWS - 1,
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, cc._CHUNK_ROWS - 1, cc._CHUNK_ROWS,
+                               cc._CHUNK_ROWS + 1, cc.BLOCK_ROWS - 1,
                                cc.BLOCK_ROWS, cc.BLOCK_ROWS + 1])
 def test_row_counts_around_word_and_block_edges(n):
     circ = random_circuit(6, (16, 12, 8), seed=n)
@@ -149,6 +162,7 @@ def test_single_vector_path():
     circ = random_circuit(4, (10, 6), seed=11, k=3)
     for row in all_trit_rows(4):
         assert_same(circ, row)
+        assert_counted(circ, row)
 
 
 def test_binary_embedded_circuit_on_corner_inputs():
@@ -259,3 +273,95 @@ def test_working_memory_does_not_grow_with_rows():
     # built several per layer
     assert one < 8 * cc.BLOCK_ROWS * 256
     assert four <= one * 1.1
+
+
+def test_working_memory_stays_fixed_across_runs():
+    # each worker's workspace is allocated once per call, so the peak
+    # does not depend on how the chunks of one or four blocks interleave
+    circ = random_circuit(6, (256, 256, 64), seed=16)
+    for _ in range(10):
+        one = _peak_beyond_results(circ, cc.BLOCK_ROWS)
+        four = _peak_beyond_results(circ, 4 * cc.BLOCK_ROWS)
+        assert four <= one * 1.1
+
+
+def _row_counts():
+    chunk = cc._CHUNK_ROWS
+    return [0, 1, chunk - 1, chunk, chunk + 1, cc.BLOCK_ROWS - 1, cc.BLOCK_ROWS + 1,
+            3 * cc.BLOCK_ROWS + 7]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", range(8))
+def test_chunk_edges_at_any_worker_count(monkeypatch, workers, case):
+    monkeypatch.setattr(cc, "_WORKERS", workers)
+    n = _row_counts()[case]
+    circ = random_circuit(6, (40, 30, 12), seed=case, k=3)
+    x = np.random.default_rng(case).integers(-1, 2, size=(n, 6))
+    assert_same(circ, x)
+    assert_counted(circ, x)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5, 64])
+def test_one_worker_per_cpu_up_to_the_chunks_of_a_block(monkeypatch, cpus):
+    monkeypatch.setattr(cc, "_WORKERS", cpus)
+    assert cc._workers() == min(cpus, cc.BLOCK_ROWS // cc._CHUNK_ROWS)
+    assert cc._CHUNK_ROWS % 64 == 0 and cc._workers() * cc._CHUNK_ROWS <= cc.BLOCK_ROWS
+
+
+def test_group_sums_wider_than_a_byte_lane():
+    # 300 neurons a class: the lane sums must carry past 255
+    circ = random_circuit(5, (64, 600), seed=22, k=2, tau=7.0)
+    x = np.vstack([all_trit_rows(5)] * 3)
+    assert_same(circ, x)
+    assert_counted(circ, x)
+    ones = cc.Circuit(arch="ternary", conn=circ.conn, groupsum=circ.groupsum,
+                      gate_ids=[circ.gate_ids[0], np.full(600, al.N_GATES - 1)])
+    outputs, scores, _, _ = cc.eval_circuit(ones, x)
+    assert (outputs == 1).all() and (scores == 300 / 7.0).all()
+
+
+@pytest.mark.parametrize("workers", [None, 3])
+@pytest.mark.parametrize("outputs", [True, False])
+def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker(monkeypatch, workers, outputs):
+    if workers:
+        monkeypatch.setattr(cc, "_WORKERS", workers)
+    circ = random_circuit(3, (16, 8), seed=23)
+    x = np.zeros((5 * cc.BLOCK_ROWS + 3, 3), dtype=np.int8)
+    x[-1, 0] = 2
+    before = threading.active_count()
+    with pytest.raises(ValueError) as got:
+        cc.eval_circuit(circ, x, outputs=outputs)
+    assert str(got.value) == "circuit inputs must be trits in {-1, 0, +1}"
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_get_their_own_results(monkeypatch):
+    monkeypatch.setattr(cc, "_WORKERS", 3)
+    circuits = [random_circuit(5, (48, 24, 6), seed=30, k=3),
+                random_circuit(5, (20, 20, 8), seed=31, k=2)]
+    inputs = [np.random.default_rng(s).integers(-1, 2, size=(2 * cc.BLOCK_ROWS + 65, 5))
+              for s in (32, 33)]
+    wants = [lookup_eval(c, x) for c, x in zip(circuits, inputs)]
+    gots = [[], []]
+
+    def caller(i):
+        for _ in range(4):
+            gots[i].append(cc.eval_circuit(circuits[i], inputs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(gots, wants):
+        assert len(got) == 4
+        for results in got:
+            for g, w in zip(results, want):
+                assert np.array_equal(g, w)

@@ -195,9 +195,9 @@ def test_eval_selective_runs_the_circuit_once(trained, tmp_path, monkeypatch):
     calls = []
     real = cc.eval_circuit
 
-    def counted(circuit, x):
+    def counted(circuit, x, **kwargs):
         calls.append(len(x))
-        return real(circuit, x)
+        return real(circuit, x, **kwargs)
 
     monkeypatch.setattr(cc, "eval_circuit", counted)
     monkeypatch.setattr(an, "eval_circuit", counted)
@@ -213,6 +213,79 @@ def test_eval_selective_runs_the_circuit_once(trained, tmp_path, monkeypatch):
     assert rows == [f"{c:.2f}\t{100 * a:.2f}" for c, a in curve.points]
     doc = sz.load_manifest(tmp_path / "once.manifest.json")
     assert doc["selective_auc"] == curve.auc
+
+
+@pytest.fixture(scope="module")
+def multi_chunk_data(tmp_path_factory):
+    """A moons file of more than three row blocks, so that every worker
+    of the circuit engine takes several chunks."""
+    import tritnet.data as dt
+
+    path = tmp_path_factory.mktemp("chunks") / "big.txt"
+    sz.save_dataset(dt.gen_dataset("moons", 3 * cc.BLOCK_ROWS + 1001, 0.3, seed=5), path)
+    return path
+
+
+def test_streamed_eval_reports_what_the_four_results_give(trained, multi_chunk_data,
+                                                          tmp_path):
+    from fractions import Fraction
+
+    import tritnet.analysis as an
+    import tritnet.data as dt
+
+    rc = run(["eval", "--circuit", trained["circuit"], "--data", multi_chunk_data,
+              "--selective", "--out", str(tmp_path), "--name", "big"])
+    assert rc == cli.EXIT_OK
+    circuit, encoder = sz.load_circuit(trained["circuit"])
+    ds = sz.load_dataset(multi_chunk_data)
+    outputs, _, preds, margins = cc.eval_circuit(circuit, dt.encode(ds.features, encoder))
+    acc = float((preds == ds.labels).mean())
+    unk = al.unknown_share(outputs)
+    denominator = Fraction(outputs.size - np.count_nonzero(outputs), outputs.size).denominator
+    assert denominator & (denominator - 1)  # not a power of two: an inexact share
+    curve = an.coverage_curve(preds, margins, ds.labels)
+    metrics = open(tmp_path / "big.metrics.tsv").read().splitlines()
+    assert metrics[2:] == [f"{100 * acc:.2f}\t{100 * unk:.2f}\t{ds.n}"]
+    selective = open(tmp_path / "big.selective.tsv").read().splitlines()
+    assert selective[1] == f"# AUC (sign-flipped, lower is better): {-curve.auc:.4f}"
+    assert selective[3:] == [f"{c:.2f}\t{100 * a:.2f}" for c, a in curve.points]
+    doc = sz.load_manifest(tmp_path / "big.manifest.json")
+    assert (doc["accuracy"], doc["unknown_fraction"], doc["selective_auc"]) == (
+        acc, unk, curve.auc)
+
+
+def test_eval_does_not_build_the_output_array(tmp_path, monkeypatch):
+    # after the inputs are in memory, the rest of `tritnet eval` (the
+    # circuit, the counts, the selective curve, the reports) peaks
+    # below the (n, w) int8 output array it has no use for
+    import tracemalloc
+
+    import tritnet.data as dt
+
+    ds = dt.gen_dataset("moons", 60_000, 0.3, seed=6)
+    sz.save_dataset(ds, tmp_path / "big.txt")
+    encoder = dt.fit_encoder(ds.features, 3, 0.5)
+    net = nw.init_network((64, 256), encoder.encoded_dim, 7, nw.GroupSumConfig(2, 8.0))
+    sz.save_circuit(cc.harden_network(net), tmp_path / "wide.circuit.txt", encoder)
+    inputs = []
+    real = cc.eval_circuit
+
+    def entered(*args, **kwargs):
+        tracemalloc.reset_peak()
+        inputs.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cc, "eval_circuit", entered)
+    tracemalloc.start()
+    try:
+        rc = run(["eval", "--circuit", tmp_path / "wide.circuit.txt",
+                  "--data", tmp_path / "big.txt", "--selective",
+                  "--out", str(tmp_path), "--name", "wide"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == cli.EXIT_OK and len(inputs) == 1
+    assert peak - inputs[0] < ds.n * 256
 
 
 def test_binary_pipeline_round_trip(tmp_path):
@@ -475,6 +548,9 @@ def test_bench_records_its_environment(tmp_path, monkeypatch):
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
     assert env["cpu_count"] == os.cpu_count() >= 1
+    assert env["cpus_available"] == len(os.sched_getaffinity(0)) >= 1
+    assert env["circuit_workers"] == cc._workers()
+    assert 1 <= env["circuit_workers"] <= env["cpus_available"]
     assert env["OMP_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
     assert "OPENBLAS_NUM_THREADS" in env
     comments = [ln for ln in open(tmp_path / "bm.tsv").read().splitlines()
@@ -491,6 +567,21 @@ def test_exit_code_for_missing_dataset(tmp_path, capsys):
               tmp_path / "no.txt", "--out", str(tmp_path)])
     assert rc == cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_exit_code_for_running_out_of_memory(trained, tmp_path, monkeypatch, capsys):
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array with shape "
+                          "(100000, 128000) and data type int8")
+
+    monkeypatch.setattr(cc, "eval_circuit", too_big)
+    rc = run(["eval", "--circuit", trained["circuit"], "--data", trained["test"],
+              "--out", str(tmp_path), "--name", "oom"])
+    assert rc == cli.EXIT_MEMORY == 4
+    err = capsys.readouterr().err
+    assert err == ("memory error: Unable to allocate 11.9 GiB for an array with "
+                   "shape (100000, 128000) and data type int8\n")
+    assert "Traceback" not in err
 
 
 def test_exit_code_for_malformed_csv(tmp_path, capsys):
