@@ -54,6 +54,17 @@ all `tritnet eval`, `gap_report` and `selective_curve` need. Class
 predictions take the argmax score with ties broken toward the lowest
 class index, and the margin is the gap between the top two scores; one
 pass over the k score columns yields both.
+
+A row's results depend on its trits alone, so when all 3^d trit rows of
+the circuit's d inputs fit in the batch and in one block (d <= 8), each
+distinct row runs once: a first pass over the blocks checks every row
+and counts each row's base-3 key, the distinct rows run through the
+chunks above, and a second pass copies each row's results from its
+distinct row's, the UNKNOWN count being each distinct row's count times
+its multiplicity. The results are those of running every row, bit for
+bit, and the memory stays bounded by the table of at most `BLOCK_ROWS`
+distinct rows plus one block. Inputs with more trit rows than that, as
+at the paper's scale, run every row.
 """
 
 from __future__ import annotations
@@ -304,14 +315,20 @@ def _rank(scores, preds, margins, top, low) -> None:
     np.subtract(top, margins, out=margins)
 
 
-def _run_chunk(circuit: Circuit, x, ws: _Workspace, outputs, scores, preds, margins):
+def _trits(x: np.ndarray) -> np.ndarray:
+    """Rows of circuit inputs as integers, or the engine's ValueError."""
+    return algebra.exact_ints(x, -1, 1, "circuit inputs must be trits in {-1, 0, +1}")
+
+
+def _run_chunk(circuit: Circuit, x, ws: _Workspace, outputs, scores, preds, margins,
+               unknown=None):
     """Evaluate one chunk of rows in `ws`: write their scores, predictions
     and margins, and their output trits into `outputs` unless it is None,
-    in which case returns the count of UNKNOWN output trits (else 0)."""
+    in which case returns the count of UNKNOWN output trits (else 0) and
+    writes each row's count into `unknown` if given."""
     m, k = x.shape[0], circuit.groupsum.k
     bits, layers, index, lanes, tally, (top, low) = ws.views(-(-m // 64))
-    true, false = _pack(algebra.exact_ints(
-        x, -1, 1, "circuit inputs must be trits in {-1, 0, +1}"), bits)
+    true, false = _pack(_trits(x), bits)
     for (_, s, t), coeffs, buffers in zip(circuit.conn.live, circuit.coeffs, layers):
         true, false = _gate_layer(true, false, s, t, coeffs, buffers)
     t_lanes, f_lanes = _spread(true, false, index, lanes)  # rows past m are padding
@@ -320,6 +337,8 @@ def _run_chunk(circuit: Circuit, x, ws: _Workspace, outputs, scores, preds, marg
     _rank(scores, preds, margins, top[:m], low[:m])
     words, _, w = t_lanes.shape
     if outputs is None:
+        if unknown is not None:
+            np.subtract(w, known[:m].sum(axis=1), out=unknown, casting="unsafe")
         return m * w - int(known[:m].sum())
     trits = np.subtract(t_lanes.view(np.int8), f_lanes.view(np.int8),
                         out=index.view(np.int8).reshape(words, 8, 8 * w))
@@ -334,6 +353,20 @@ def _evaluate(circuit: Circuit, x: np.ndarray, outputs):
     """The engine behind `eval_circuit`: (UNKNOWN count, scores,
     predictions, margins) of a 2-D batch, with the output trits written
     into `outputs` when it is an array (the count is then 0).
+
+    When all 3^d trit rows of the circuit's d inputs fit in the batch and
+    in one block, each distinct row runs once (`_evaluate_distinct`);
+    otherwise every row runs (`_evaluate_rows`).
+    """
+    n, d = x.shape
+    if d < 32 and 3**d <= min(n, BLOCK_ROWS):  # no block holds 3^32 rows: skip the power
+        return _evaluate_distinct(circuit, x, outputs)
+    return _evaluate_rows(circuit, x, outputs)
+
+
+def _evaluate_rows(circuit: Circuit, x: np.ndarray, outputs, unknown=None):
+    """`_evaluate` on every row; with `outputs` None, each row's UNKNOWN
+    count is also written into `unknown` if given.
 
     Chunks of rows go round-robin to up to `_workers()` workers: the
     calling thread and the threads of an executor that is joined before
@@ -362,7 +395,8 @@ def _evaluate(circuit: Circuit, x: np.ndarray, outputs):
                 rows = slice(lo, lo + chunk)
                 count += _run_chunk(circuit, x[rows], ws,
                                     None if outputs is None else outputs[rows],
-                                    scores[rows], preds[rows], margins[rows])
+                                    scores[rows], preds[rows], margins[rows],
+                                    None if unknown is None else unknown[rows])
         except BaseException:
             stop.set()  # the other workers end after their current chunk
             raise
@@ -376,6 +410,61 @@ def _evaluate(circuit: Circuit, x: np.ndarray, outputs):
         futures = [pool.submit(work, first, ws) for first, ws in zip(firsts[1:], spaces[1:])]
         count = work(0, spaces[0])
     return count + sum(f.result() for f in futures), scores, preds, margins
+
+
+def _keys(x: np.ndarray, place: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each trit row's base-3 key, sum over j of (x[j] + 1) 3^(d-1-j), in
+    [0, 3^d), written into `out` after the engine's trit check; `place`
+    holds the powers 3^(d-1-j) as float32, in which every partial sum of
+    trits times them is an exact integer for d <= 15."""
+    np.copyto(out, _trits(x).astype(np.float32) @ place, casting="unsafe")
+    out += (3 ** x.shape[1] - 1) // 2  # the key of the all-UNKNOWN row
+    return out
+
+
+def _evaluate_distinct(circuit: Circuit, x: np.ndarray, outputs):
+    """`_evaluate` with each distinct row of `x` run once.
+
+    A first pass over the blocks checks every row, counts each key and
+    notes a row that holds it. Those rows, at most 3^d <= `BLOCK_ROWS`,
+    run through `_evaluate_rows`, and a second pass over the blocks
+    copies each row's results from its key's. A row's results depend on
+    its trits alone, so they are those of running every row. The UNKNOWN
+    count is each distinct row's count times its multiplicity, so with
+    `outputs` None no (distinct rows, width) array is built.
+    """
+    n, d = x.shape
+    scores = np.empty((n, circuit.groupsum.k))
+    preds = np.empty(n, dtype=np.intp)
+    margins = np.empty(n)
+    place = 3.0 ** np.arange(d - 1, -1, -1, dtype=np.float32)
+    blocks = [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+    keys = np.empty(min(n, BLOCK_ROWS), dtype=np.intp)  # one block's keys
+    at = np.empty_like(keys)  # and their rows in the table
+    hits = np.zeros(3**d, dtype=np.int64)
+    holder = np.empty(3**d, dtype=np.intp)  # a row of `x` with each key that occurs
+    for block in blocks:
+        here = _keys(x[block], place, keys[:block.stop - block.start])
+        hits += np.bincount(here, minlength=3**d)
+        holder[here] = np.arange(block.start, block.stop)
+    distinct = np.flatnonzero(hits)
+    if outputs is None:
+        table, unknown = None, np.empty(len(distinct), dtype=np.int64)
+    else:
+        table, unknown = np.empty((len(distinct), outputs.shape[1]), dtype=np.int8), None
+    _, *results = _evaluate_rows(circuit, x.take(holder[distinct], axis=0), table, unknown)
+    slot = np.empty(3**d, dtype=np.intp)  # a key's row in the table
+    slot[distinct] = np.arange(len(distinct))
+    pairs = list(zip(results, (scores, preds, margins)))
+    if table is not None:
+        pairs.append((table, outputs))
+    for block in blocks:
+        m = block.stop - block.start
+        here = slot.take(_keys(x[block], place, keys[:m]), out=at[:m], mode="clip")
+        for source, dest in pairs:
+            source.take(here, axis=0, out=dest[block], mode="clip")
+    count = 0 if unknown is None else int(hits[distinct] @ unknown)
+    return count, scores, preds, margins
 
 
 def eval_circuit(circuit: Circuit, x, *, outputs: bool = True):

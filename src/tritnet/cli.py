@@ -383,12 +383,14 @@ def cmd_bench(args) -> int:
     for arch in nw.ARCHS:
         times = pl._bench_arch(arch, widths, args.input_dim, args.batch_size,
                                args.steps, args.warmup, args.seed)
+        rates, distinct = pl._bench_circuit(arch, widths, args.input_dim,
+                                            args.steps, args.seed)
         results[arch] = {
             "median_ms": float(np.median(times) * 1000),
             "mean_ms": float(np.mean(times) * 1000),
             "steps": args.steps,
-            "circuit_samples_per_s": pl._bench_circuit(arch, widths, args.input_dim,
-                                                       args.steps, args.seed),
+            "circuit_distinct_rows": distinct,
+            "circuit_samples_per_s": rates,
         }
     base, *others = results  # each other arch's median step over the first's
     ratios = {f"ratio_{arch}_over_{base}": results[arch]["median_ms"]
@@ -411,9 +413,10 @@ def cmd_bench(args) -> int:
     paths = {"table": os.path.join(out, f"{name}.tsv")}
     sz.save_report(
         [[arch, f"{r['median_ms']:.3f}", f"{r['mean_ms']:.3f}", r["steps"],
-          *per_s[arch]] for arch, r in results.items()],
+          *r["circuit_distinct_rows"].values(), *per_s[arch]] for arch, r in results.items()],
         paths["table"],
         columns=["arch", "median_ms_per_step", "mean_ms_per_step", "steps",
+                 "circuit_distinct_rows_1e3", "circuit_distinct_rows_1e5",
                  "circuit_samples_per_s_1e3", "circuit_samples_per_s_1e5"],
         comments=[f"matched widths {widths}, batch {args.batch_size}, "
                   f"warmup {args.warmup}, {live}",

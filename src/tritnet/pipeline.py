@@ -138,18 +138,22 @@ def _bench_arch(arch: str, widths, input_dim: int, batch: int, steps: int,
     return times
 
 
-def _bench_circuit(arch: str, widths, input_dim: int, calls: int, seed: int) -> dict:
+def _bench_circuit(arch: str, widths, input_dim: int, calls: int,
+                   seed: int) -> tuple[dict, dict]:
     """`eval_circuit` samples/s of the hardened net `_bench_arch` starts
-    from, on random trit rows: the median of `calls` calls at 10^3 rows,
-    one call at 10^5. The engine's work is set by the wiring and the
-    rows, not by the gates or the input values."""
+    from, on random trit rows, with the outputs counted as `tritnet eval`
+    runs it: the median of `calls` calls at 10^3 rows, one call at 10^5;
+    and the distinct rows of each batch. Where all 3^input_dim trit rows
+    fit in a batch and a block, the engine runs each distinct row once,
+    so the work depends on the input values through those counts."""
     rng = np.random.default_rng(seed)
     net = net_mod.init_network(widths, input_dim, seed, arch=arch)
     circuit = circ_mod.harden_network(net)
-    rates = {}
+    rates, distinct = {}, {}
     for rows, repeats in ((10**3, calls), (10**5, 1)):
         x = rng.integers(-1, 2, size=(rows, input_dim))
-        times = timeit.repeat(lambda: circ_mod.eval_circuit(circuit, x), number=1,
-                              repeat=repeats)
+        times = timeit.repeat(lambda: circ_mod.eval_circuit(circuit, x, outputs=False),
+                              number=1, repeat=repeats)
         rates[str(rows)] = rows / float(np.median(times))
-    return rates
+        distinct[str(rows)] = len(np.unique(x, axis=0))
+    return rates, distinct

@@ -65,7 +65,9 @@ DECISION_FLAGS = {
     "argmax_ties": "lowest index",
     "mse_targets": "one-hot in raw score space",
     "execution": "training serial; circuit row chunks on one thread per "
-                 "available CPU, results independent of the thread count",
+                 "available CPU, each distinct row once where all 3^d trit "
+                 "rows fit in the batch and a block, results independent of "
+                 "the thread count and of repeated rows",
 }
 
 

@@ -254,15 +254,15 @@ def test_ranking_on_ties_and_many_classes():
     assert_same(circ, x)
 
 
-def _peak_beyond_results(circ, n):
+def _peak_beyond_results(circ, n, outputs=True):
     x = np.random.default_rng(n).integers(-1, 2, size=(n, circ.input_dim))
     tracemalloc.start()
     try:
-        results = cc.eval_circuit(circ, x)
+        results = cc.eval_circuit(circ, x, outputs=outputs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - sum(r.nbytes for r in results)
+    return peak - sum(np.asarray(r).nbytes for r in results[outputs is False:])
 
 
 def test_working_memory_does_not_grow_with_rows():
@@ -365,3 +365,178 @@ def test_concurrent_callers_get_their_own_results(monkeypatch):
         for results in got:
             for g, w in zip(results, want):
                 assert np.array_equal(g, w)
+
+
+# With 9 inputs, 3^9 > BLOCK_ROWS, so every row runs: the cases below
+# keep the chunked path covered where the ones above, at d <= 6 and at
+# least 3^d rows, now run each distinct row once.
+
+def test_working_memory_does_not_grow_with_rows_when_every_row_runs():
+    circ = random_circuit(9, (256, 256, 64), seed=16)
+    one = _peak_beyond_results(circ, cc.BLOCK_ROWS)
+    four = _peak_beyond_results(circ, 4 * cc.BLOCK_ROWS)
+    assert one < 8 * cc.BLOCK_ROWS * 256
+    assert four <= one * 1.1
+
+
+def test_working_memory_stays_fixed_across_runs_when_every_row_runs():
+    circ = random_circuit(9, (256, 256, 64), seed=16)
+    for _ in range(10):
+        one = _peak_beyond_results(circ, cc.BLOCK_ROWS)
+        four = _peak_beyond_results(circ, 4 * cc.BLOCK_ROWS)
+        assert four <= one * 1.1
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", range(8))
+def test_chunk_edges_at_any_worker_count_when_every_row_runs(monkeypatch, workers, case):
+    monkeypatch.setattr(cc, "_WORKERS", workers)
+    n = _row_counts()[case]
+    circ = random_circuit(9, (40, 30, 12), seed=case, k=3)
+    x = np.random.default_rng(case).integers(-1, 2, size=(n, 9))
+    assert_same(circ, x)
+    assert_counted(circ, x)
+
+
+@pytest.mark.parametrize("workers", [None, 3])
+@pytest.mark.parametrize("outputs", [True, False])
+def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker_when_every_row_runs(
+        monkeypatch, workers, outputs):
+    if workers:
+        monkeypatch.setattr(cc, "_WORKERS", workers)
+    circ = random_circuit(9, (16, 8), seed=23)
+    x = np.zeros((5 * cc.BLOCK_ROWS + 3, 9), dtype=np.int8)
+    x[-1, 0] = 2
+    before = threading.active_count()
+    with pytest.raises(ValueError) as got:
+        cc.eval_circuit(circ, x, outputs=outputs)
+    assert str(got.value) == "circuit inputs must be trits in {-1, 0, +1}"
+    assert threading.active_count() == before
+
+
+def test_concurrent_callers_get_their_own_results_when_every_row_runs(monkeypatch):
+    monkeypatch.setattr(cc, "_WORKERS", 3)
+    circuits = [random_circuit(9, (48, 24, 6), seed=30, k=3),
+                random_circuit(9, (20, 20, 8), seed=31, k=2)]
+    inputs = [np.random.default_rng(s).integers(-1, 2, size=(2 * cc.BLOCK_ROWS + 65, 9))
+              for s in (32, 33)]
+    wants = [lookup_eval(c, x) for c, x in zip(circuits, inputs)]
+    gots = [[], []]
+
+    def caller(i):
+        for _ in range(4):
+            gots[i].append(cc.eval_circuit(circuits[i], inputs[i]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(gots, wants):
+        assert len(got) == 4
+        for results in got:
+            for g, w in zip(results, want):
+                assert np.array_equal(g, w)
+
+
+# Each distinct row once: at most 3^d <= BLOCK_ROWS rows run, whatever the batch.
+
+def arch_circuit(arch, d, seed):
+    """A ternary circuit of random gates, or a hardened binary network."""
+    if arch == "ternary":
+        return random_circuit(d, (40, 30, 12), seed=seed, k=3)
+    net = nw.init_network((40, 30, 12), d, seed, nw.GroupSumConfig(3, 2.0), arch="binary")
+    return cc.harden_network(net)
+
+
+def every_key_first(d, n, seed):
+    """n trit rows, shuffled: each of the 3^d rows once while n allows,
+    then rows drawn at random."""
+    rng = np.random.default_rng(seed)
+    every = all_trit_rows(d)
+    x = np.concatenate([every[:n], every[rng.integers(0, 3**d, size=max(0, n - 3**d))]])
+    return x[rng.permutation(n)]
+
+
+@pytest.mark.parametrize("arch", ["ternary", "binary"])
+@pytest.mark.parametrize("d", [2, 6, 8])
+@pytest.mark.parametrize("edge", ["3^d-1", "3^d", "3^d+1", "block-1", "block+1",
+                                  "4 blocks+3"])
+def test_distinct_rows_give_the_results_of_every_row(arch, d, edge):
+    n = {"3^d-1": 3**d - 1, "3^d": 3**d, "3^d+1": 3**d + 1, "block-1": cc.BLOCK_ROWS - 1,
+         "block+1": cc.BLOCK_ROWS + 1, "4 blocks+3": 4 * cc.BLOCK_ROWS + 3}[edge]
+    circ = arch_circuit(arch, d, seed=d)
+    x = every_key_first(d, n, seed=n)
+    assert_same(circ, x)
+    assert_counted(circ, x)
+    # slices of fewer than 3^d rows run every row
+    step = 3**d - 1
+    parts = zip(*(cc.eval_circuit(circ, x[lo:lo + step]) for lo in range(0, n, step)))
+    want = [np.concatenate(part) for part in parts]
+    for g, w in zip(cc.eval_circuit(circ, x), want):
+        assert np.array_equal(g, w)
+    unknown, *got = cc.eval_circuit(circ, x, outputs=False)
+    assert unknown == np.count_nonzero(want[0] == 0)
+    for g, w in zip(got, want[1:]):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("d, n, distinct", [(6, 1000, True), (6, 728, False),
+                                            (9, 10**5, False)])
+@pytest.mark.parametrize("outputs", [True, False])
+def test_which_rows_run(monkeypatch, d, n, distinct, outputs):
+    circ = random_circuit(d, (16, 8), seed=d)
+    x = np.random.default_rng(n).integers(-1, 2, size=(n, d))
+    ran, real = [], cc._run_chunk
+
+    def spy(circuit, rows, *args):
+        ran.append(np.array(rows))
+        return real(circuit, rows, *args)
+
+    monkeypatch.setattr(cc, "_run_chunk", spy)
+    cc.eval_circuit(circ, x, outputs=outputs)
+    got = np.concatenate(ran)
+    rows, counts = np.unique(x, axis=0, return_counts=True)
+    if distinct:
+        assert len(rows) < n and len(got) == len(rows)
+        assert np.array_equal(np.unique(got, axis=0), rows)
+    else:
+        got_rows, got_counts = np.unique(got, axis=0, return_counts=True)
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_counts, counts)
+
+
+@pytest.mark.parametrize("d", [2, 6, 8])
+@pytest.mark.parametrize("workers", [None, 3])
+@pytest.mark.parametrize("outputs", [True, False])
+def test_a_bad_trit_in_the_last_block_raises_before_any_row_runs(monkeypatch, d, workers,
+                                                                 outputs):
+    if workers:
+        monkeypatch.setattr(cc, "_WORKERS", workers)
+    circ = random_circuit(d, (16, 8), seed=24)
+    x = np.resize(all_trit_rows(d).astype(np.int8), (4 * cc.BLOCK_ROWS + 3, d))
+    x[-1, -1] = 2
+    ran = []
+    monkeypatch.setattr(cc, "_run_chunk", lambda *args: ran.append(args))
+    before = threading.active_count()
+    with pytest.raises(ValueError) as got:
+        cc.eval_circuit(circ, x, outputs=outputs)
+    assert str(got.value) == "circuit inputs must be trits in {-1, 0, +1}"
+    assert threading.active_count() == before and not ran
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("outputs", [True, False])
+def test_distinct_rows_working_memory_does_not_grow_with_rows(monkeypatch, d, outputs):
+    # two workers, so that 8192 and 32768 random rows of 8 trits, about
+    # 4700 and 6500 distinct ones, run in as many workspaces
+    monkeypatch.setattr(cc, "_WORKERS", 2)
+    circ = random_circuit(d, (256, 256, 64), seed=16)
+    one = _peak_beyond_results(circ, cc.BLOCK_ROWS, outputs)
+    four = _peak_beyond_results(circ, 4 * cc.BLOCK_ROWS, outputs)
+    assert four <= one * 1.1

@@ -537,6 +537,36 @@ def test_bench_warns_when_steps_too_few(tmp_path, capsys):
     assert f"circuit samples/s at 10^3/10^5 rows: {', '.join(rates)}" in captured.out
 
 
+def test_bench_records_the_distinct_rows_it_evaluates(tmp_path):
+    # 4 inputs have 81 trit rows, which both batches of random rows hold
+    rc = run(["bench", "--widths", "4", "--output-neurons", "2", "--input-dim", "4",
+              "--batch", "8", "--steps", "2", "--warmup", "0",
+              "--out", str(tmp_path), "--name", "bm"])
+    assert rc == cli.EXIT_OK
+    results = sz.load_manifest(tmp_path / "bm.manifest.json")["results"]
+    table = [ln.split("\t") for ln in open(tmp_path / "bm.tsv").read().splitlines()
+             if not ln.startswith("#")]
+    assert table[0][4:6] == ["circuit_distinct_rows_1e3", "circuit_distinct_rows_1e5"]
+    for arch, row in zip(("ternary", "binary"), table[1:]):
+        assert results[arch]["circuit_distinct_rows"] == {"1000": 81, "100000": 81}
+        assert row[0] == arch and row[4:6] == ["81", "81"]
+
+
+def test_bench_times_the_counted_eval(monkeypatch):
+    calls = []
+    real = cc.eval_circuit
+
+    def spy(circuit, x, **kwargs):
+        calls.append(kwargs)
+        return real(circuit, x, **kwargs)
+
+    monkeypatch.setattr(cc, "eval_circuit", spy)
+    rates, distinct = pl._bench_circuit("ternary", (8, 4), 3, 2, 0)
+    assert calls and all(kw == {"outputs": False} for kw in calls)
+    assert list(rates) == list(distinct) == ["1000", "100000"]
+    assert distinct == {"1000": 27, "100000": 27}
+
+
 def test_bench_records_its_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
