@@ -47,10 +47,11 @@ the thread count. Integer
 inputs are range-checked and packed in their own dtype; others must
 convert to int64 unchanged. The output planes are spread to byte lanes,
 one sample a lane, whose sums over a class's neurons give the GroupSum
-counts. The engine takes an optional destination for the output trits:
-`eval_circuit` unpacks them into its result rows, and with
-`outputs=False` it returns the count of UNKNOWN trits instead, which is
-all `tritnet eval`, `gap_report` and `selective_curve` need. Class
+counts. `eval_circuit` allocates its four per-row results once and every
+path writes into them: the output trits, unpacked into their rows, or
+with `outputs=False` each row's count of UNKNOWN output trits instead,
+which is all `tritnet eval`, `gap_report` and `selective_curve` need;
+the scores; the predictions; the margins. Class
 predictions take the argmax score with ties broken toward the lowest
 class index, and the margin is the gap between the top two scores; one
 pass over the k score columns yields both.
@@ -58,13 +59,12 @@ pass over the k score columns yields both.
 A row's results depend on its trits alone, so when all 3^d trit rows of
 the circuit's d inputs fit in the batch and in one block (d <= 8), each
 distinct row runs once: a first pass over the blocks checks every row
-and counts each row's base-3 key, the distinct rows run through the
-chunks above, and a second pass copies each row's results from its
-distinct row's, the UNKNOWN count being each distinct row's count times
-its multiplicity. The results are those of running every row, bit for
-bit, and the memory stays bounded by the table of at most `BLOCK_ROWS`
-distinct rows plus one block. Inputs with more trit rows than that, as
-at the paper's scale, run every row.
+and marks its base-3 key, the distinct rows run through the chunks
+above, and a second pass gathers each row's results from its distinct
+row's. Every row is keyed once. The results are those of running every
+row, bit for bit, and the memory stays bounded by the tables of at most
+`BLOCK_ROWS` distinct rows plus one block. Inputs with more trit rows
+than that, as at the paper's scale, run every row.
 """
 
 from __future__ import annotations
@@ -320,12 +320,10 @@ def _trits(x: np.ndarray) -> np.ndarray:
     return algebra.exact_ints(x, -1, 1, "circuit inputs must be trits in {-1, 0, +1}")
 
 
-def _run_chunk(circuit: Circuit, x, ws: _Workspace, outputs, scores, preds, margins,
-               unknown=None):
-    """Evaluate one chunk of rows in `ws`: write their scores, predictions
-    and margins, and their output trits into `outputs` unless it is None,
-    in which case returns the count of UNKNOWN output trits (else 0) and
-    writes each row's count into `unknown` if given."""
+def _run_chunk(circuit: Circuit, x, ws: _Workspace, first, scores, preds, margins) -> None:
+    """Evaluate one chunk of rows in `ws` and write their results: the
+    output trits into `first` if it is 2-D, else each row's count of
+    UNKNOWN output trits; the scores, predictions and margins."""
     m, k = x.shape[0], circuit.groupsum.k
     bits, layers, index, lanes, tally, (top, low) = ws.views(-(-m // 64))
     true, false = _pack(_trits(x), bits)
@@ -336,37 +334,19 @@ def _run_chunk(circuit: Circuit, x, ws: _Workspace, outputs, scores, preds, marg
     np.divide(sums[:m], circuit.groupsum.tau, out=scores)
     _rank(scores, preds, margins, top[:m], low[:m])
     words, _, w = t_lanes.shape
-    if outputs is None:
-        if unknown is not None:
-            np.subtract(w, known[:m].sum(axis=1), out=unknown, casting="unsafe")
-        return m * w - int(known[:m].sum())
+    if first.ndim == 1:
+        np.subtract(w, known[:m].sum(axis=1), out=first, casting="unsafe")
+        return
     trits = np.subtract(t_lanes.view(np.int8), f_lanes.view(np.int8),
                         out=index.view(np.int8).reshape(words, 8, 8 * w))
     by_row = trits.reshape(words, 8, w, 8).transpose(0, 1, 3, 2)  # (words, 8, 8, w)
     whole = m // 64
-    outputs[:64 * whole].reshape(whole, 8, 8, w)[...] = by_row[:whole]
-    outputs[64 * whole:] = by_row[whole:].reshape(-1, w)[:m - 64 * whole]
-    return 0
+    first[:64 * whole].reshape(whole, 8, 8, w)[...] = by_row[:whole]
+    first[64 * whole:] = by_row[whole:].reshape(-1, w)[:m - 64 * whole]
 
 
-def _evaluate(circuit: Circuit, x: np.ndarray, outputs):
-    """The engine behind `eval_circuit`: (UNKNOWN count, scores,
-    predictions, margins) of a 2-D batch, with the output trits written
-    into `outputs` when it is an array (the count is then 0).
-
-    When all 3^d trit rows of the circuit's d inputs fit in the batch and
-    in one block, each distinct row runs once (`_evaluate_distinct`);
-    otherwise every row runs (`_evaluate_rows`).
-    """
-    n, d = x.shape
-    if d < 32 and 3**d <= min(n, BLOCK_ROWS):  # no block holds 3^32 rows: skip the power
-        return _evaluate_distinct(circuit, x, outputs)
-    return _evaluate_rows(circuit, x, outputs)
-
-
-def _evaluate_rows(circuit: Circuit, x: np.ndarray, outputs, unknown=None):
-    """`_evaluate` on every row; with `outputs` None, each row's UNKNOWN
-    count is also written into `unknown` if given.
+def _evaluate_rows(circuit: Circuit, x: np.ndarray, results) -> None:
+    """Run every row of the 2-D batch `x`, writing its rows of `results`.
 
     Chunks of rows go round-robin to up to `_workers()` workers: the
     calling thread and the threads of an executor that is joined before
@@ -375,9 +355,6 @@ def _evaluate_rows(circuit: Circuit, x: np.ndarray, outputs, unknown=None):
     inputs and the disjoint rows of the results they write.
     """
     n = x.shape[0]
-    scores = np.empty((n, circuit.groupsum.k))
-    preds = np.empty(n, dtype=np.intp)
-    margins = np.empty(n)
     workers, chunk = _workers(), _CHUNK_ROWS
     firsts = range(0, min(n, workers * chunk), chunk)  # each worker's first row
     # allocated before any worker starts and kept until all are done, so
@@ -385,31 +362,29 @@ def _evaluate_rows(circuit: Circuit, x: np.ndarray, outputs, unknown=None):
     spaces = [_Workspace(circuit, min(chunk, n)) for _ in firsts]
     stop = threading.Event()
 
-    def work(first: int, ws: _Workspace) -> int:
-        count = 0
+    def work(first: int, ws: _Workspace) -> None:
         bufsize = np.setbufsize(_UFUNC_BUFSIZE)  # this thread's, restored below
         try:
             for lo in range(first, n, workers * chunk):
                 if stop.is_set():
                     break
                 rows = slice(lo, lo + chunk)
-                count += _run_chunk(circuit, x[rows], ws,
-                                    None if outputs is None else outputs[rows],
-                                    scores[rows], preds[rows], margins[rows],
-                                    None if unknown is None else unknown[rows])
+                _run_chunk(circuit, x[rows], ws, *(r[rows] for r in results))
         except BaseException:
             stop.set()  # the other workers end after their current chunk
             raise
         finally:
             np.setbufsize(bufsize)
-        return count
 
     if len(firsts) <= 1:
-        return (work(0, spaces[0]) if n else 0), scores, preds, margins
+        if n:
+            work(0, spaces[0])
+        return
     with ThreadPoolExecutor(len(firsts) - 1) as pool:
         futures = [pool.submit(work, first, ws) for first, ws in zip(firsts[1:], spaces[1:])]
-        count = work(0, spaces[0])
-    return count + sum(f.result() for f in futures), scores, preds, margins
+        work(0, spaces[0])
+    for future in futures:
+        future.result()
 
 
 def _keys(x: np.ndarray, place: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -422,49 +397,36 @@ def _keys(x: np.ndarray, place: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate_distinct(circuit: Circuit, x: np.ndarray, outputs):
-    """`_evaluate` with each distinct row of `x` run once.
+def _evaluate_distinct(circuit: Circuit, x: np.ndarray, results) -> None:
+    """`_evaluate_rows` with each distinct row of `x` run once.
 
-    A first pass over the blocks checks every row, counts each key and
-    notes a row that holds it. Those rows, at most 3^d <= `BLOCK_ROWS`,
-    run through `_evaluate_rows`, and a second pass over the blocks
-    copies each row's results from its key's. A row's results depend on
-    its trits alone, so they are those of running every row. The UNKNOWN
-    count is each distinct row's count times its multiplicity, so with
-    `outputs` None no (distinct rows, width) array is built.
+    A first pass over the blocks checks every row, marks its key and
+    parks it in the row's prediction, noting a row that holds each key.
+    Those rows, at most 3^d <= `BLOCK_ROWS`, run through `_evaluate_rows`
+    into a table of each result, and a second pass over the blocks
+    gathers every row's results from its key's. A row's results depend
+    on its trits alone, so they are those of running every row.
     """
     n, d = x.shape
-    scores = np.empty((n, circuit.groupsum.k))
-    preds = np.empty(n, dtype=np.intp)
-    margins = np.empty(n)
+    preds = results[2]
     place = 3.0 ** np.arange(d - 1, -1, -1, dtype=np.float32)
     blocks = [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-    keys = np.empty(min(n, BLOCK_ROWS), dtype=np.intp)  # one block's keys
-    at = np.empty_like(keys)  # and their rows in the table
-    hits = np.zeros(3**d, dtype=np.int64)
+    seen = np.zeros(3**d, dtype=bool)
     holder = np.empty(3**d, dtype=np.intp)  # a row of `x` with each key that occurs
     for block in blocks:
-        here = _keys(x[block], place, keys[:block.stop - block.start])
-        hits += np.bincount(here, minlength=3**d)
+        here = _keys(x[block], place, preds[block])
+        seen[here] = True
         holder[here] = np.arange(block.start, block.stop)
-    distinct = np.flatnonzero(hits)
-    if outputs is None:
-        table, unknown = None, np.empty(len(distinct), dtype=np.int64)
-    else:
-        table, unknown = np.empty((len(distinct), outputs.shape[1]), dtype=np.int8), None
-    _, *results = _evaluate_rows(circuit, x.take(holder[distinct], axis=0), table, unknown)
-    slot = np.empty(3**d, dtype=np.intp)  # a key's row in the table
+    distinct = np.flatnonzero(seen)
+    tables = [np.empty((len(distinct), *r.shape[1:]), r.dtype) for r in results]
+    _evaluate_rows(circuit, x.take(holder[distinct], axis=0), tables)
+    slot = np.empty(3**d, dtype=np.intp)  # a key's row in the tables
     slot[distinct] = np.arange(len(distinct))
-    pairs = list(zip(results, (scores, preds, margins)))
-    if table is not None:
-        pairs.append((table, outputs))
+    at = np.empty(min(n, BLOCK_ROWS), dtype=np.intp)  # one block's rows in the tables
     for block in blocks:
-        m = block.stop - block.start
-        here = slot.take(_keys(x[block], place, keys[:m]), out=at[:m], mode="clip")
-        for source, dest in pairs:
-            source.take(here, axis=0, out=dest[block], mode="clip")
-    count = 0 if unknown is None else int(hits[distinct] @ unknown)
-    return count, scores, preds, margins
+        here = slot.take(preds[block], out=at[:block.stop - block.start], mode="clip")
+        for table, result in zip(tables, results):
+            table.take(here, axis=0, out=result[block], mode="clip")
 
 
 def eval_circuit(circuit: Circuit, x, *, outputs: bool = True):
@@ -474,17 +436,26 @@ def eval_circuit(circuit: Circuit, x, *, outputs: bool = True):
     trits, GroupSum scores, argmax class (lowest index on ties) and the
     top-minus-second score margin. Accepts one vector or a batch. With
     `outputs=False` the trits are counted, not kept: the first result
-    is the number of UNKNOWN output trits, an int, and no array of the
+    holds each row's number of UNKNOWN output trits, and no array of the
     outputs' size is built.
+
+    When all 3^d trit rows of the circuit's d inputs fit in the batch and
+    in one block, each distinct row runs once (`_evaluate_distinct`);
+    otherwise every row runs (`_evaluate_rows`).
     """
     x, single = circuit.input_batch(np.asarray(x))
-    dest = np.empty((x.shape[0], circuit.widths[-1]), dtype=np.int8) if outputs else None
-    first, scores, preds, margins = _evaluate(circuit, x, dest)  # the UNKNOWN count
-    if dest is not None:
-        first = dest[0] if single else dest
+    n, d = x.shape
+    results = (np.empty((n, circuit.widths[-1]), dtype=np.int8) if outputs
+               else np.empty(n, dtype=np.intp),
+               np.empty((n, circuit.groupsum.k)), np.empty(n, dtype=np.intp), np.empty(n))
+    if d < 32 and 3**d <= min(n, BLOCK_ROWS):  # no block holds 3^32 rows: skip the power
+        _evaluate_distinct(circuit, x, results)
+    else:
+        _evaluate_rows(circuit, x, results)
     if single:
-        return first, scores[0], int(preds[0]), float(margins[0])
-    return first, scores, preds, margins
+        first, scores, preds, margins = results
+        return first[0], scores[0], int(preds[0]), float(margins[0])
+    return results
 
 
 def hardening_error(net: Network) -> float:
@@ -533,7 +504,7 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
     if len(y) != x_enc.shape[0]:
         raise ValueError(f"{len(y)} labels for {x_enc.shape[0]} rows")
     soft_pred = soft_scores(net, x_enc).argmax(axis=1)
-    unknown, _, circ_pred, _ = eval_circuit(
+    counts, _, circ_pred, _ = eval_circuit(
         circuit, ARCHS[circuit.arch].trit_inputs(x_enc), outputs=False)
     soft_acc = float((soft_pred == y).mean())
     circ_acc = float((circ_pred == y).mean())
@@ -542,7 +513,7 @@ def gap_report(net, circuit: Circuit, x_enc, y) -> GapReport:
         circuit_accuracy=circ_acc,
         gap_pp=100.0 * (soft_acc - circ_acc),
         hardening_error=hardening_error(net),
-        unknown_fraction=unknown / (len(y) * circuit.widths[-1]),
+        unknown_fraction=int(counts.sum()) / (len(y) * circuit.widths[-1]),
         n_samples=int(x_enc.shape[0]),
     )
 

@@ -263,9 +263,9 @@ def cmd_eval(args) -> int:
         ".circuit")
     ds, x_enc = _encoded_data(args.data, args.circuit, encoder, circuit)
     x_enc = nw.ARCHS[circuit.arch].trit_inputs(x_enc)
-    unknown, _, preds, margins = cc.eval_circuit(circuit, x_enc, outputs=False)
+    counts, _, preds, margins = cc.eval_circuit(circuit, x_enc, outputs=False)
     acc = float((preds == ds.labels).mean())
-    unk = unknown / (ds.n * circuit.widths[-1])
+    unk = int(counts.sum()) / (ds.n * circuit.widths[-1])
     paths = {"metrics": os.path.join(out, f"{name}.metrics.tsv")}
     sz.save_report(
         [[f"{100 * acc:.2f}", f"{100 * unk:.2f}", ds.n]],

@@ -1,5 +1,7 @@
 """The bit-sliced circuit engine against the table-lookup evaluator it replaced."""
 
+import ast
+import pathlib
 import sys
 import threading
 import tracemalloc
@@ -70,11 +72,12 @@ def assert_same(circuit, x):
 
 
 def assert_counted(circuit, x):
-    """The streamed results equal `eval_circuit`'s, with the UNKNOWN
+    """The counted results equal `eval_circuit`'s, with each row's UNKNOWN
     output trits counted instead of kept."""
     outputs, *want = cc.eval_circuit(circuit, x)
-    unknown, *got = cc.eval_circuit(circuit, x, outputs=False)
-    assert type(unknown) is int and unknown == np.size(outputs) - np.count_nonzero(outputs)
+    counts, *got = cc.eval_circuit(circuit, x, outputs=False)
+    assert np.asarray(counts).dtype == np.intp
+    assert np.array_equal(counts, np.count_nonzero(outputs == 0, axis=-1))
     for g, w in zip(got, want):
         assert type(g) is type(w) and np.array_equal(g, w)
 
@@ -262,11 +265,16 @@ def _peak_beyond_results(circ, n, outputs=True):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - sum(np.asarray(r).nbytes for r in results[outputs is False:])
+    return peak - sum(r.nbytes for r in results)
 
 
-def test_working_memory_does_not_grow_with_rows():
-    circ = random_circuit(6, (256, 256, 64), seed=16)
+# The tests below that take an input width d cover both engine paths:
+# at the smaller width a batch of at least 3^d rows runs each distinct
+# row once; at 9, 3^9 > BLOCK_ROWS, so every row runs.
+
+@pytest.mark.parametrize("d", [6, 9])
+def test_working_memory_does_not_grow_with_rows(d):
+    circ = random_circuit(d, (256, 256, 64), seed=16)
     one = _peak_beyond_results(circ, cc.BLOCK_ROWS)
     four = _peak_beyond_results(circ, 4 * cc.BLOCK_ROWS)
     # below one (rows, widest layer) int64 array, of which the lookup
@@ -275,10 +283,11 @@ def test_working_memory_does_not_grow_with_rows():
     assert four <= one * 1.1
 
 
-def test_working_memory_stays_fixed_across_runs():
+@pytest.mark.parametrize("d", [6, 9])
+def test_working_memory_stays_fixed_across_runs(d):
     # each worker's workspace is allocated once per call, so the peak
     # does not depend on how the chunks of one or four blocks interleave
-    circ = random_circuit(6, (256, 256, 64), seed=16)
+    circ = random_circuit(d, (256, 256, 64), seed=16)
     for _ in range(10):
         one = _peak_beyond_results(circ, cc.BLOCK_ROWS)
         four = _peak_beyond_results(circ, 4 * cc.BLOCK_ROWS)
@@ -291,13 +300,14 @@ def _row_counts():
             3 * cc.BLOCK_ROWS + 7]
 
 
+@pytest.mark.parametrize("d", [6, 9])
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("case", range(8))
-def test_chunk_edges_at_any_worker_count(monkeypatch, workers, case):
+def test_chunk_edges_at_any_worker_count(monkeypatch, workers, case, d):
     monkeypatch.setattr(cc, "_WORKERS", workers)
     n = _row_counts()[case]
-    circ = random_circuit(6, (40, 30, 12), seed=case, k=3)
-    x = np.random.default_rng(case).integers(-1, 2, size=(n, 6))
+    circ = random_circuit(d, (40, 30, 12), seed=case, k=3)
+    x = np.random.default_rng(case).integers(-1, 2, size=(n, d))
     assert_same(circ, x)
     assert_counted(circ, x)
 
@@ -321,13 +331,15 @@ def test_group_sums_wider_than_a_byte_lane():
     assert (outputs == 1).all() and (scores == 300 / 7.0).all()
 
 
+@pytest.mark.parametrize("d", [3, 9])
 @pytest.mark.parametrize("workers", [None, 3])
 @pytest.mark.parametrize("outputs", [True, False])
-def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker(monkeypatch, workers, outputs):
+def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker(monkeypatch, workers,
+                                                                    outputs, d):
     if workers:
         monkeypatch.setattr(cc, "_WORKERS", workers)
-    circ = random_circuit(3, (16, 8), seed=23)
-    x = np.zeros((5 * cc.BLOCK_ROWS + 3, 3), dtype=np.int8)
+    circ = random_circuit(d, (16, 8), seed=23)
+    x = np.zeros((5 * cc.BLOCK_ROWS + 3, d), dtype=np.int8)
     x[-1, 0] = 2
     before = threading.active_count()
     with pytest.raises(ValueError) as got:
@@ -336,89 +348,12 @@ def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker(monkeypatch,
     assert threading.active_count() == before
 
 
-def test_concurrent_callers_get_their_own_results(monkeypatch):
+@pytest.mark.parametrize("d", [5, 9])
+def test_concurrent_callers_get_their_own_results(monkeypatch, d):
     monkeypatch.setattr(cc, "_WORKERS", 3)
-    circuits = [random_circuit(5, (48, 24, 6), seed=30, k=3),
-                random_circuit(5, (20, 20, 8), seed=31, k=2)]
-    inputs = [np.random.default_rng(s).integers(-1, 2, size=(2 * cc.BLOCK_ROWS + 65, 5))
-              for s in (32, 33)]
-    wants = [lookup_eval(c, x) for c, x in zip(circuits, inputs)]
-    gots = [[], []]
-
-    def caller(i):
-        for _ in range(4):
-            gots[i].append(cc.eval_circuit(circuits[i], inputs[i]))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for got, want in zip(gots, wants):
-        assert len(got) == 4
-        for results in got:
-            for g, w in zip(results, want):
-                assert np.array_equal(g, w)
-
-
-# With 9 inputs, 3^9 > BLOCK_ROWS, so every row runs: the cases below
-# keep the chunked path covered where the ones above, at d <= 6 and at
-# least 3^d rows, now run each distinct row once.
-
-def test_working_memory_does_not_grow_with_rows_when_every_row_runs():
-    circ = random_circuit(9, (256, 256, 64), seed=16)
-    one = _peak_beyond_results(circ, cc.BLOCK_ROWS)
-    four = _peak_beyond_results(circ, 4 * cc.BLOCK_ROWS)
-    assert one < 8 * cc.BLOCK_ROWS * 256
-    assert four <= one * 1.1
-
-
-def test_working_memory_stays_fixed_across_runs_when_every_row_runs():
-    circ = random_circuit(9, (256, 256, 64), seed=16)
-    for _ in range(10):
-        one = _peak_beyond_results(circ, cc.BLOCK_ROWS)
-        four = _peak_beyond_results(circ, 4 * cc.BLOCK_ROWS)
-        assert four <= one * 1.1
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("case", range(8))
-def test_chunk_edges_at_any_worker_count_when_every_row_runs(monkeypatch, workers, case):
-    monkeypatch.setattr(cc, "_WORKERS", workers)
-    n = _row_counts()[case]
-    circ = random_circuit(9, (40, 30, 12), seed=case, k=3)
-    x = np.random.default_rng(case).integers(-1, 2, size=(n, 9))
-    assert_same(circ, x)
-    assert_counted(circ, x)
-
-
-@pytest.mark.parametrize("workers", [None, 3])
-@pytest.mark.parametrize("outputs", [True, False])
-def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker_when_every_row_runs(
-        monkeypatch, workers, outputs):
-    if workers:
-        monkeypatch.setattr(cc, "_WORKERS", workers)
-    circ = random_circuit(9, (16, 8), seed=23)
-    x = np.zeros((5 * cc.BLOCK_ROWS + 3, 9), dtype=np.int8)
-    x[-1, 0] = 2
-    before = threading.active_count()
-    with pytest.raises(ValueError) as got:
-        cc.eval_circuit(circ, x, outputs=outputs)
-    assert str(got.value) == "circuit inputs must be trits in {-1, 0, +1}"
-    assert threading.active_count() == before
-
-
-def test_concurrent_callers_get_their_own_results_when_every_row_runs(monkeypatch):
-    monkeypatch.setattr(cc, "_WORKERS", 3)
-    circuits = [random_circuit(9, (48, 24, 6), seed=30, k=3),
-                random_circuit(9, (20, 20, 8), seed=31, k=2)]
-    inputs = [np.random.default_rng(s).integers(-1, 2, size=(2 * cc.BLOCK_ROWS + 65, 9))
+    circuits = [random_circuit(d, (48, 24, 6), seed=30, k=3),
+                random_circuit(d, (20, 20, 8), seed=31, k=2)]
+    inputs = [np.random.default_rng(s).integers(-1, 2, size=(2 * cc.BLOCK_ROWS + 65, d))
               for s in (32, 33)]
     wants = [lookup_eval(c, x) for c, x in zip(circuits, inputs)]
     gots = [[], []]
@@ -481,8 +416,8 @@ def test_distinct_rows_give_the_results_of_every_row(arch, d, edge):
     want = [np.concatenate(part) for part in parts]
     for g, w in zip(cc.eval_circuit(circ, x), want):
         assert np.array_equal(g, w)
-    unknown, *got = cc.eval_circuit(circ, x, outputs=False)
-    assert unknown == np.count_nonzero(want[0] == 0)
+    counts, *got = cc.eval_circuit(circ, x, outputs=False)
+    assert np.array_equal(counts, np.count_nonzero(want[0] == 0, axis=1))
     for g, w in zip(got, want[1:]):
         assert np.array_equal(g, w)
 
@@ -509,6 +444,45 @@ def test_which_rows_run(monkeypatch, d, n, distinct, outputs):
     else:
         got_rows, got_counts = np.unique(got, axis=0, return_counts=True)
         assert np.array_equal(got_rows, rows) and np.array_equal(got_counts, counts)
+
+
+@pytest.mark.parametrize("outputs", [True, False])
+def test_every_row_is_keyed_once(monkeypatch, outputs):
+    n = 4 * cc.BLOCK_ROWS + 3
+    circ = random_circuit(6, (16, 8), seed=6)
+    x = np.random.default_rng(n).integers(-1, 2, size=(n, 6))
+    keyed, ran = [], []
+    real_keys, real_chunk = cc._keys, cc._run_chunk
+
+    def keys(rows, *args):
+        keyed.append(len(rows))
+        return real_keys(rows, *args)
+
+    def chunk(circuit, rows, *args):
+        ran.append(np.array(rows))
+        return real_chunk(circuit, rows, *args)
+
+    monkeypatch.setattr(cc, "_keys", keys)
+    monkeypatch.setattr(cc, "_run_chunk", chunk)
+    cc.eval_circuit(circ, x, outputs=outputs)
+    assert sum(keyed) == n
+    got = np.concatenate(ran)
+    assert len(got) == len(np.unique(got, axis=0)) == 3**6
+    assert np.array_equal(np.unique(got, axis=0), np.unique(x, axis=0))
+
+
+def test_no_program_path_keeps_the_output_trits():
+    # every call in the package counts the output trits; only callers
+    # outside it, such as the tests and the benchmark, keep them
+    calls = []
+    for path in sorted(pathlib.Path(cc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "eval_circuit" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                kept = [kw for kw in node.keywords if kw.arg == "outputs"]
+                calls.append((path.name, node.lineno, [ast.dump(kw.value) for kw in kept]))
+    assert len(calls) >= 4
+    assert all(kept == [ast.dump(ast.Constant(False))] for _, _, kept in calls), calls
 
 
 @pytest.mark.parametrize("d", [2, 6, 8])
