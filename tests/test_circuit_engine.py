@@ -331,11 +331,7 @@ def test_group_sums_wider_than_a_byte_lane():
     assert (outputs == 1).all() and (scores == 300 / 7.0).all()
 
 
-@pytest.mark.parametrize("d", [3, 9])
-@pytest.mark.parametrize("workers", [None, 3])
-@pytest.mark.parametrize("outputs", [True, False])
-def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker(monkeypatch, workers,
-                                                                    outputs, d):
+def assert_bad_last_trit_raises_and_joins(monkeypatch, workers, outputs, d):
     if workers:
         monkeypatch.setattr(cc, "_WORKERS", workers)
     circ = random_circuit(d, (16, 8), seed=23)
@@ -346,6 +342,19 @@ def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker(monkeypatch,
         cc.eval_circuit(circ, x, outputs=outputs)
     assert str(got.value) == "circuit inputs must be trits in {-1, 0, +1}"
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [None, 3])
+@pytest.mark.parametrize("outputs", [True, False])
+def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker(monkeypatch, workers, outputs):
+    assert_bad_last_trit_raises_and_joins(monkeypatch, workers, outputs, d=3)
+
+
+@pytest.mark.parametrize("workers", [None, 3])
+@pytest.mark.parametrize("outputs", [True, False])
+def test_a_bad_trit_in_the_last_chunk_raises_and_joins_every_worker_when_every_row_runs(
+        monkeypatch, workers, outputs):
+    assert_bad_last_trit_raises_and_joins(monkeypatch, workers, outputs, d=9)
 
 
 @pytest.mark.parametrize("d", [5, 9])
