@@ -57,13 +57,15 @@ class index, and the margin is the gap between the top two scores; one
 pass over the k score columns yields both.
 
 A row's results depend on its trits alone, so when all 3^d trit rows of
-the circuit's d inputs fit in the batch and in one block (d <= 8), each
-distinct row runs once: a first pass over the blocks checks every row
-and marks its base-3 key, the distinct rows run through the chunks
-above, and a second pass gathers each row's results from its distinct
-row's. Every row is keyed once. The results are those of running every
-row, bit for bit, and the memory stays bounded by the tables of at most
-`BLOCK_ROWS` distinct rows plus one block. Inputs with more trit rows
+the circuit's d inputs fit in the batch and in one block (d <= 8), the
+batch is answered from the circuit's truth table (`Circuit.truth_table`):
+the results of all 3^d rows, run once through the chunks above when a
+call first needs them and kept with the frozen circuit. A first pass
+over the blocks checks every row and computes its base-3 key, and a
+second pass gathers each row's results from its key's, so later calls
+run no gate. Every row is keyed once. The results are those of running
+every row, bit for bit; the table holds at most `BLOCK_ROWS` rows, and a
+call's working memory is one block's keys. Inputs with more trit rows
 than that, as at the paper's scale, run every row.
 """
 
@@ -75,6 +77,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +104,23 @@ class Circuit(Model):
         object.__setattr__(self, "coeffs", tuple(
             _coefficients(algebra.decode_tables(g)[keep])
             for (keep, _, _), g in zip(self.conn.live, ids)))
+
+    @cached_property
+    def truth_table(self) -> tuple[np.ndarray, ...]:
+        """The results of all 3^d trit rows, in the order of their base-3
+        keys (`_keys`), read-only: the output trits, each row's count of
+        UNKNOWN output trits, the scores, predictions and margins. Row r
+        holds the base-3 digits of r minus 1. Run through `_evaluate_rows`
+        on first use; cached, as the circuit is frozen. Threads that find
+        it missing at once may each build it, all the same table."""
+        d = self.input_dim
+        rows = np.arange(3**d)[:, None] // 3 ** np.arange(d - 1, -1, -1) % 3 - 1
+        trits, *rest = results = _results(self, 3**d, True)
+        _evaluate_rows(self, rows.astype(np.int8), results)
+        table = (trits, np.count_nonzero(trits == 0, axis=1), *rest)
+        for array in table:
+            array.flags.writeable = False
+        return table
 
 
 def harden_network(net: Network) -> Circuit:
@@ -387,44 +407,46 @@ def _evaluate_rows(circuit: Circuit, x: np.ndarray, results) -> None:
         future.result()
 
 
+def _results(circuit: Circuit, n: int, outputs: bool):
+    """Empty per-row results of n rows: the (n, w) output trits, or an
+    (n,) count of UNKNOWN output trits; the scores, predictions, margins."""
+    return (np.empty((n, circuit.widths[-1]), dtype=np.int8) if outputs
+            else np.empty(n, dtype=np.intp),
+            np.empty((n, circuit.groupsum.k)), np.empty(n, dtype=np.intp), np.empty(n))
+
+
 def _keys(x: np.ndarray, place: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Each trit row's base-3 key, sum over j of (x[j] + 1) 3^(d-1-j), in
     [0, 3^d), written into `out` after the engine's trit check; `place`
-    holds the powers 3^(d-1-j) as float32, in which every partial sum of
-    trits times them is an exact integer for d <= 15."""
-    np.copyto(out, _trits(x).astype(np.float32) @ place, casting="unsafe")
+    holds the powers 3^(d-1-j) as intp, and the product is taken in intp
+    whatever the input dtype, so the keys are exact integers."""
+    np.matmul(_trits(x), place, out=out, dtype=np.intp)
     out += (3 ** x.shape[1] - 1) // 2  # the key of the all-UNKNOWN row
     return out
 
 
-def _evaluate_distinct(circuit: Circuit, x: np.ndarray, results) -> None:
-    """`_evaluate_rows` with each distinct row of `x` run once.
+def _look_up(circuit: Circuit, x: np.ndarray, results) -> None:
+    """`_evaluate_rows` as gathers from the circuit's `truth_table`.
 
-    A first pass over the blocks checks every row, marks its key and
-    parks it in the row's prediction, noting a row that holds each key.
-    Those rows, at most 3^d <= `BLOCK_ROWS`, run through `_evaluate_rows`
-    into a table of each result, and a second pass over the blocks
-    gathers every row's results from its key's. A row's results depend
-    on its trits alone, so they are those of running every row.
+    A first pass over the blocks checks every row and parks its key in
+    the row's prediction; only then is the table read, so a bad row
+    raises before the first call on a circuit builds it. A second pass
+    copies each block's keys out of the predictions and gathers every
+    row's results from its key's. A row's results depend on its trits
+    alone, so they are those of running every row.
     """
     n, d = x.shape
     preds = results[2]
-    place = 3.0 ** np.arange(d - 1, -1, -1, dtype=np.float32)
+    place = 3 ** np.arange(d - 1, -1, -1, dtype=np.intp)
     blocks = [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
-    seen = np.zeros(3**d, dtype=bool)
-    holder = np.empty(3**d, dtype=np.intp)  # a row of `x` with each key that occurs
     for block in blocks:
-        here = _keys(x[block], place, preds[block])
-        seen[here] = True
-        holder[here] = np.arange(block.start, block.stop)
-    distinct = np.flatnonzero(seen)
-    tables = [np.empty((len(distinct), *r.shape[1:]), r.dtype) for r in results]
-    _evaluate_rows(circuit, x.take(holder[distinct], axis=0), tables)
-    slot = np.empty(3**d, dtype=np.intp)  # a key's row in the tables
-    slot[distinct] = np.arange(len(distinct))
-    at = np.empty(min(n, BLOCK_ROWS), dtype=np.intp)  # one block's rows in the tables
+        _keys(x[block], place, preds[block])
+    trits, counts, *rest = circuit.truth_table
+    tables = (trits if results[0].ndim == 2 else counts, *rest)
+    keys = np.empty(min(n, BLOCK_ROWS), dtype=np.intp)  # one block's keys
     for block in blocks:
-        here = slot.take(preds[block], out=at[:block.stop - block.start], mode="clip")
+        here = keys[:block.stop - block.start]
+        np.copyto(here, preds[block])
         for table, result in zip(tables, results):
             table.take(here, axis=0, out=result[block], mode="clip")
 
@@ -440,16 +462,16 @@ def eval_circuit(circuit: Circuit, x, *, outputs: bool = True):
     outputs' size is built.
 
     When all 3^d trit rows of the circuit's d inputs fit in the batch and
-    in one block, each distinct row runs once (`_evaluate_distinct`);
-    otherwise every row runs (`_evaluate_rows`).
+    in one block, every row's results are gathered by its key from the
+    circuit's `truth_table` (`_look_up`), which the first such call
+    builds, so later calls run no gate; otherwise every row runs
+    (`_evaluate_rows`).
     """
     x, single = circuit.input_batch(np.asarray(x))
     n, d = x.shape
-    results = (np.empty((n, circuit.widths[-1]), dtype=np.int8) if outputs
-               else np.empty(n, dtype=np.intp),
-               np.empty((n, circuit.groupsum.k)), np.empty(n, dtype=np.intp), np.empty(n))
+    results = _results(circuit, n, outputs)
     if d < 32 and 3**d <= min(n, BLOCK_ROWS):  # no block holds 3^32 rows: skip the power
-        _evaluate_distinct(circuit, x, results)
+        _look_up(circuit, x, results)
     else:
         _evaluate_rows(circuit, x, results)
     if single:

@@ -144,8 +144,11 @@ def _bench_circuit(arch: str, widths, input_dim: int, calls: int,
     from, on random trit rows, with the outputs counted as `tritnet eval`
     runs it: the median of `calls` calls at 10^3 rows, one call at 10^5;
     and the distinct rows of each batch. Where all 3^input_dim trit rows
-    fit in a batch and a block, the engine runs each distinct row once,
-    so the work depends on the input values through those counts."""
+    fit in a batch and a block (input_dim <= 6 at 10^3 rows, <= 8 at
+    10^5), the engine gathers the rows from the circuit's truth table,
+    which the first such call builds: the 10^3-row median then times
+    keyed gathers, and at input_dim 7 or 8 the one 10^5-row call includes
+    the build. The gate engine's own rate needs input_dim >= 9."""
     rng = np.random.default_rng(seed)
     net = net_mod.init_network(widths, input_dim, seed, arch=arch)
     circuit = circ_mod.harden_network(net)

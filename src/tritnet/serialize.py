@@ -65,9 +65,10 @@ DECISION_FLAGS = {
     "argmax_ties": "lowest index",
     "mse_targets": "one-hot in raw score space",
     "execution": "training serial; circuit row chunks on one thread per "
-                 "available CPU, each distinct row once where all 3^d trit "
-                 "rows fit in the batch and a block, results independent of "
-                 "the thread count and of repeated rows",
+                 "available CPU; where all 3^d trit rows fit in the batch and "
+                 "a block, rows gathered from the circuit's table of all 3^d "
+                 "rows, built once; results independent of the thread count, "
+                 "of repeated rows and of earlier calls",
 }
 
 
@@ -163,7 +164,7 @@ def _parse_table(path, lines: list[str], start: int) -> tuple[np.ndarray, np.nda
     a scan name the first bad line (counted from the top of the file)
     and column, in a DataFormatError.
     """
-    body = [line for line in lines[start:] if line.strip()]
+    body = [line for line in lines[start:] if not line.isspace()]
     if not body:
         raise DataFormatError(f"{path}: no data rows from line {start + 1} on")
     width = len(_split(body[0]))
@@ -184,7 +185,7 @@ def _parse_table(path, lines: list[str], start: int) -> tuple[np.ndarray, np.nda
             raise ValueError("a row failed the table checks")
     except (ValueError, DeprecationWarning) as exc:
         for line_no, line in enumerate(lines[start:], start + 1):
-            row = _split(line) if line.strip() else []
+            row = [] if line.isspace() else _split(line)
             if row and len(row) != width:
                 raise DataFormatError(f"{path}: line {line_no}: {len(row)} fields, "
                                       f"expected {width}") from None

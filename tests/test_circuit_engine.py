@@ -5,6 +5,7 @@ import pathlib
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_rejects_a_non_trit_of_any_dtype_in_a_later_block(dtype, bad):
 
 @pytest.mark.parametrize("dtype, low", [
     (np.int8, -1), (np.int16, -1), (np.int32, -1), (np.int64, -1), (np.float64, -1),
-    (np.uint8, 0), (bool, 0),
+    (np.uint8, 0), (np.uint64, 0), (bool, 0),
 ])
 def test_every_dtype_gives_the_same_results(dtype, low):
     circ = random_circuit(6, (40, 30, 8), seed=19, k=4)
@@ -431,10 +432,13 @@ def test_distinct_rows_give_the_results_of_every_row(arch, d, edge):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("d, n, distinct", [(6, 1000, True), (6, 728, False),
-                                            (9, 10**5, False)])
+@pytest.mark.parametrize("d, n, table", [(6, 1000, True), (6, 728, False),
+                                         (9, 10**5, False)])
 @pytest.mark.parametrize("outputs", [True, False])
-def test_which_rows_run(monkeypatch, d, n, distinct, outputs):
+def test_which_rows_run(monkeypatch, d, n, table, outputs):
+    # with the table, the first call on a fresh circuit runs each of the
+    # 3^d rows once and a second call runs none; without it, every row
+    # runs on every call
     circ = random_circuit(d, (16, 8), seed=d)
     x = np.random.default_rng(n).integers(-1, 2, size=(n, d))
     ran, real = [], cc._run_chunk
@@ -444,15 +448,47 @@ def test_which_rows_run(monkeypatch, d, n, distinct, outputs):
         return real(circuit, rows, *args)
 
     monkeypatch.setattr(cc, "_run_chunk", spy)
-    cc.eval_circuit(circ, x, outputs=outputs)
-    got = np.concatenate(ran)
     rows, counts = np.unique(x, axis=0, return_counts=True)
-    if distinct:
-        assert len(rows) < n and len(got) == len(rows)
-        assert np.array_equal(np.unique(got, axis=0), rows)
-    else:
-        got_rows, got_counts = np.unique(got, axis=0, return_counts=True)
-        assert np.array_equal(got_rows, rows) and np.array_equal(got_counts, counts)
+    for call in range(2):
+        ran.clear()
+        cc.eval_circuit(circ, x, outputs=outputs)
+        if table and call:
+            assert not ran
+            continue
+        got = np.concatenate(ran)
+        if table:
+            assert len(rows) < 3**d and len(got) == 3**d
+            assert np.array_equal(np.unique(got, axis=0), all_trit_rows(d))
+        else:
+            got_rows, got_counts = np.unique(got, axis=0, return_counts=True)
+            assert np.array_equal(got_rows, rows) and np.array_equal(got_counts, counts)
+
+
+@pytest.mark.parametrize("arch", ["ternary", "binary"])
+@pytest.mark.parametrize("d", [2, 6, 8])
+def test_truth_table_holds_the_results_of_every_row(arch, d):
+    circ = arch_circuit(arch, d, seed=d)
+    rows = all_trit_rows(d)  # in key order
+    every = cc._results(circ, 3**d, True)
+    cc._evaluate_rows(circ, rows, every)
+    assert all(np.array_equal(e, w) for e, w in zip(every, lookup_eval(circ, rows)))
+    want = (every[0], np.count_nonzero(every[0] == 0, axis=1), *every[1:])
+    for got, w in zip(circ.truth_table, want, strict=True):
+        assert got.dtype == w.dtype and np.array_equal(got, w) and not got.flags.writeable
+    assert circ.truth_table is circ.truth_table
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_keys_are_exact_integers(d):
+    # the key of row r of all_trit_rows is r, in exact integers that
+    # raise no floating-point warning
+    rows = all_trit_rows(d)
+    place = 3 ** np.arange(d - 1, -1, -1, dtype=np.intp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (rows, rows.astype(np.int8), rows.astype(float)):
+            keys = cc._keys(x, place, np.empty(3**d, dtype=np.intp))
+            assert np.array_equal(keys, np.arange(3**d))
 
 
 @pytest.mark.parametrize("outputs", [True, False])

@@ -109,7 +109,7 @@ def test_benchmark_dataset_files_read_as_before(tmp_path):
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-@pytest.mark.parametrize("blank", ["", "   ", "\t"])
+@pytest.mark.parametrize("blank", ["", "   ", "\t", "\x0b", "\x0c", "\xa0", " \t\x0b\x0c\xa0"])
 def test_native_rows_with_blank_lines_and_line_endings(tmp_path, newline, blank):
     lines = [f"{sz.DATASET_MAGIC} v1 {{\"kind\": \"odd\"}}", *odd_rows()]
     lines[3:3] = [blank, blank]
