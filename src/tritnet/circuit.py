@@ -57,16 +57,18 @@ class index, and the margin is the gap between the top two scores; one
 pass over the k score columns yields both.
 
 A row's results depend on its trits alone, so when all 3^d trit rows of
-the circuit's d inputs fit in the batch and in one block (d <= 8), the
-batch is answered from the circuit's truth table (`Circuit.truth_table`):
-the results of all 3^d rows, run once through the chunks above when a
-call first needs them and kept with the frozen circuit. A first pass
-over the blocks checks every row and computes its base-3 key, and a
-second pass gathers each row's results from its key's, so later calls
-run no gate. Every row is keyed once. The results are those of running
-every row, bit for bit; the table holds at most `BLOCK_ROWS` rows, and a
-call's working memory is one block's keys. Inputs with more trit rows
-than that, as at the paper's scale, run every row.
+the circuit's d inputs fit in the batch and in one block (d <= 8), each
+distinct row runs once: a first pass over the blocks checks every row
+and marks its base-3 key, the distinct rows run through the chunks
+above, and a second pass gathers each row's results from its key's.
+Every row is keyed once. The results of the rows run are kept with the
+frozen circuit, one table per `outputs` mode (`Circuit.rows_run`), so a
+later call on the same circuit runs only the rows no earlier call in
+its mode ran, and a first call does the work of a call that keeps
+nothing. The results are those of running every row, bit for bit;
+each table holds at most `BLOCK_ROWS` rows, and a call's working memory
+beyond them is the rows it runs plus one block's keys. Inputs with more
+trit rows than that, as at the paper's scale, run every row.
 """
 
 from __future__ import annotations
@@ -106,21 +108,10 @@ class Circuit(Model):
             for (keep, _, _), g in zip(self.conn.live, ids)))
 
     @cached_property
-    def truth_table(self) -> tuple[np.ndarray, ...]:
-        """The results of all 3^d trit rows, in the order of their base-3
-        keys (`_keys`), read-only: the output trits, each row's count of
-        UNKNOWN output trits, the scores, predictions and margins. Row r
-        holds the base-3 digits of r minus 1. Run through `_evaluate_rows`
-        on first use; cached, as the circuit is frozen. Threads that find
-        it missing at once may each build it, all the same table."""
-        d = self.input_dim
-        rows = np.arange(3**d)[:, None] // 3 ** np.arange(d - 1, -1, -1) % 3 - 1
-        trits, *rest = results = _results(self, 3**d, True)
-        _evaluate_rows(self, rows.astype(np.int8), results)
-        table = (trits, np.count_nonzero(trits == 0, axis=1), *rest)
-        for array in table:
-            array.flags.writeable = False
-        return table
+    def rows_run(self) -> _RowsRun:
+        """The results of the trit rows this circuit has run where all 3^d
+        rows fit in a batch and a block; cached, as the circuit is frozen."""
+        return _RowsRun()
 
 
 def harden_network(net: Network) -> Circuit:
@@ -425,28 +416,67 @@ def _keys(x: np.ndarray, place: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _look_up(circuit: Circuit, x: np.ndarray, results) -> None:
-    """`_evaluate_rows` as gathers from the circuit's `truth_table`.
+class _RowsRun:
+    """The results of the trit rows a circuit has run on the distinct-row
+    path. For each `outputs` mode: the four per-row results (`_results`)
+    of up to 3^d rows, in the order they ran, allocated on the mode's
+    first use, and each base-3 key's slot in them, -1 until its row runs.
+    A row's results depend on its trits alone, so a held row never
+    changes. Runs hold `lock`, so no row runs twice in one mode for one
+    circuit."""
 
-    A first pass over the blocks checks every row and parks its key in
-    the row's prediction; only then is the table read, so a bad row
-    raises before the first call on a circuit builds it. A second pass
-    copies each block's keys out of the predictions and gathers every
-    row's results from its key's. A row's results depend on its trits
-    alone, so they are those of running every row.
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.modes = {}  # outputs -> (results, slot of each key)
+
+    def __reduce__(self):
+        return _RowsRun, ()  # a copy or a pickle of a circuit holds no rows
+
+    def results(self, circuit: Circuit, x, seen, holder, outputs: bool):
+        """The mode's results and each key's slot in them, after running
+        the row x[holder[key]] of each key in `seen` that has no slot yet,
+        into the slots after those held."""
+        with self.lock:
+            if outputs not in self.modes:
+                size = len(seen)
+                self.modes[outputs] = (_results(circuit, size, outputs),
+                                       np.full(size, -1, dtype=np.intp))
+            tables, slot = self.modes[outputs]
+            new = np.flatnonzero(seen & (slot < 0))
+            if len(new):
+                held = np.count_nonzero(slot >= 0)
+                rows = slice(held, held + len(new))
+                _evaluate_rows(circuit, x.take(holder[new], axis=0),
+                               [table[rows] for table in tables])
+                slot[new] = np.arange(rows.start, rows.stop)
+        return tables, slot
+
+
+def _evaluate_distinct(circuit: Circuit, x: np.ndarray, results) -> None:
+    """`_evaluate_rows` with each distinct row of `x` run once, and only
+    if no earlier call on the circuit in this mode ran it.
+
+    A first pass over the blocks checks every row, marks its key and
+    parks it in the row's prediction, noting a row that holds each key.
+    The rows of the keys the circuit's `rows_run` lacks then run through
+    `_evaluate_rows` into it, and a second pass over the blocks gathers
+    every row's results from its key's. A row's results depend on its
+    trits alone, so they are those of running every row.
     """
     n, d = x.shape
     preds = results[2]
     place = 3 ** np.arange(d - 1, -1, -1, dtype=np.intp)
     blocks = [slice(lo, min(lo + BLOCK_ROWS, n)) for lo in range(0, n, BLOCK_ROWS)]
+    seen = np.zeros(3**d, dtype=bool)
+    holder = np.empty(3**d, dtype=np.intp)  # a row of `x` with each key that occurs
     for block in blocks:
-        _keys(x[block], place, preds[block])
-    trits, counts, *rest = circuit.truth_table
-    tables = (trits if results[0].ndim == 2 else counts, *rest)
-    keys = np.empty(min(n, BLOCK_ROWS), dtype=np.intp)  # one block's keys
+        here = _keys(x[block], place, preds[block])
+        seen[here] = True
+        holder[here] = np.arange(block.start, block.stop)
+    tables, slot = circuit.rows_run.results(circuit, x, seen, holder, results[0].ndim == 2)
+    at = np.empty(min(n, BLOCK_ROWS), dtype=np.intp)  # one block's rows in the tables
     for block in blocks:
-        here = keys[:block.stop - block.start]
-        np.copyto(here, preds[block])
+        here = slot.take(preds[block], out=at[:block.stop - block.start], mode="clip")
         for table, result in zip(tables, results):
             table.take(here, axis=0, out=result[block], mode="clip")
 
@@ -462,16 +492,16 @@ def eval_circuit(circuit: Circuit, x, *, outputs: bool = True):
     outputs' size is built.
 
     When all 3^d trit rows of the circuit's d inputs fit in the batch and
-    in one block, every row's results are gathered by its key from the
-    circuit's `truth_table` (`_look_up`), which the first such call
-    builds, so later calls run no gate; otherwise every row runs
+    in one block, each distinct row runs once, unless an earlier call on
+    the circuit in the same mode ran it, and every row's results are
+    gathered by its key (`_evaluate_distinct`); otherwise every row runs
     (`_evaluate_rows`).
     """
     x, single = circuit.input_batch(np.asarray(x))
     n, d = x.shape
     results = _results(circuit, n, outputs)
     if d < 32 and 3**d <= min(n, BLOCK_ROWS):  # no block holds 3^32 rows: skip the power
-        _look_up(circuit, x, results)
+        _evaluate_distinct(circuit, x, results)
     else:
         _evaluate_rows(circuit, x, results)
     if single:

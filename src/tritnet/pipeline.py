@@ -13,7 +13,6 @@ the binary baseline).
 from __future__ import annotations
 
 import time
-import timeit
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -144,19 +143,22 @@ def _bench_circuit(arch: str, widths, input_dim: int, calls: int,
     from, on random trit rows, with the outputs counted as `tritnet eval`
     runs it: the median of `calls` calls at 10^3 rows, one call at 10^5;
     and the distinct rows of each batch. Where all 3^input_dim trit rows
-    fit in a batch and a block (input_dim <= 6 at 10^3 rows, <= 8 at
-    10^5), the engine gathers the rows from the circuit's truth table,
-    which the first such call builds: the 10^3-row median then times
-    keyed gathers, and at input_dim 7 or 8 the one 10^5-row call includes
-    the build. The gate engine's own rate needs input_dim >= 9."""
+    fit in a batch and a block, the engine runs each distinct row once,
+    so the work depends on the input values through those counts. Each
+    call is timed on a fresh copy of the circuit, which has run no rows
+    yet, so no call gathers the results an earlier one kept."""
     rng = np.random.default_rng(seed)
     net = net_mod.init_network(widths, input_dim, seed, arch=arch)
     circuit = circ_mod.harden_network(net)
     rates, distinct = {}, {}
     for rows, repeats in ((10**3, calls), (10**5, 1)):
         x = rng.integers(-1, 2, size=(rows, input_dim))
-        times = timeit.repeat(lambda: circ_mod.eval_circuit(circuit, x, outputs=False),
-                              number=1, repeat=repeats)
+        times = []
+        for _ in range(repeats):
+            fresh = replace(circuit)
+            t0 = time.perf_counter()
+            circ_mod.eval_circuit(fresh, x, outputs=False)
+            times.append(time.perf_counter() - t0)
         rates[str(rows)] = rows / float(np.median(times))
         distinct[str(rows)] = len(np.unique(x, axis=0))
     return rates, distinct

@@ -65,10 +65,10 @@ DECISION_FLAGS = {
     "argmax_ties": "lowest index",
     "mse_targets": "one-hot in raw score space",
     "execution": "training serial; circuit row chunks on one thread per "
-                 "available CPU; where all 3^d trit rows fit in the batch and "
-                 "a block, rows gathered from the circuit's table of all 3^d "
-                 "rows, built once; results independent of the thread count, "
-                 "of repeated rows and of earlier calls",
+                 "available CPU, each distinct row once where all 3^d trit "
+                 "rows fit in the batch and a block, and not again on a later "
+                 "call in the same mode; results independent of the thread "
+                 "count, of repeated rows and of earlier calls",
 }
 
 

@@ -1,7 +1,10 @@
 """The bit-sliced circuit engine against the table-lookup evaluator it replaced."""
 
 import ast
+import copy
+import dataclasses
 import pathlib
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -259,6 +262,8 @@ def test_ranking_on_ties_and_many_classes():
 
 
 def _peak_beyond_results(circ, n, outputs=True):
+    # on a fresh copy of the circuit, which has run no rows yet
+    circ = dataclasses.replace(circ)
     x = np.random.default_rng(n).integers(-1, 2, size=(n, circ.input_dim))
     tracemalloc.start()
     try:
@@ -432,13 +437,13 @@ def test_distinct_rows_give_the_results_of_every_row(arch, d, edge):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("d, n, table", [(6, 1000, True), (6, 728, False),
-                                         (9, 10**5, False)])
+@pytest.mark.parametrize("d, n, distinct", [(6, 1000, True), (6, 728, False),
+                                            (9, 10**5, False)])
 @pytest.mark.parametrize("outputs", [True, False])
-def test_which_rows_run(monkeypatch, d, n, table, outputs):
-    # with the table, the first call on a fresh circuit runs each of the
-    # 3^d rows once and a second call runs none; without it, every row
-    # runs on every call
+def test_which_rows_run(monkeypatch, d, n, distinct, outputs):
+    # each distinct row runs once, and a second call on the same circuit
+    # runs none of them; without the distinct path every row runs on
+    # every call
     circ = random_circuit(d, (16, 8), seed=d)
     x = np.random.default_rng(n).integers(-1, 2, size=(n, d))
     ran, real = [], cc._run_chunk
@@ -452,30 +457,122 @@ def test_which_rows_run(monkeypatch, d, n, table, outputs):
     for call in range(2):
         ran.clear()
         cc.eval_circuit(circ, x, outputs=outputs)
-        if table and call:
+        if distinct and call:
             assert not ran
             continue
         got = np.concatenate(ran)
-        if table:
-            assert len(rows) < 3**d and len(got) == 3**d
-            assert np.array_equal(np.unique(got, axis=0), all_trit_rows(d))
+        if distinct:
+            assert len(rows) < n and len(got) == len(rows)
+            assert np.array_equal(np.unique(got, axis=0), rows)
         else:
             got_rows, got_counts = np.unique(got, axis=0, return_counts=True)
             assert np.array_equal(got_rows, rows) and np.array_equal(got_counts, counts)
 
 
+@pytest.mark.parametrize("outputs", [True, False])
+def test_a_later_call_runs_only_rows_no_earlier_call_ran(monkeypatch, outputs):
+    d = 6
+    circ = random_circuit(d, (16, 8), seed=d)
+    every = all_trit_rows(d)  # in key order
+    ran, real = [], cc._run_chunk
+
+    def spy(circuit, rows, *args):
+        ran.append(np.array(rows))
+        return real(circuit, rows, *args)
+
+    monkeypatch.setattr(cc, "_run_chunk", spy)
+    rng = np.random.default_rng(7)
+    done = np.zeros(3**d, dtype=bool)
+    for lo, hi in [(0, 400), (200, 729), (0, 729)]:
+        keys = rng.integers(lo, hi, size=3**d)
+        ran.clear()
+        cc.eval_circuit(circ, every[keys], outputs=outputs)
+        new = np.setdiff1d(keys, np.flatnonzero(done))
+        got = np.concatenate(ran) if ran else np.empty((0, d), dtype=int)
+        assert len(got) == len(new) and np.array_equal(np.unique(got, axis=0), every[new])
+        done[keys] = True
+    # the other mode has its own table, so its first call runs its rows
+    ran.clear()
+    cc.eval_circuit(circ, every, outputs=not outputs)
+    assert sum(map(len, ran)) == 3**d
+
+
 @pytest.mark.parametrize("arch", ["ternary", "binary"])
 @pytest.mark.parametrize("d", [2, 6, 8])
-def test_truth_table_holds_the_results_of_every_row(arch, d):
+def test_rows_run_hold_the_results_of_every_row(arch, d):
+    # calls in both modes on batches that share some rows with earlier
+    # calls each give the results of running every row, and leave every
+    # row's results at its key
     circ = arch_circuit(arch, d, seed=d)
-    rows = all_trit_rows(d)  # in key order
-    every = cc._results(circ, 3**d, True)
-    cc._evaluate_rows(circ, rows, every)
-    assert all(np.array_equal(e, w) for e, w in zip(every, lookup_eval(circ, rows)))
-    want = (every[0], np.count_nonzero(every[0] == 0, axis=1), *every[1:])
-    for got, w in zip(circ.truth_table, want, strict=True):
-        assert got.dtype == w.dtype and np.array_equal(got, w) and not got.flags.writeable
-    assert circ.truth_table is circ.truth_table
+    every = all_trit_rows(d)  # in key order
+    want = cc._results(circ, 3**d, True)
+    cc._evaluate_rows(circ, every, want)
+    assert all(np.array_equal(w, e) for w, e in zip(want, lookup_eval(circ, every)))
+    wants = {True: want, False: (np.count_nonzero(want[0] == 0, axis=1), *want[1:])}
+    rng = np.random.default_rng(d)
+    for outputs, lo, hi in [(True, 0, 3**d // 2), (False, 0, 3**d // 2),
+                            (True, 3**d // 3, 3**d), (False, 0, 3**d), (True, 0, 3**d)]:
+        keys = rng.integers(lo, hi, size=3**d + 5)
+        if hi - lo == 3**d:  # every row
+            keys[:3**d] = rng.permutation(3**d)
+        got = cc.eval_circuit(circ, every[keys], outputs=outputs)
+        for g, w in zip(got, wants[outputs], strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w[keys])
+    assert circ.rows_run is circ.rows_run
+    for outputs, (tables, slot) in circ.rows_run.modes.items():
+        assert np.array_equal(np.sort(slot), np.arange(3**d))
+        for t, w in zip(tables, wants[outputs], strict=True):
+            assert np.array_equal(t[slot], w)
+
+
+def test_a_copied_or_pickled_circuit_holds_no_rows():
+    circ = random_circuit(5, (16, 8), seed=5)
+    x = all_trit_rows(5)
+    want = cc.eval_circuit(circ, x)
+    for other in (copy.deepcopy(circ), pickle.loads(pickle.dumps(circ))):
+        assert not other.rows_run.modes
+        assert all(np.array_equal(g, w) for g, w in zip(cc.eval_circuit(other, x), want))
+    assert circ.rows_run.modes
+
+
+@pytest.mark.parametrize("outputs", [True, False])
+def test_threads_sharing_a_circuit_run_each_row_once(monkeypatch, outputs):
+    monkeypatch.setattr(cc, "_WORKERS", 2)
+    d = 5
+    circ = random_circuit(d, (48, 24, 6), seed=30, k=3)
+    every = all_trit_rows(d)
+    inputs = [every[np.random.default_rng(s).integers(0, 3**d, size=3**d + 9)]
+              for s in range(4)]
+    wants = [lookup_eval(circ, x) for x in inputs]
+    ran, real = [], cc._run_chunk
+
+    def spy(circuit, rows, *args):
+        ran.append(np.array(rows))
+        return real(circuit, rows, *args)
+
+    monkeypatch.setattr(cc, "_run_chunk", spy)
+    gots = [None] * len(inputs)
+
+    def caller(i):
+        gots[i] = cc.eval_circuit(circ, inputs[i], outputs=outputs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    got = np.concatenate(ran)
+    assert len(got) == len(np.unique(got, axis=0)) == len(np.unique(np.concatenate(inputs), axis=0))
+    for results, want in zip(gots, wants):
+        if not outputs:
+            want = (np.count_nonzero(want[0] == 0, axis=1), *want[1:])
+        assert all(np.array_equal(g, w) for g, w in zip(results, want))
 
 
 @pytest.mark.parametrize("d", range(1, 9))
